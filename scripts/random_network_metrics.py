@@ -12,7 +12,7 @@ import argparse
 import collections
 import random
 
-from thdist.network import ClusterNetwork, NetEdge, step_distance
+from thdist.network import ClusterNetwork, NetEdge, distance_matrix
 
 
 def sample(rng: random.Random, nodes: int, equiv_rate: float, step_rate: float) -> ClusterNetwork:
@@ -40,10 +40,11 @@ def main() -> None:
     histogram: collections.Counter = collections.Counter()
     for _ in range(args.samples):
         net = sample(rng, args.nodes, args.equiv_rate, args.step_rate)
+        matrix = distance_matrix(net)
         dist = {}
         for a in net.nodes:
             for b in net.nodes:
-                value = step_distance(net, a, b).value
+                value = matrix[a][b].value
                 dist[a, b] = value
                 histogram[str(value)] += 1
         for (a, b), value in dist.items():

@@ -65,6 +65,8 @@ from .network import (
     classify_ad,
     conceptual_distance,
     directed_step_distance,
+    distance_matrix,
+    distances_from,
     export_dot,
     export_json,
     faithful_interpretation_distance,

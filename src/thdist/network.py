@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from typing import Iterable, Mapping
 
 from .errors import LanguageError
@@ -118,19 +118,11 @@ class ClusterNetwork:
             if e.status is not None and e.status.state == REFUTED:
                 raise LanguageError(f"refuted certificate {e.label()} in network")
 
-
-_STATE_RANK = {VERIFIED_EXACT: 0, VERIFIED_BOUNDED: 1, ASSERTED: 2}
-
-
-def _adjacency(net: ClusterNetwork) -> dict[str, list[tuple[str, int, NetEdge]]]:
-    adj: dict[str, list[tuple[str, int, NetEdge]]] = {n: [] for n in net.nodes}
-    for e in net.edges:
-        adj[e.a].append((e.b, e.weight, e))
-        if not e.directed:
-            adj[e.b].append((e.a, e.weight, e))
-    for entries in adj.values():
-        entries.sort(key=lambda t: (t[1], _STATE_RANK.get(t[2].state(), 3)))
-    return adj
+    @cached_property
+    def _engine(self) -> "_DistanceEngine":
+        # built on the first distance query and dropped with the network;
+        # the network is immutable, so what it memoises never goes stale
+        return _DistanceEngine(self)
 
 
 @dataclass(frozen=True)
@@ -232,44 +224,122 @@ def _result_from_path(value: int, witness: PathWitness) -> DistanceResult:
     return DistanceResult(fin(value), witness, status, asserted)
 
 
-def _zero_one_bfs(net: ClusterNetwork, source: str) -> tuple[dict[str, int], dict[str, tuple[str, NetEdge]]]:
-    adj = _adjacency(net)
-    dist = {source: 0}
-    parent: dict[str, tuple[str, NetEdge]] = {}
-    dq: deque[tuple[int, str]] = deque([(0, source)])
-    while dq:
-        d, u = dq.popleft()
-        if d > dist.get(u, math.inf):
-            continue
-        for v, w, edge in adj[u]:
-            nd = d + w
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                parent[v] = (u, edge)
-                if w == 0:
-                    dq.appendleft((nd, v))
-                else:
-                    dq.append((nd, v))
-    return dist, parent
+_STATE_RANK = {VERIFIED_EXACT: 0, VERIFIED_BOUNDED: 1, ASSERTED: 2}
+
+
+class _DistanceEngine:
+    """The distance state of one network: its adjacency, built once over
+    integer node indices, and the 0/1-BFS of every source queried so far.
+
+    Each node's moves are sorted 0-edges first, then verified-exact,
+    verified-bounded and asserted, so that among equally short paths the
+    BFS settles on the best-certified witness.
+    """
+
+    def __init__(self, net: ClusterNetwork) -> None:
+        self.names = tuple(dict.fromkeys(net.nodes))
+        self.index = {n: i for i, n in enumerate(self.names)}
+        self.moves: list[list[tuple[int, PathStep]]] = [[] for _ in self.names]
+        for e in net.edges:
+            a, b = self.index[e.a], self.index[e.b]
+            label, state = e.label(), e.state()
+            self.moves[a].append((b, PathStep(e.a, e.b, e.weight, e.kind, label, state)))
+            if not e.directed:
+                self.moves[b].append((a, PathStep(e.b, e.a, e.weight, e.kind, label, state)))
+        for entries in self.moves:
+            entries.sort(key=lambda t: (t[1].bit, _STATE_RANK.get(t[1].state, 3)))
+        self.runs: dict[str, SourceDistances] = {}
+
+    def from_source(self, source: str) -> "SourceDistances":
+        run = self.runs.get(source)
+        if run is None:
+            run = self.runs[source] = self._zero_one_bfs(self.index[source])
+        return run
+
+    def _zero_one_bfs(self, source: int) -> "SourceDistances":
+        dist: list[float] = [math.inf] * len(self.names)
+        parent: list[tuple[int, PathStep] | None] = [None] * len(self.names)
+        dist[source] = 0
+        moves = self.moves
+        dq: deque[tuple[int, int]] = deque([(0, source)])
+        while dq:
+            d, u = dq.popleft()
+            if d > dist[u]:
+                continue
+            for v, step in moves[u]:
+                nd = d + step.bit
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (u, step)
+                    if step.bit == 0:
+                        dq.appendleft((nd, v))
+                    else:
+                        dq.append((nd, v))
+        return SourceDistances(self.names, self.index, source, dist, parent)
+
+
+class SourceDistances(Mapping[str, DistanceResult]):
+    """Distances from one source to every node of its network, read off a
+    single 0/1-BFS. A target's witness is walked back through the parent
+    map when the target is looked up."""
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        index: dict[str, int],
+        source: int,
+        dist: list[float],
+        parent: list[tuple[int, PathStep] | None],
+    ) -> None:
+        # no reference back to the engine, so that dropping a network
+        # frees its memo at once rather than at the next cycle collection
+        self._names = names
+        self._index = index
+        self._source = source
+        self._dist = dist
+        self._parent = parent
+
+    def __getitem__(self, target: str) -> DistanceResult:
+        node = self._index[target]
+        value = self._dist[node]
+        if value == math.inf:
+            return DistanceResult(INFINITY, None, "exact", (), EXHAUSTED)
+        steps: list[PathStep] = []
+        while node != self._source:
+            node, step = self._parent[node]
+            steps.append(step)
+        steps.reverse()
+        witness = PathWitness(
+            (self._names[self._source], *(s.target for s in steps)), tuple(steps)
+        )
+        return _result_from_path(value, witness)
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+def distances_from(net: ClusterNetwork, source: str) -> SourceDistances:
+    """Every distance from `source`: equivalence edges are free and step
+    edges count one each, in their direction on directed networks. The
+    BFS runs once per source; the network keeps it for later queries."""
+    if source not in net._engine.index:
+        raise LanguageError(f"unknown node in distance query: {source!r}")
+    return net._engine.from_source(source)
+
+
+def distance_matrix(net: ClusterNetwork) -> dict[str, SourceDistances]:
+    """All pairs: `distance_matrix(net)[a][b]` is the distance from a to b."""
+    return {a: distances_from(net, a) for a in net._engine.names}
 
 
 def _distance(net: ClusterNetwork, a: str, b: str) -> DistanceResult:
-    if a not in net.nodes or b not in net.nodes:
+    engine = net._engine
+    if a not in engine.index or b not in engine.index:
         raise LanguageError(f"unknown node in distance query: {a!r} or {b!r}")
-    dist, parent = _zero_one_bfs(net, a)
-    if b not in dist:
-        return DistanceResult(INFINITY, None, "exact", (), EXHAUSTED)
-    steps: list[PathStep] = []
-    node = b
-    while node != a:
-        prev, edge = parent[node]
-        steps.append(
-            PathStep(prev, node, edge.weight, edge.kind, edge.label(), edge.state())
-        )
-        node = prev
-    steps.reverse()
-    witness = PathWitness((a, *(s.target for s in steps)), tuple(steps))
-    return _result_from_path(dist[b], witness)
+    return engine.from_source(a)[b]
 
 
 def step_distance(net: ClusterNetwork, a: str, b: str) -> DistanceResult:

@@ -25,8 +25,8 @@ from .network import (
     NetEdge,
     check_amalgamation,
     classify_ad,
+    distance_matrix,
     sentential_cd_solve,
-    step_distance,
 )
 from .relations import axiom_add_exists
 from .semantics import (
@@ -159,11 +159,12 @@ def a1():
         net = _random_network(rng, index)
         comp_of, oracle = _oracle_matrix(net)
         names = net.nodes
+        results = distance_matrix(net)
         mat: dict[str, dict[str, float]] = {}
         for a in names:
             row = {}
             for b in names:
-                res = step_distance(net, a, b)
+                res = results[a][b]
                 value = res.value.value if res.value.is_finite else math.inf
                 row[b] = value
                 expected = oracle[comp_of[a]][comp_of[b]]

@@ -37,7 +37,15 @@ from .semantics import (
     spectrum,
     theory_from_sat,
 )
-from .syntax import Formula, big_and, dnf_of_assignments, false_formula, iff, print_formula
+from .syntax import (
+    Formula,
+    all_assignments,
+    big_and,
+    dnf_of_assignments,
+    false_formula,
+    iff,
+    print_formula,
+)
 from .translation import Translation
 
 CERT_KINDS = (
@@ -269,7 +277,7 @@ def concept_removals(t: Theory, phi: Formula) -> list[Removal]:
     if not sat:
         raise InconsistencyError(f"{t.name} is inconsistent")
     falsifiers = frozenset(
-        row for row in sat_of_formula(t.lang, phi) ^ _all_rows(t.lang)
+        row for row in sat_of_formula(t.lang, phi) ^ frozenset(all_assignments(t.lang))
     )
     if not falsifiers:
         raise RemovalError("phi is a tautology; no consistent subtheory loses it")
@@ -294,7 +302,7 @@ def theorem_removals(t: Theory, phi: Formula) -> list[Removal]:
     sat = sat_assignments(t)
     if not sat:
         raise InconsistencyError(f"{t.name} is inconsistent")
-    falsifiers = sat_of_formula(t.lang, phi) ^ _all_rows(t.lang)
+    falsifiers = sat_of_formula(t.lang, phi) ^ frozenset(all_assignments(t.lang))
     if sat & falsifiers:
         raise RemovalError(f"{t.name} does not prove the formula")
     if not falsifiers:
@@ -305,12 +313,6 @@ def theorem_removals(t: Theory, phi: Formula) -> list[Removal]:
         )
         for i, m in enumerate(sorted(falsifiers))
     ]
-
-
-def _all_rows(lang) -> frozenset[tuple[bool, ...]]:
-    import itertools
-
-    return frozenset(itertools.product((False, True), repeat=len(lang.constants)))
 
 
 # ---------------------------------------------------------------------------

@@ -551,10 +551,6 @@ def spectrum(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> int:
     return len(enumerate_models(theory, k, caps))
 
 
-def spectrum_table(theory: Theory, max_size: int, caps: Caps = DEFAULT_CAPS) -> dict[int, int]:
-    return {k: spectrum(theory, k, caps) for k in range(1, max_size + 1)}
-
-
 @dataclass
 class SemanticProfile:
     """Cached semantic data for one theory up to a size bound."""

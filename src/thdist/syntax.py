@@ -266,19 +266,6 @@ def subformulas(phi: Formula) -> list[Formula]:
     return list(seen.values())
 
 
-def max_var_index(phi: Formula) -> int:
-    """Largest variable index used, -1 if none."""
-    best = -1
-    for f in subformulas(phi):
-        if isinstance(f, Eq):
-            best = max(best, f.i, f.j)
-        elif isinstance(f, Atom):
-            best = max(best, max(f.args, default=-1))
-        elif isinstance(f, Exists):
-            best = max(best, f.var)
-    return best
-
-
 def validate_formula(phi: Formula, lang: Language) -> None:
     """Check symbols, arities and variable indices against `lang`."""
     ranks = dict(lang.symbols)

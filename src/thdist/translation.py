@@ -156,10 +156,6 @@ class Pairing:
     tr_from_b: Translation  # B-atom to its definition over the R,S language
     tr_to_b: Translation  # R and S recovered from B
 
-    @property
-    def translations(self) -> tuple[Translation, Translation]:
-        return self.tr_from_b, self.tr_to_b
-
 
 def make_pairing(lang: Language, r: str, s: str, b: str) -> Pairing:
     """Pair relations `r` and `s` of `lang` into one fresh relation `b`.

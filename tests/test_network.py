@@ -18,6 +18,8 @@ from thdist.network import (
     classify_ad,
     conceptual_distance,
     directed_step_distance,
+    distance_matrix,
+    distances_from,
     export_dot,
     export_json,
     faithful_interpretation_distance,
@@ -26,7 +28,7 @@ from thdist.network import (
     sentential_cd_solve,
     step_distance,
 )
-from thdist.relations import EdgeCertificate
+from thdist.relations import CertStatus, EdgeCertificate
 from thdist.semantics import Theory, theory_from_sat
 from thdist.syntax import Language, parse_formula
 
@@ -73,6 +75,46 @@ def test_unknown_node_errors():
     net = _net("AB", [], [])
     with pytest.raises(LanguageError):
         step_distance(net, "A", "Z")
+    with pytest.raises(LanguageError):
+        distances_from(net, "Z")
+
+
+def _certified(a, b, weight, state, name):
+    kind = "equiv" if weight == 0 else "axiom-add"
+    cert = EdgeCertificate(kind, a, b, name=name, status=CertStatus(state))
+    return NetEdge(a, b, weight, kind, cert.status, cert)
+
+
+def test_witness_tie_break_and_per_network_memo():
+    # every pair below has two equally short routes, and the asserted edge
+    # is always listed first: only the adjacency order picks the witness
+    edges = (
+        _certified("A", "B", 1, "asserted", "ab-asserted"),
+        _certified("A", "B", 1, "verified-exact", "ab-exact"),
+        _certified("B", "C", 0, "verified-exact", "bc-equiv"),
+        _certified("C", "D", 1, "asserted", "cd-asserted"),
+        _certified("B", "D", 1, "verified-exact", "bd-exact"),
+    )
+    net = ClusterNetwork("ties", "symmetric", tuple("ABCD"), edges)
+    first = step_distance(net, "A", "D")
+    assert [s.edge_label for s in first.witness.steps] == ["ab-exact", "bd-exact"]
+    assert first.value == fin(2)
+    assert first.status == "exact" and first.asserted_used == ()
+    via_zero = step_distance(net, "B", "D")
+    assert [s.edge_label for s in via_zero.witness.steps] == ["bd-exact"]
+    assert via_zero.status == "exact" and via_zero.asserted_used == ()
+    assert step_distance(net, "A", "D") == first
+
+    # same nodes, the verified edges gone: the answers of the first
+    # network must not leak into this one, nor the other way round
+    other = ClusterNetwork("ties", "symmetric", tuple("ABCD"), edges[:1] + edges[2:4])
+    res = step_distance(other, "A", "D")
+    assert [s.edge_label for s in res.witness.steps] == [
+        "ab-asserted", "bc-equiv", "cd-asserted"
+    ]
+    assert res.status == "conditional"
+    assert res.asserted_used == ("ab-asserted", "cd-asserted")
+    assert step_distance(net, "A", "D") == first
 
 
 def test_refuted_certificates_never_enter_networks():
@@ -172,6 +214,64 @@ def test_directed_distance_properties(net):
             assert (dist[a, b] == fin(0)) == (find(a) == find(b))
             for c in nodes:
                 assert dist[a, b] <= dist[a, c] + dist[c, b]
+
+
+def _directed_oracle(net):
+    # contract the 0-edges, then Floyd-Warshall over the one-way step edges
+    comp = {x: x for x in net.nodes}
+
+    def find(x):
+        while comp[x] != x:
+            x = comp[x]
+        return x
+
+    for e in net.edges:
+        if e.weight == 0:
+            comp[find(e.a)] = find(e.b)
+    roots = sorted({find(x) for x in net.nodes})
+    dist = {(i, j): 0 if i == j else math.inf for i in roots for j in roots}
+    for e in net.edges:
+        if e.weight == 1:
+            dist[find(e.a), find(e.b)] = min(dist[find(e.a), find(e.b)], 1)
+    for h in roots:
+        for i in roots:
+            for j in roots:
+                dist[i, j] = min(dist[i, j], dist[i, h] + dist[h, j])
+    return lambda a, b: dist[find(a), find(b)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_random_networks(), _directed_networks()))
+def test_distances_from_and_matrix_match_floyd_warshall(net):
+    from thdist.paper_suite import _oracle_matrix
+
+    if net.mode == "symmetric":
+        comp_of, table = _oracle_matrix(net)
+        oracle = lambda a, b: table[comp_of[a]][comp_of[b]]  # noqa: E731
+        query = step_distance
+    else:
+        oracle = _directed_oracle(net)
+        query = directed_step_distance
+    moves = {(e.a, e.b, e.weight) for e in net.edges}
+    moves |= {(e.b, e.a, e.weight) for e in net.edges if not e.directed}
+    matrix = distance_matrix(net)
+    assert list(matrix) == list(net.nodes)
+    for a in net.nodes:
+        row = distances_from(net, a)
+        assert list(row) == list(net.nodes)
+        for b in net.nodes:
+            res = row[b]
+            assert res == matrix[a][b] == query(net, a, b)
+            got = res.value.value if res.value.is_finite else math.inf
+            assert got == oracle(a, b)
+            if not res.value.is_finite:
+                assert res.witness is None and res.lower_bound.kind == "exhausted-search"
+                continue
+            witness = res.witness
+            assert witness.length == got
+            assert witness.nodes[0] == a and witness.nodes[-1] == b
+            for here, s in zip(witness.nodes, witness.steps):
+                assert s.source == here and (s.source, s.target, s.bit) in moves
 
 
 @settings(max_examples=30, deadline=None)
