@@ -1,8 +1,9 @@
 """Content-addressed on-disk cache for semantic profiles.
 
-Entries are keyed by the theory's content hash plus the model size; stale
-tool versions are ignored; writes go through a temp file and an atomic
-rename. Results never depend on the cache being present.
+Entries are keyed by the theory's content hash plus the model size;
+records of another tool version or another model-list format are ignored;
+writes go through a temp file and an atomic rename. Results never depend
+on the cache being present.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from . import __version__
 from .semantics import set_profile_store
 
 ENV_VAR = "THDIST_CACHE_DIR"
+# Model lists are stored in enumeration order: first-order lists ascend by
+# canonical code. Change the tag whenever that order or encoding changes.
+FORMAT = "canonical-code-order"
 
 
 class DiskProfileStore:
@@ -33,14 +37,14 @@ class DiskProfileStore:
             data = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if data.get("version") != self.version:
+        if data.get("version") != self.version or data.get("format") != FORMAT:
             return None
         return data
 
     def put(self, key: str, k: int, payload: dict) -> None:
         path = self._path(key, k)
         path.parent.mkdir(parents=True, exist_ok=True)
-        record = dict(payload, version=self.version)
+        record = dict(payload, version=self.version, format=FORMAT)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

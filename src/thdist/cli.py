@@ -9,6 +9,7 @@ unless --human is given. Exit codes: 0 success, 1 refuted certificates,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -147,19 +148,23 @@ def cmd_classify_ad(args) -> int:
     catalog, name = _load_ref(args.network)
     decl = catalog.network_decl(name)
     theories = {n: catalog.theory(n) for n in decl.nodes}
-    verify_all(catalog)
+    # only certificates between network nodes bear on the classification
+    certificates = [
+        c for c in catalog.certificates if c.source in theories and c.target in theories
+    ]
+    verify_all(dataclasses.replace(catalog, certificates=certificates))
     if args.assume_amalgamation:
         flag = "asserted"
         amalgamation = None
     else:
-        report = check_amalgamation(theories, catalog.certificates, catalog.policy.size_cap)
+        report = check_amalgamation(theories, certificates)
         amalgamation = report.to_json()
         if report.amalgamation != "holds" and report.co_amalgamation != "holds":
             _emit(args, {"error": "amalgamation not established", "report": amalgamation})
             return EXIT_INPUT
         flag = "verified"
     result = classify_ad(
-        theories, args.t1, args.t2, catalog.certificates,
+        theories, args.t1, args.t2, certificates,
         catalog.policy.size_cap, catalog.policy.caps(), amalgamation=flag,
     )
     payload = result.to_json()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     CapExceededError,
@@ -30,9 +31,9 @@ from .semantics import (
     assignment_model,
     assignment_set,
     bounded_consequence,
-    cylindrify,
     enumerate_models,
     eval_formula,
+    exists_groups,
     sat_assignments,
 )
 from .syntax import (
@@ -76,9 +77,73 @@ def cz_sentential(theory: Theory) -> CzValue:
 
 
 # ---------------------------------------------------------------------------
-# Definable-relation closure over one finite model
+# Definable-relation closures
 
 Trace = tuple
+
+
+def _fixpoint(
+    models: Sequence[FiniteModel],
+    depth: int | None = None,
+    max_elements: int | None = None,
+) -> dict[int, Trace]:
+    """Close the diagonals and atom meanings over a non-empty tuple of
+    models of one language under complement, intersection and
+    per-coordinate cylindrification.
+
+    A relation is the concatenation of one assignment mask per model, each
+    model in its own bit range, so one integer operation acts on every
+    model at once. Returns each relation with its first generator; `depth`
+    limits the generation rounds and `max_elements` caps the count.
+    """
+    lang = models[0].lang
+    n = lang.var_bound
+    offsets = list(itertools.accumulate((m.size**n for m in models), initial=0))
+    full = (1 << offsets[-1]) - 1
+    groups = [
+        [g << off for m, off in zip(models, offsets) for g in exists_groups(m.size, n, i)]
+        for i in range(n)
+    ]
+
+    def meaning(phi: Formula) -> int:
+        return sum(assignment_set(m, phi) << off for m, off in zip(models, offsets))
+
+    def cylindrify(x: int, i: int) -> int:
+        out = 0
+        for g in groups[i]:
+            if g & x:
+                out |= g
+        return out
+
+    traces: dict[int, Trace] = {}
+
+    def add(mask: int, trace: Trace, frontier: list[int]) -> None:
+        if mask not in traces:
+            if max_elements is not None and len(traces) >= max_elements:
+                raise CapExceededError(f"closure exceeded {max_elements} elements")
+            traces[mask] = trace
+            frontier.append(mask)
+
+    frontier: list[int] = []
+    for i in range(n):
+        for j in range(n):
+            add(meaning(eq(i, j)), ("diag", i, j), frontier)
+    for sym, rank in lang.symbols:
+        for args in itertools.product(range(n), repeat=rank):
+            add(meaning(atom(sym, args)), ("atom", sym, args), frontier)
+
+    for _ in itertools.count() if depth is None else range(depth):
+        if not frontier:
+            break
+        fresh, frontier = frontier, []
+        known = list(traces)
+        for x in fresh:
+            add(full ^ x, ("not", x), frontier)
+            for i in range(n):
+                add(cylindrify(x, i), ("exists", i, x), frontier)
+            for y in known:
+                add(x & y, ("and", x, y), frontier)
+    return traces
 
 
 @dataclass
@@ -118,36 +183,7 @@ def concept_closure(
         )
     if model.size > caps.max_size:
         raise CapExceededError(f"model size {model.size} exceeds cap {caps.max_size}")
-    k = model.size
-    full = (1 << (k**n)) - 1
-    traces: dict[int, Trace] = {}
-
-    def add(mask: int, trace: Trace, frontier: list[int]) -> None:
-        if mask not in traces:
-            if len(traces) >= max_elements:
-                raise CapExceededError(f"closure exceeded {max_elements} elements")
-            traces[mask] = trace
-            frontier.append(mask)
-
-    frontier: list[int] = []
-    for i in range(n):
-        for j in range(n):
-            add(assignment_set(model, eq(i, j)), ("diag", i, j), frontier)
-    for sym, rank in lang.symbols:
-        for args in itertools.product(range(n), repeat=rank):
-            add(assignment_set(model, atom(sym, args)), ("atom", sym, args), frontier)
-
-    while frontier:
-        fresh = frontier
-        frontier = []
-        known = list(traces)
-        for x in fresh:
-            add(full ^ x, ("not", x), frontier)
-            for i in range(n):
-                add(cylindrify(x, k, n, i), ("exists", i, x), frontier)
-            for y in known:
-                add(x & y, ("and", x, y), frontier)
-    return ConceptClosure(model, n, traces)
+    return ConceptClosure(model, n, _fixpoint([model], max_elements=max_elements))
 
 
 def closure_formula(closure: ConceptClosure, mask: int) -> Formula:
@@ -229,45 +265,8 @@ def cz_lower_bound(
             1, "enumeration-lower-bound", True, depth,
             detail=f"no models of size <= {bound}",
         )
-    lang = theory.lang
-    n = lang.var_bound
-    dims = [(m.size, (1 << (m.size**n)) - 1) for m in models]
-
-    def vec(phi: Formula) -> tuple[int, ...]:
-        return tuple(assignment_set(m, phi) for m in models)
-
-    seen: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = []
-
-    def add(v: tuple[int, ...]) -> None:
-        if v not in seen:
-            seen.add(v)
-            frontier.append(v)
-
-    for i in range(n):
-        for j in range(n):
-            add(vec(eq(i, j)))
-    for sym, rank in lang.symbols:
-        for args in itertools.product(range(n), repeat=rank):
-            add(vec(atom(sym, args)))
-
-    for _ in range(depth):
-        if not frontier:
-            break
-        fresh, frontier = frontier, []
-        known = list(seen)
-        for x in fresh:
-            add(tuple(fm ^ xc for (_, fm), xc in zip(dims, x)))
-            for i in range(n):
-                add(
-                    tuple(
-                        cylindrify(xc, kk, n, i) for (kk, _), xc in zip(dims, x)
-                    )
-                )
-            for y in known:
-                add(tuple(xc & yc for xc, yc in zip(x, y)))
     return CzValue(
-        len(seen), "enumeration-lower-bound", True, depth,
+        len(_fixpoint(models, depth)), "enumeration-lower-bound", True, depth,
         detail=f"models up to size {bound}",
     )
 

@@ -529,10 +529,7 @@ class AmalgamationReport:
 
 
 def _arrow_matrix(
-    theories: Mapping[str, Theory],
-    certificates: Iterable[EdgeCertificate],
-    bound: int,
-    caps: Caps,
+    theories: Mapping[str, Theory], certificates: Iterable[EdgeCertificate]
 ) -> dict[tuple[str, str], bool | None]:
     """arrow[u, v] decides u <- v (v is u plus one axiom, up to logical
     equivalence). Sentential same-language pairs are exact; elsewhere only
@@ -581,17 +578,14 @@ def _arrow_matrix(
 
 
 def check_amalgamation(
-    theories: Mapping[str, Theory],
-    certificates: Iterable[EdgeCertificate] = (),
-    bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
+    theories: Mapping[str, Theory], certificates: Iterable[EdgeCertificate] = ()
 ) -> AmalgamationReport:
     """Exhaustively check the theory (co-)amalgamation property over the
     catalog nodes. Reports the first counterexample triple, and errors on
     pairs whose axiom-adding status is undecidable."""
     names = list(theories)
     certificates = list(certificates)
-    arrow = _arrow_matrix(theories, certificates, bound, caps)
+    arrow = _arrow_matrix(theories, certificates)
     undecided = tuple(p for p, v in arrow.items() if v is None)
 
     def decide(premise, conclusion) -> tuple[str, tuple | None]:

@@ -14,6 +14,7 @@ sentential fragment is ever reported exact.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -344,58 +345,84 @@ def assignment_model(lang: Language, row: Sequence[bool], size: int = 1) -> Fini
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism and canonical forms
+# Packed structures and canonical forms
 
-def invariant_key(model: FiniteModel) -> tuple:
-    """Cheap isomorphism invariant used for pre-bucketing."""
-    parts = []
-    for sym, rank in model.lang.symbols:
-        v = model.interp[sym]
-        if isinstance(v, bool):
-            parts.append((sym, v))
-        else:
-            degrees = sorted(
-                tuple(sum(1 for t in v if t[p] == e) for p in range(rank))
-                for e in range(model.size)
-            )
-            parts.append((sym, len(v), tuple(degrees)))
-    return (model.size, tuple(parts))
+class _Space:
+    """The size-k structures of one signature, each packed into one
+    integer code: one bit per possible tuple of each symbol (tuples in
+    lexicographic order, rank-0 symbols one bit), symbols in declaration
+    order. Universe permutations act as bit permutations; `tables` holds
+    the distinct ones."""
+
+    __slots__ = ("k", "blocks", "tables")
+
+    def __init__(self, symbols: tuple[tuple[str, int], ...], k: int):
+        self.k = k
+        self.blocks: list[tuple[str, int, dict[tuple[int, ...], int]]] = []
+        offset = 0
+        for sym, rank in symbols:
+            tuples = itertools.product(range(k), repeat=rank)
+            bit = {t: offset + i for i, t in enumerate(tuples)}
+            self.blocks.append((sym, rank, bit))
+            offset += len(bit)
+        self.tables = list(dict.fromkeys(
+            tuple(bit[tuple(p[e] for e in t)] for _, _, bit in self.blocks for t in bit)
+            for p in itertools.permutations(range(k))
+        ))
+
+    def pack(self, model: FiniteModel) -> int:
+        code = 0
+        for sym, rank, bit in self.blocks:
+            v = model.interp[sym]
+            if rank == 0:
+                v = {()} if v else ()
+            for t in v:
+                code |= 1 << bit[t]
+        return code
+
+    def unpack(self, lang: Language, code: int) -> FiniteModel:
+        interp: dict[str, object] = {}
+        for sym, rank, bit in self.blocks:
+            chosen = {t for t, i in bit.items() if code >> i & 1}
+            interp[sym] = bool(chosen) if rank == 0 else chosen
+        return FiniteModel(lang, self.k, interp)
+
+    def orbit(self, code: int) -> set[int]:
+        out = set()
+        for table in self.tables:
+            image = 0
+            b = code
+            while b:
+                low = b & -b
+                image |= 1 << table[low.bit_length() - 1]
+                b ^= low
+            out.add(image)
+        return out
 
 
-def canonical_form(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> tuple:
-    """Complete isomorphism invariant: minimum serialization over all
-    universe permutations. Equal forms iff isomorphic."""
+@functools.lru_cache(maxsize=None)
+def _space(symbols: tuple[tuple[str, int], ...], k: int) -> _Space:
+    return _Space(symbols, k)
+
+
+def canonical_form(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
+    """Complete isomorphism invariant: the size and the least packed code
+    over all universe permutations. Equal forms iff isomorphic (within
+    one signature)."""
     k = model.size
     if k > caps.max_perm_size:
         raise CapExceededError(f"canonical form capped at size {caps.max_perm_size}")
-    syms = model.lang.symbols
-    if all(rank == 0 for _, rank in syms):
-        return (k, tuple((sym, model.interp[sym]) for sym, _ in syms))
-    best = None
-    for perm in itertools.permutations(range(k)):
-        row = []
-        for sym, rank in syms:
-            v = model.interp[sym]
-            if isinstance(v, bool):
-                row.append((sym, v))
-            else:
-                row.append((sym, tuple(sorted(tuple(perm[e] for e in t) for t in v))))
-        candidate = (k, tuple(row))
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    space = _space(model.lang.symbols, k)
+    return (k, min(space.orbit(space.pack(model))))
 
 
 def canonical_model(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> FiniteModel:
-    k, row = canonical_form(model, caps)
-    interp = {sym: payload for sym, payload in row}
-    return FiniteModel(model.lang, k, interp)
+    k, code = canonical_form(model, caps)
+    return _space(model.lang.symbols, k).unpack(model.lang, code)
 
 
 def isomorphic(a: FiniteModel, b: FiniteModel, caps: Caps = DEFAULT_CAPS) -> bool:
     if a.size != b.size or a.lang.symbols != b.lang.symbols:
-        return False
-    if invariant_key(a) != invariant_key(b):
         return False
     return canonical_form(a, caps) == canonical_form(b, caps)
 
@@ -417,6 +444,7 @@ def clear_memory_caches() -> None:
     _model_memo.clear()
     _sat_memo.clear()
     _base_memo.clear()
+    _space.cache_clear()
 
 
 def _candidate_count(lang: Language, k: int) -> int:
@@ -441,65 +469,31 @@ _base_memo: dict[tuple, list[FiniteModel]] = {}
 
 def _base_models(lang: Language, k: int, caps: Caps) -> list[FiniteModel]:
     """Canonical representatives of ALL structures of size k for the
-    language, sorted by canonical form.
+    language, in ascending canonical code.
 
-    Interpretations are packed into one bit integer (one bit per possible
-    tuple, rank-0 symbols one bit); universe permutations act as bit
-    permutations, and an ascending sweep that marks whole orbits keeps
-    exactly one representative per isomorphism class.
+    An ascending sweep over the packed codes keeps each code not yet seen
+    and marks its whole orbit, so every kept code is the least of its
+    orbit: exactly one representative per isomorphism class, already in
+    canonical order.
     """
     key = (lang.symbols, lang.var_bound, k)
     cached = _base_memo.get(key)
     if cached is not None:
         return cached
-    blocks: list[tuple[str, int, list[tuple[int, ...]], int]] = []
-    offset = 0
-    for sym, rank in lang.symbols:
-        tuples = list(itertools.product(range(k), repeat=rank))
-        blocks.append((sym, rank, tuples, offset))
-        offset += len(tuples)
-    total_bits = offset
-    if (1 << total_bits) > caps.max_candidates:
+    candidates = _candidate_count(lang, k)
+    if candidates > caps.max_candidates:
         raise CapExceededError(
-            f"{1 << total_bits} interpretation candidates at size {k} "
+            f"{candidates} interpretation candidates at size {k} "
             f"exceed cap {caps.max_candidates}"
         )
-    tables = []
-    for p in itertools.permutations(range(k)):
-        table = list(range(total_bits))
-        for sym, rank, tuples, off in blocks:
-            if rank == 0:
-                continue
-            index = {t: i for i, t in enumerate(tuples)}
-            for i, t in enumerate(tuples):
-                table[off + i] = off + index[tuple(p[e] for e in t)]
-        tables.append(table)
-    marked = bytearray(1 << total_bits)
-    reps: list[int] = []
-    for c in range(1 << total_bits):
-        if marked[c]:
-            continue
-        reps.append(c)
-        for table in tables:
-            out = 0
-            b = c
-            while b:
-                low = b & -b
-                out |= 1 << table[low.bit_length() - 1]
-                b ^= low
-            marked[out] = 1
+    space = _space(lang.symbols, k)
+    marked = bytearray(candidates)
     models = []
-    for c in reps:
-        interp: dict[str, object] = {}
-        for sym, rank, tuples, off in blocks:
-            if rank == 0:
-                interp[sym] = bool(c >> off & 1)
-            else:
-                interp[sym] = {
-                    tuples[i] for i in range(len(tuples)) if c >> (off + i) & 1
-                }
-        models.append(FiniteModel(lang, k, interp))
-    models.sort(key=lambda m: canonical_form(m, caps))
+    for c in range(candidates):
+        if not marked[c]:
+            models.append(space.unpack(lang, c))
+            for image in space.orbit(c):
+                marked[image] = 1
     _base_memo[key] = models
     return models
 
@@ -507,8 +501,9 @@ def _base_models(lang: Language, k: int, caps: Caps) -> list[FiniteModel]:
 def enumerate_models(
     theory: Theory, k: int, caps: Caps = DEFAULT_CAPS
 ) -> list[FiniteModel]:
-    """Canonical representatives of the size-k models of the theory,
-    sorted by canonical form."""
+    """Canonical representatives of the size-k models of the theory:
+    first-order lists ascend by canonical code, sentential lists follow
+    the sorted Sat rows."""
     if k < 1:
         raise CapExceededError("model size must be >= 1")
     if k > caps.max_size:
@@ -690,7 +685,8 @@ def conservative_extension(
 
     Sentential case: the projection of Sat(t2) onto t1's constants must
     equal Sat(t1); exact. First-order case: for each size k <= bound the
-    canonicalized t1-reducts of t2's models must equal t1's model list.
+    canonicalized t1-reducts of t2's models must equal t1's model list; a
+    refutation shows the differing model of least canonical code.
     """
     if not t2.lang.includes(t1.lang):
         raise LanguageError(
@@ -729,8 +725,7 @@ def conservative_extension(
         }
         if own == reducts:
             continue
-        diff = sorted(own ^ reducts)[0]
-        model = FiniteModel(t1.lang, k, {sym: payload for sym, payload in diff[1]})
+        model = _space(t1.lang.symbols, k).unpack(t1.lang, min(own ^ reducts)[1])
         witness = None
         if not reducts and own and t1.lang.var_bound >= k + 1:
             # t2 has no size-k models at all, so "not exactly k elements"

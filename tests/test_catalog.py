@@ -119,6 +119,13 @@ def test_stale_cache_version_ignored(tmp_path):
     fresh = DiskProfileStore(tmp_path, version="new")
     assert fresh.get("a" * 64, 2) is None
     assert store.get("a" * 64, 2) is not None
+    # a record of the current version in another model-list format (or in
+    # none, as older releases wrote) is stale too
+    (path,) = tmp_path.rglob("a*.2.json")
+    plain = {k: v for k, v in json.loads(path.read_text()).items() if k != "format"}
+    for stale in (plain, dict(plain, format="tuple-form-order")):
+        path.write_text(json.dumps(stale))
+        assert store.get("a" * 64, 2) is None
 
 
 def test_catalog_network_and_exports(examples_catalog):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import operator
+
 import pytest
 
 from thdist.concepts import (
@@ -20,6 +23,7 @@ from thdist.semantics import (
     Theory,
     assignment_set,
     cylindrify,
+    enumerate_models,
 )
 from thdist.syntax import Language, and_, atom, eq, exists, not_
 from thdist.translation import Translation, identity_translation
@@ -128,6 +132,58 @@ def test_cz_lower_bound_first_order():
     value = cz_lower_bound(posets, bound=2, depth=3)
     assert value.lower_bound and value.method == "enumeration-lower-bound"
     assert value.value >= 16 and value.depth == 3
+
+
+def _tuple_vector_cz(theory, bound, depth):
+    """Reference: the enumeration bound with one meaning vector per formula,
+    a tuple holding one assignment mask per model, combined coordinate by
+    coordinate. Returns the count after each of rounds 0..depth."""
+    models = [m for k in range(1, bound + 1) for m in enumerate_models(theory, k)]
+    n = theory.lang.var_bound
+    fulls = [(1 << (m.size**n)) - 1 for m in models]
+
+    def vec(phi):
+        return tuple(assignment_set(m, phi) for m in models)
+
+    seen = set()
+    frontier = []
+
+    def add(v):
+        if v not in seen:
+            seen.add(v)
+            frontier.append(v)
+
+    for i in range(n):
+        for j in range(n):
+            add(vec(eq(i, j)))
+    for sym, rank in theory.lang.symbols:
+        for args in itertools.product(range(n), repeat=rank):
+            add(vec(atom(sym, args)))
+    counts = [len(seen)]
+    for _ in range(depth):
+        fresh, frontier = frontier, []
+        known = list(seen)
+        for x in fresh:
+            add(tuple(map(operator.xor, fulls, x)))
+            for i in range(n):
+                add(tuple(cylindrify(xc, m.size, n, i) for m, xc in zip(models, x)))
+            for y in known:
+                add(tuple(map(operator.and_, x, y)))
+        counts.append(len(seen))
+    return counts
+
+
+@pytest.mark.parametrize("name", ["BinEmpty", "Posets", "Eqrels"])
+def test_cz_lower_bound_matches_tuple_vector_reference(examples_catalog, name):
+    theory = examples_catalog.theory(name)
+    for bound in (1, 2, 3):
+        expected = _tuple_vector_cz(theory, bound, 3)
+        got = [cz_lower_bound(theory, bound, depth).value for depth in range(4)]
+        assert got == expected, (bound, got, expected)
+
+
+def test_cz_lower_bound_posets_pinned(examples_catalog):
+    assert cz_lower_bound(examples_catalog.theory("Posets"), bound=4, depth=3).value == 2715
 
 
 def test_check_interpretation_identity_faithful_on_conservative_pair():

@@ -18,7 +18,6 @@ from thdist.semantics import (
     conservative_extension,
     enumerate_models,
     eval_formula,
-    invariant_key,
     is_true,
     isomorphic,
     logically_equivalent,
@@ -188,9 +187,65 @@ def test_canonical_form_invariant_under_permutation(model, perm):
         {"R": {tuple(perm[e] for e in t) for t in model.rel("R")}},
     )
     assert canonical_form(model) == canonical_form(permuted)
-    assert invariant_key(model) == invariant_key(permuted)
     rebuilt = canonical_model(model)
     assert canonical_form(rebuilt) == canonical_form(model)
+
+
+PR = Language.make("PR", {"P": 1, "R": 2}, 2)
+
+
+def _relabel(model, perm):
+    return {
+        sym: v if isinstance(v, bool) else {tuple(perm[e] for e in t) for t in v}
+        for sym, v in model.interp.items()
+    }
+
+
+def _brute_isomorphic(a, b):
+    return a.size == b.size and any(
+        _relabel(a, perm) == b.interp for perm in itertools.permutations(range(a.size))
+    )
+
+
+@st.composite
+def _models3(draw, lang):
+    interp = {}
+    for sym, rank in lang.symbols:
+        tuples = list(itertools.product(range(3), repeat=rank))
+        interp[sym] = {t for t in tuples if draw(st.booleans())}
+    return FiniteModel(lang, 3, interp)
+
+
+@st.composite
+def _model_pairs(draw):
+    # b is a relabelled copy of a, possibly with one tuple toggled, or an
+    # independent model: isomorphic and non-isomorphic pairs both occur
+    lang = draw(st.sampled_from([BIN, PR]))
+    a = draw(_models3(lang))
+    how = draw(st.sampled_from(["copy", "toggle", "fresh"]))
+    if how == "fresh":
+        return a, draw(_models3(lang))
+    interp = _relabel(a, draw(st.permutations(range(3))))
+    if how == "toggle":
+        sym, rank = draw(st.sampled_from(lang.symbols))
+        interp[sym] = interp[sym] ^ {draw(st.tuples(*[st.integers(0, 2)] * rank))}
+    return a, FiniteModel(lang, 3, interp)
+
+
+@settings(max_examples=150)
+@given(_model_pairs())
+def test_canonical_form_complete(pair):
+    a, b = pair
+    assert (canonical_form(a) == canonical_form(b)) == _brute_isomorphic(a, b)
+    assert isomorphic(a, b) == _brute_isomorphic(a, b)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([BIN, PR]).flatmap(_models3))
+def test_canonical_model_is_isomorphic_fixed_point(model):
+    rebuilt = canonical_model(model)
+    assert _brute_isomorphic(model, rebuilt)
+    assert canonical_model(rebuilt) == rebuilt
 
 
 def test_model_json_round_trip():
