@@ -4,9 +4,11 @@ spectra, bounded consequence and equivalence, conservative extensions.
 Evaluation comes in two forms. `eval_formula` implements the satisfaction
 clauses one assignment at a time. `assignment_set` computes the whole set of
 satisfying assignments of a formula in one bottom-up pass, encoded as an
-integer bitmask over the k^n assignments in lexicographic order; everything
-performance-sensitive (enumeration, bounded checks, concept closures) runs
-on these masks. The two agree, which the test suite checks by property.
+integer bitmask over the k^n assignments in lexicographic order; bounded
+checks and concept closures run on these masks. Enumeration turns the
+evaluation sideways: `_satisfying_codes` evaluates a theory's axioms over
+thousands of packed structures at once, one bit per structure. All three
+agree, which the test suite checks by property.
 
 Every first-order answer carries its exact/bounded provenance; only the
 sentential fragment is ever reported exact.
@@ -18,8 +20,9 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceededError, LanguageError, UnsupportedFragmentError
 from .syntax import (
@@ -318,26 +321,24 @@ def sat_assignments(theory: Theory) -> frozenset[tuple[bool, ...]]:
             f"{theory.name} is not sentential; use bounded model enumeration"
         )
     cached = _sat_memo.get(theory.key)
-    if cached is not None:
-        return cached
-    consts = theory.lang.constants
-    good = []
-    for row in itertools.product((False, True), repeat=len(consts)):
-        model = FiniteModel(theory.lang, 1, dict(zip(consts, row)))
-        if all(is_true(model, a) for a in theory.axioms):
-            good.append(row)
-    result = frozenset(good)
-    _sat_memo[theory.key] = result
-    return result
+    if cached is None:
+        cached = _sat_memo[theory.key] = _sat_rows(theory.lang, theory.axioms)
+    return cached
 
 
 def sat_of_formula(lang: Language, phi: Formula) -> frozenset[tuple[bool, ...]]:
-    good = []
-    for row in itertools.product((False, True), repeat=len(lang.constants)):
-        model = FiniteModel(lang, 1, dict(zip(lang.constants, row)))
-        if is_true(model, phi):
-            good.append(row)
-    return frozenset(good)
+    for sym, rank in lang.symbols:
+        if rank:
+            raise LanguageError(f"truth-table rows cannot interpret {sym}/{rank}")
+    return _sat_rows(lang, (phi,))
+
+
+def _sat_rows(lang: Language, formulas: Sequence[Formula]) -> frozenset[tuple[bool, ...]]:
+    """Truth-table rows satisfying every formula. A row is the size-1
+    structure over the constants whose code has bit i = row[i]."""
+    m = len(lang.constants)
+    codes = _satisfying_codes(_space(lang.symbols, 1), formulas, lang.var_bound)
+    return frozenset(tuple(bool(c >> i & 1) for i in range(m)) for c in codes)
 
 
 def assignment_model(lang: Language, row: Sequence[bool], size: int = 1) -> FiniteModel:
@@ -354,7 +355,7 @@ class _Space:
     order. Universe permutations act as bit permutations; `tables` holds
     the distinct ones."""
 
-    __slots__ = ("k", "blocks", "tables")
+    __slots__ = ("k", "width", "blocks", "tables")
 
     def __init__(self, symbols: tuple[tuple[str, int], ...], k: int):
         self.k = k
@@ -365,6 +366,7 @@ class _Space:
             bit = {t: offset + i for i, t in enumerate(tuples)}
             self.blocks.append((sym, rank, bit))
             offset += len(bit)
+        self.width = offset
         self.tables = list(dict.fromkeys(
             tuple(bit[tuple(p[e] for e in t)] for _, _, bit in self.blocks for t in bit)
             for p in itertools.permutations(range(k))
@@ -405,6 +407,82 @@ def _space(symbols: tuple[tuple[str, int], ...], k: int) -> _Space:
     return _Space(symbols, k)
 
 
+_BLOCK_BITS = 12  # each evaluation pass covers 2^12 consecutive codes
+
+# Bit c of _CODE_BITS[i] is bit i of c, for every c below 2^_BLOCK_BITS: a
+# run of 2^i zeros then 2^i ones, repeated.
+_CODE_BITS = [
+    ((1 << (1 << i)) - 1 << (1 << i))
+    * (((1 << (1 << _BLOCK_BITS)) - 1) // ((1 << (2 << i)) - 1))
+    for i in range(_BLOCK_BITS)
+]
+
+
+def _satisfying_codes(
+    space: _Space, formulas: Sequence[Formula], n: int
+) -> Iterator[int]:
+    """Ascending codes of the space's structures in which every formula
+    holds under all k^n assignments.
+
+    Bit-sliced: the codes go in blocks of 2^w, and inside a block a
+    subformula is one int per assignment whose bit c says whether code
+    base + c satisfies it there. An atom is the mask of its code bit,
+    periodic for the low w bits and all-ones or zero above them; `=` is
+    full or empty; not, and and exists are ^, & and an OR over the
+    exists_groups index groups.
+    """
+    k, width = space.k, space.width
+    w = min(width, _BLOCK_BITS)
+    full = (1 << (1 << w)) - 1
+    low_bits = [b & full for b in _CODE_BITS[:w]]
+    taus = _assignments(k, n)
+    bit_of = {sym: bit for sym, _, bit in space.blocks}
+    where: dict[int, list[int]] = {}  # atom uid -> its code bit per assignment
+    groups = {  # var -> the exists_groups masks as lists of assignment indices
+        v: [[i for i in range(len(taus)) if g >> i & 1] for g in exists_groups(k, n, v)]
+        for v in range(n)
+    }
+
+    def go(f: Formula) -> list[int]:
+        out = memo.get(f.uid)
+        if out is not None:
+            return out
+        if isinstance(f, Eq):
+            out = [full if t[f.i] == t[f.j] else 0 for t in taus]
+        elif isinstance(f, Atom):
+            if f.uid not in where:
+                bit = bit_of[f.sym]
+                where[f.uid] = [bit[tuple(t[a] for a in f.args)] for t in taus]
+            out = [bits[j] for j in where[f.uid]]
+        elif isinstance(f, And):
+            out = [x & y for x, y in zip(go(f.lhs), go(f.rhs))]
+        elif isinstance(f, Not):
+            out = [full ^ x for x in go(f.sub)]
+        else:
+            sub, out = go(f.sub), [0] * len(taus)
+            for group in groups[f.var]:
+                some = functools.reduce(operator.or_, [sub[i] for i in group])
+                for i in group:
+                    out[i] = some
+        memo[f.uid] = out
+        return out
+
+    for block in range(1 << (width - w)):
+        bits = low_bits + [full if block >> (j - w) & 1 else 0 for j in range(w, width)]
+        memo: dict[int, list[int]] = {}
+        alive = full
+        for phi in formulas:
+            for x in go(phi):
+                alive &= x
+            if not alive:
+                break
+        base = block << w
+        while alive:
+            low = alive & -alive
+            yield base + low.bit_length() - 1
+            alive ^= low
+
+
 def canonical_form(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
     """Complete isomorphism invariant: the size and the least packed code
     over all universe permutations. Equal forms iff isomorphic (within
@@ -443,7 +521,9 @@ def set_profile_store(store) -> None:
 def clear_memory_caches() -> None:
     _model_memo.clear()
     _sat_memo.clear()
-    _base_memo.clear()
+    _eq_masks.clear()
+    _proj_masks.clear()
+    _exists_groups.clear()
     _space.cache_clear()
 
 
@@ -462,40 +542,6 @@ def enumeration_feasible(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> b
     if theory.lang.is_sentential:
         return True
     return _candidate_count(theory.lang, k) <= caps.max_candidates
-
-
-_base_memo: dict[tuple, list[FiniteModel]] = {}
-
-
-def _base_models(lang: Language, k: int, caps: Caps) -> list[FiniteModel]:
-    """Canonical representatives of ALL structures of size k for the
-    language, in ascending canonical code.
-
-    An ascending sweep over the packed codes keeps each code not yet seen
-    and marks its whole orbit, so every kept code is the least of its
-    orbit: exactly one representative per isomorphism class, already in
-    canonical order.
-    """
-    key = (lang.symbols, lang.var_bound, k)
-    cached = _base_memo.get(key)
-    if cached is not None:
-        return cached
-    candidates = _candidate_count(lang, k)
-    if candidates > caps.max_candidates:
-        raise CapExceededError(
-            f"{candidates} interpretation candidates at size {k} "
-            f"exceed cap {caps.max_candidates}"
-        )
-    space = _space(lang.symbols, k)
-    marked = bytearray(candidates)
-    models = []
-    for c in range(candidates):
-        if not marked[c]:
-            models.append(space.unpack(lang, c))
-            for image in space.orbit(c):
-                marked[image] = 1
-    _base_memo[key] = models
-    return models
 
 
 def enumerate_models(
@@ -528,8 +574,23 @@ def enumerate_models(
             assignment_model(lang, row, k) for row in sorted(sat_assignments(theory))
         ]
     else:
-        base = _base_models(lang, k, caps)
-        models = [m for m in base if all(is_true(m, a) for a in theory.axioms)]
+        # The models of a theory are closed under isomorphism, so an
+        # ascending pass over the satisfying codes that keeps each code not
+        # yet marked and marks its orbit keeps exactly the least codes.
+        candidates = _candidate_count(lang, k)
+        if candidates > caps.max_candidates:
+            raise CapExceededError(
+                f"{candidates} interpretation candidates at size {k} "
+                f"exceed cap {caps.max_candidates}"
+            )
+        space = _space(lang.symbols, k)
+        marked = bytearray(candidates)
+        models = []
+        for code in _satisfying_codes(space, theory.axioms, lang.var_bound):
+            if not marked[code]:
+                models.append(space.unpack(lang, code))
+                for image in space.orbit(code):
+                    marked[image] = 1
 
     _model_memo[memo_key] = models
     if _store is not None:

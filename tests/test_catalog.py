@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -14,7 +15,15 @@ from thdist.catalog import (
 )
 from thdist.errors import CatalogError, FormulaSyntaxError
 from thdist.network import export_dot, export_json
-from thdist.semantics import clear_memory_caches, set_profile_store, spectrum
+from thdist.paper_suite import shipped_catalog_text
+from thdist.semantics import (
+    clear_memory_caches,
+    enumerate_models,
+    enumeration_feasible,
+    model_to_json,
+    set_profile_store,
+    spectrum,
+)
 
 
 def test_shipped_catalog_contents(examples_catalog):
@@ -83,8 +92,6 @@ def test_deliberately_wrong_axiom_add_refuted():
 
 
 def test_deterministic_reports(examples_catalog):
-    from thdist.paper_suite import shipped_catalog_text
-
     text = shipped_catalog_text()
     first = json.dumps(verify_all(loads_catalog(text)).to_json(), sort_keys=True)
     second = json.dumps(verify_all(loads_catalog(text)).to_json(), sort_keys=True)
@@ -92,8 +99,6 @@ def test_deterministic_reports(examples_catalog):
 
 
 def test_cache_transparency(tmp_path):
-    from thdist.paper_suite import shipped_catalog_text
-
     cat = loads_catalog(shipped_catalog_text())
     posets = cat.theory("Posets")
     clear_memory_caches()
@@ -148,3 +153,51 @@ def test_load_catalog_from_file(tmp_path):
     path.write_text('(language L (P 0) :vars 0)\n(theory T :over L :axioms "P")\n')
     cat = load_catalog(path)
     assert "T" in cat.theories and cat.source.endswith("tiny.cat")
+
+
+# Model lists of every shipped theory at each size <= 4 that the caps
+# allow: the spectrum, then the sha256 of json.dumps({k: [model_to_json]}).
+_PINNED_MODEL_LISTS = {
+    "TStar0": ((1, 1, 1, 1), "e08e1ba9208e19e76465dec5d289e60a6410fa975291d9154a25b1bc7bd9a7d7"),
+    "TStar1": ((2, 2, 2, 2), "a6c239db6d9b9cfb186675b8cfc092cc9e6faf72c1576ac5d0f2bc28075ebc34"),
+    "TStar2": ((4, 4, 4, 4), "ba788d5c0a0330e173d27a0a88f5b10db9e67c0ebe269c895f1019bbec2e394e"),
+    "TStar3": ((8, 8, 8, 8), "b7c4bd57a664e8dc6b08296567aa1d2c838f3d43f086a7272472f9ade0496562"),
+    "TStar4": ((16, 16, 16, 16), "47c28b5c6fcefc881e4c41927bddc74fc595958760dee10a744ff8ec3f899d54"),
+    "SentFree": ((4, 4, 4, 4), "5ac51d23ae226a107706c66da56689eda641ff086c5b2d5051c062cfaede799b"),
+    "SentP": ((2, 2, 2, 2), "a4f0a05d6ed677b48a05a5b65fc5e267636b42785cef4f42a83ee6d0e04b8b78"),
+    "SentPQ": ((1, 1, 1, 1), "6cd40720197dbd59b96de770d8cda7aab3e6c49db7f9877b612fabb9b20ae4fa"),
+    "SentPandQ": ((1, 1, 1, 1), "6cd40720197dbd59b96de770d8cda7aab3e6c49db7f9877b612fabb9b20ae4fa"),
+    "SentBot": ((0, 0, 0, 0), "c032d39da4e14f52bec844a7fb9f4b67c97a62abb530e33af1f835c3cefb7902"),
+    "SentPeqQ": ((2, 2, 2, 2), "888be0cbc4f92e4786342912e36733b9e11a7b9385ec41b7285bdc8c8fa1ff7e"),
+    "SentCoin": ((2, 2, 2, 2), "888be0cbc4f92e4786342912e36733b9e11a7b9385ec41b7285bdc8c8fa1ff7e"),
+    "BinEmpty": ((2, 10, 104, 3044), "9b230e614fe2699e4e396ca311e32d31e17fd62c805cb5a9186c136ad88f390c"),
+    "Posets": ((1, 2, 5, 16), "8b2acd1c3bec0dd040fcfa58ecfe575f596b6a3dfd801d27989f24624dda1832"),
+    "Eqrels": ((1, 2, 3, 5), "eb30dbe31a9f0c7ec563ff6aa26c098cf735f6dae45f5031112a8a3f6fd18627"),
+    "BinBot": ((0, 0, 0, 0), "c032d39da4e14f52bec844a7fb9f4b67c97a62abb530e33af1f835c3cefb7902"),
+    "PosetsLeq": ((1, 2, 5, 16), "a17460dc92fddb22a4d74910b3ea184db119e681cee5010fae11db7065ddc9c4"),
+    "PosetsLt": ((1, 2, 5, 16), "ff939667152a06c478c03ef93c79dd649e0677ce2a593f90fde001ab261aed0f"),
+    "FourT1": ((4, 4, 4, 4), "fa7689317127a6cc67529ef5cb8f9246b6c5d4d8f4dde106a15b2c0998b70961"),
+    "FourMid": ((8, 8, 8, 8), "f9ccc297312e07f945547eb181637eec7abf091d0611aa5d029a0ca6001e0164"),
+    "FourT2": ((16, 16, 16, 16), "04fd094d744495c80f0e50cc0cec775ecca66fc626eaabd6ed719b7782ccbcd2"),
+    "FourMinus": ((4, 4, 4, 4), "35f81615f6c79c544e89b34eb78acea389e8ed645f966518ed36aa7c049eea60"),
+    "PureTwo": ((0, 1, 0, 0), "7e99e48fc7c92f0365a685577b0dc2b7edce9cb15896d61023cd83fb53cf3096"),
+    "PureThree": ((0, 0, 1, 0), "cf2444958baf3c52069b8e8bb225d22228d592fdb056c8ff0e3eeecacdc15b23"),
+    "KinBase": ((2, 26, 648, 42916), "aec919aa95e794a93c7dbb71c06a75082a33a1cb81e58dc1f8642b9ad81f1f5a"),
+    "KinExt": ((2, 31, 976), "f745448caf2d2a362ebd0ef542007c5f30402e9ea341b0709b0bad15dbffbda6"),
+    "KinTarget": ((4, 100, 4976), "a462404802eb63a159eb6abc44049d90a75186922fe281693d04412d7b1901a1"),
+}
+
+
+def test_shipped_model_lists_pinned():
+    cat = loads_catalog(shipped_catalog_text())
+    caps = cat.policy.caps()
+    got = {}
+    for name, theory in cat.theories.items():
+        lists = {
+            k: [model_to_json(m) for m in enumerate_models(theory, k, caps)]
+            for k in range(1, 5)
+            if enumeration_feasible(theory, k, caps)
+        }
+        digest = hashlib.sha256(json.dumps(lists).encode()).hexdigest()
+        got[name] = (tuple(len(v) for v in lists.values()), digest)
+    assert got == _PINNED_MODEL_LISTS

@@ -3,8 +3,9 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
+from thdist import semantics
 from thdist.errors import CapExceededError, LanguageError
 from thdist.semantics import (
     Caps,
@@ -15,6 +16,7 @@ from thdist.semantics import (
     bounded_consequence,
     canonical_form,
     canonical_model,
+    clear_memory_caches,
     conservative_extension,
     enumerate_models,
     eval_formula,
@@ -24,6 +26,7 @@ from thdist.semantics import (
     model_from_json,
     model_to_json,
     sat_assignments,
+    sat_of_formula,
     semantic_profile,
     spectrum,
 )
@@ -59,6 +62,11 @@ def test_is_true_examples():
     assert not is_true(m, atom("R", (0, 1)))  # fails under tau(v0)=1
     one = FiniteModel(PURE, 1, {})
     assert is_true(one, parse_formula("(forall v0 (forall v1 (= v0 v1)))", PURE))
+
+
+def test_sat_of_formula_needs_constants_only():
+    with pytest.raises(LanguageError):
+        sat_of_formula(BIN, atom("R", (0, 1)))
 
 
 def test_rank0_atom_truth():
@@ -377,3 +385,167 @@ def test_caps_raise():
         enumerate_models(Theory.make("too", big, []), 4)  # 2^32 candidates
     with pytest.raises(CapExceededError):
         enumerate_models(Theory.make("pure", PURE, []), 9, Caps(max_size=8))
+    with pytest.raises(CapExceededError) as err:
+        enumerate_models(Theory.make("free", BIN, []), 5)  # 2^25 candidates
+    assert str(err.value) == "33554432 interpretation candidates at size 5 exceed cap 2097152"
+
+
+def test_clear_memory_caches_empties_every_table():
+    posets = Theory.make("posets", BIN, POSET_AXIOMS)
+    m = FiniteModel(BIN, 3, {"R": {(0, 1), (1, 2)}})
+    phi = parse_formula("(exists v2 (and (R v0 v2) (not (= v1 v2))))", BIN)
+    sent = Theory.make("p", PQ, ["(or P Q)"])
+
+    def run():
+        return (
+            [model_to_json(x) for x in enumerate_models(posets, 3)],
+            assignment_set(m, phi),
+            sat_assignments(sent),
+        )
+
+    before = run()
+    assert semantics._eq_masks and semantics._proj_masks and semantics._exists_groups
+    clear_memory_caches()
+    for table in (
+        semantics._eq_masks, semantics._proj_masks, semantics._exists_groups,
+        semantics._model_memo, semantics._sat_memo,
+    ):
+        assert not table
+    assert semantics._space.cache_info().currsize == 0
+    assert run() == before
+
+
+# Oracle for the bit-sliced enumeration: every labelled structure checked
+# clause by clause with eval_formula, one kept per orbit (its least code
+# under the packing: symbols in declaration order, tuples lexicographic).
+
+class _Labelled:
+    __slots__ = ("size", "interp")
+
+    def __init__(self, size, interp):
+        self.size, self.interp = size, interp
+
+    def rel(self, sym):
+        return self.interp[sym]
+
+
+class _BruteSpace:
+    def __init__(self, lang, k):
+        self.lang, self.k = lang, k
+        self.slots = [
+            (sym, t) for sym, rank in lang.symbols
+            for t in itertools.product(range(k), repeat=rank)
+        ]
+        index = {slot: i for i, slot in enumerate(self.slots)}
+        self.perms = [
+            [index[sym, tuple(p[e] for e in t)] for sym, t in self.slots]
+            for p in itertools.permutations(range(k))
+        ]
+        self.least: dict[int, int] = {}
+
+    def structure(self, code):
+        interp = {sym: False if rank == 0 else set() for sym, rank in self.lang.symbols}
+        for i, (sym, t) in enumerate(self.slots):
+            if code >> i & 1:
+                if t:
+                    interp[sym].add(t)
+                else:
+                    interp[sym] = True
+        return _Labelled(self.k, interp)
+
+    def orbit_min(self, code):
+        if code not in self.least:
+            orbit = {
+                sum(1 << perm[i] for i in range(len(self.slots)) if code >> i & 1)
+                for perm in self.perms
+            }
+            for image in orbit:
+                self.least[image] = min(orbit)
+        return self.least[code]
+
+    def models(self, axioms):
+        taus = list(itertools.product(range(self.k), repeat=self.lang.var_bound))
+        keep = set()
+        for code in range(1 << len(self.slots)):
+            m = self.structure(code)
+            if all(eval_formula(m, tau, a) for a in axioms for tau in taus):
+                keep.add(self.orbit_min(code))
+        return [
+            model_to_json(FiniteModel(self.lang, self.k, self.structure(c).interp))
+            for c in sorted(keep)
+        ]
+
+
+# code widths 2-4, 10 and 12 bits: below and at one block of 2^12 codes
+_SMALL_CASES = [
+    (Language.make("CP", {"C": 0, "P": 1}, 2), k) for k in (1, 2, 3)
+] + [
+    (Language.make("CR", {"C": 0, "R": 2}, 3), 3),
+    (Language.make("PR", {"P": 1, "R": 2}, 2), 3),
+]
+# 16 bits: sixteen blocks, so the top four bits come from the block index
+_WIDE_CASE = (Language.make("R", {"R": 2}, 2), 4)
+_brute_spaces: dict = {}
+
+
+def _axioms(lang, max_leaves=6):
+    n = lang.var_bound
+    var = st.integers(0, n - 1)
+    leaves = [st.builds(eq, var, var)] + [
+        st.builds(lambda s, args: atom(s, args), st.just(sym), st.tuples(*[var] * rank))
+        for sym, rank in lang.symbols
+    ]
+    formula = st.recursive(
+        st.one_of(leaves),
+        lambda c: st.one_of(
+            st.builds(and_, c, c), st.builds(not_, c), st.builds(exists, var, c)
+        ),
+        max_leaves=max_leaves,
+    )
+    return st.lists(formula, min_size=1, max_size=2)
+
+
+def _check_against_brute_force(lang, k, axioms):
+    brute = _brute_spaces.setdefault((lang, k), _BruteSpace(lang, k))
+    theory = Theory(print_formula(axioms[0]), lang, axioms)
+    got = [model_to_json(m) for m in enumerate_models(theory, k)]
+    assert got == brute.models(axioms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(_SMALL_CASES).flatmap(
+    lambda case: st.tuples(st.just(case), _axioms(case[0]))
+))
+def test_enumeration_matches_brute_force(example):
+    (lang, k), axioms = example
+    _check_against_brute_force(lang, k, axioms)
+
+
+# no shrinking: each shrink step reruns the 2^16-code brute force
+@settings(max_examples=4, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(_axioms(_WIDE_CASE[0], max_leaves=4))
+def test_enumeration_matches_brute_force_across_blocks(axioms):
+    _check_against_brute_force(*_WIDE_CASE, axioms)
+
+
+_S3 = Language.make("S3", {"A": 0, "B": 0, "C": 0}, 0)
+_sentence = st.recursive(
+    st.sampled_from([atom("A"), atom("B"), atom("C")]),
+    lambda c: st.one_of(st.builds(and_, c, c), st.builds(not_, c)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(_sentence, max_size=3))
+def test_sat_sets_match_truth_tables(axioms):
+    rows = list(itertools.product((False, True), repeat=3))
+    expected = frozenset(
+        row for row in rows
+        if all(eval_formula(assignment_model(_S3, row), (), a) for a in axioms)
+    )
+    assert sat_assignments(Theory("s", _S3, axioms)) == expected
+    for phi in axioms:
+        assert sat_of_formula(_S3, phi) == frozenset(
+            row for row in rows if eval_formula(assignment_model(_S3, row), (), phi)
+        )
