@@ -1,9 +1,9 @@
 """Content-addressed on-disk cache for semantic profiles.
 
-Entries are keyed by the theory's content hash plus the model size;
-records of another tool version or another model-list format are ignored;
-writes go through a temp file and an atomic rename. Results never depend
-on the cache being present.
+Entries are keyed by the theory's content hash plus the model size and
+hold the canonical codes of the models; records of another tool version
+or another model-list format are ignored; writes go through a temp file
+and an atomic rename. Results never depend on the cache being present.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from . import __version__
 from .semantics import set_profile_store
 
 ENV_VAR = "THDIST_CACHE_DIR"
-# Model lists are stored in enumeration order: first-order lists ascend by
-# canonical code. Change the tag whenever that order or encoding changes.
-FORMAT = "canonical-code-order"
+# A record holds the canonical codes of a model list in ascending order
+# (semantics serves it only if they fit the signature's code width).
+# Change the tag whenever that encoding changes.
+FORMAT = "ascending-canonical-codes"
 
 
 class DiskProfileStore:

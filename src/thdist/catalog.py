@@ -19,6 +19,7 @@ symbols translate to themselves. :bound pins a per-certificate size bound,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
 from .errors import CatalogError, FormulaSyntaxError, LanguageError, ThdistError
@@ -356,6 +357,11 @@ def loads_catalog(text: str, source: str = "<string>") -> Catalog:
 
 def load_catalog(path: str | Path) -> Catalog:
     return loads_catalog(Path(path).read_text(), str(path))
+
+
+def shipped_catalog_text() -> str:
+    """Text of the built-in worked-example catalog."""
+    return resources.files("thdist").joinpath("data/paper_examples.cat").read_text()
 
 
 # ---------------------------------------------------------------------------

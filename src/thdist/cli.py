@@ -22,12 +22,12 @@ from .catalog import (
     catalog_network,
     load_catalog,
     loads_catalog,
+    shipped_catalog_text,
     verify_all,
 )
 from .concepts import closure_to_json, concept_closure, cz_lower_bound, cz_sentential
 from .errors import CapExceededError, CatalogError, FormulaSyntaxError, ThdistError
 from .network import check_amalgamation, classify_ad, export_dot, export_json
-from .paper_suite import run_paper_suite, shipped_catalog_text
 from .semantics import (
     enumerate_models,
     model_lang_from_json,
@@ -185,6 +185,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_paper_suite(args) -> int:
+    from .paper_suite import run_paper_suite
+
     echo = print if args.human else None
     suite = run_paper_suite(echo=echo)
     if not args.human:

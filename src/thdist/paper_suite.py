@@ -15,9 +15,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 
-from .catalog import Catalog, catalog_distance, loads_catalog, verify_all
+from .catalog import Catalog, catalog_distance, loads_catalog, shipped_catalog_text, verify_all
 from .concepts import check_defeq, check_interpretation, cz_sentential, sentential_defeq_witness
 from .errors import ThdistError
 from .network import (
@@ -64,10 +63,6 @@ class CriterionResult:
             "seconds": round(self.seconds, 2),
             "details": self.details,
         }
-
-
-def shipped_catalog_text() -> str:
-    return resources.files("thdist").joinpath("data/paper_examples.cat").read_text()
 
 
 @lru_cache(maxsize=1)

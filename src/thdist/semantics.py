@@ -58,9 +58,16 @@ DEFAULT_BOUND = 4  # default K for bounded first-order checks
 # Models
 
 class FiniteModel:
-    """Non-empty universe {0..size-1} with one relation per symbol."""
+    """Non-empty universe {0..size-1} with one relation per symbol.
 
-    __slots__ = ("lang", "size", "interp", "_key")
+    A model is its packed code over the `_Space` of its signature and
+    size; equality and hashing read the code. A model built from an
+    interpretation packs it on first use of `code` (so a cap on the size
+    can refuse an oversized model before its code is allocated); one
+    built from a code unpacks `interp` (frozensets of tuples, bools for
+    rank 0) on first use."""
+
+    __slots__ = ("lang", "size", "_code", "_interp")
 
     def __init__(self, lang: Language, size: int, interp: Mapping[str, object]):
         if size < 1:
@@ -83,20 +90,46 @@ class FiniteModel:
             raise LanguageError(f"interpretation of unknown symbols: {sorted(extra)}")
         self.lang = lang
         self.size = size
-        self.interp = norm
-        self._key = (size, lang.var_bound, tuple(sorted(
-            (sym, v if isinstance(v, bool) else tuple(sorted(v)))
-            for sym, v in norm.items()
-        )))
+        self._code = None
+        self._interp = norm
+
+    @classmethod
+    def _of_code(cls, lang: Language, size: int, code: int) -> "FiniteModel":
+        """The structure packed as `code`; every code below 2**width is one."""
+        model = cls.__new__(cls)
+        model.lang, model.size, model._code, model._interp = lang, size, code, None
+        return model
+
+    @property
+    def code(self) -> int:
+        if self._code is None:
+            code = 0
+            for sym, (rank, offset) in _space(self.lang.symbols, self.size).blocks.items():
+                if rank == 0:
+                    code |= self._interp[sym] << offset
+                else:
+                    for t in self._interp[sym]:
+                        code |= 1 << offset + _index(self.size, t)
+            self._code = code
+        return self._code
+
+    @property
+    def interp(self) -> dict[str, object]:
+        if self._interp is None:
+            self._interp = _space(self.lang.symbols, self.size).unpack(self.code)
+        return self._interp
 
     def rel(self, sym: str):
         return self.interp[sym]
 
+    def _identity(self) -> tuple:
+        return (self.size, self.lang.var_bound, self.lang.symbols, self.code)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteModel) and self._key == other._key
+        return isinstance(other, FiniteModel) and self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._identity())
 
     def __repr__(self) -> str:
         return f"FiniteModel({self.lang.name}, {model_to_json(self)})"
@@ -166,7 +199,7 @@ def eval_formula(model: FiniteModel, assignment: Sequence[int], phi: Formula) ->
 # Assignment-set (bitmask) evaluation
 
 _eq_masks: dict[tuple[int, int, int, int], int] = {}
-_proj_masks: dict[tuple[int, int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
+_proj_masks: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
 _exists_groups: dict[tuple[int, int, int], list[int]] = {}
 
 
@@ -186,14 +219,15 @@ def _eq_mask(k: int, n: int, i: int, j: int) -> int:
     return mask
 
 
-def _proj_mask(k: int, n: int, args: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _proj_mask(k: int, n: int, args: tuple[int, ...]) -> list[int]:
+    """Per tuple index (lexicographic, as in the packed code): the mask of
+    the assignments that send `args` to that tuple."""
     key = (k, n, args)
     table = _proj_masks.get(key)
     if table is None:
-        table = {}
+        table = [0] * k ** len(args)
         for idx, a in enumerate(_assignments(k, n)):
-            t = tuple(a[x] for x in args)
-            table[t] = table.get(t, 0) | (1 << idx)
+            table[_index(k, [a[x] for x in args])] |= 1 << idx
         _proj_masks[key] = table
     return table
 
@@ -224,6 +258,7 @@ def assignment_set(model: FiniteModel, phi: Formula) -> int:
     """Bitmask of assignments satisfying `phi` (lexicographic order)."""
     k, n = model.size, model.lang.var_bound
     full = (1 << (k**n)) - 1
+    blocks, code = _space(model.lang.symbols, k).blocks, model.code
     memo: dict[int, int] = {}
 
     def go(f: Formula) -> int:
@@ -233,14 +268,17 @@ def assignment_set(model: FiniteModel, phi: Formula) -> int:
         if isinstance(f, Eq):
             out = _eq_mask(k, n, f.i, f.j)
         elif isinstance(f, Atom):
-            rel = model.rel(f.sym)
-            if isinstance(rel, bool):
-                out = full if rel else 0
+            rank, offset = blocks[f.sym]
+            bits = code >> offset & (1 << k**rank) - 1
+            if rank == 0:
+                out = full if bits else 0
             else:
                 table = _proj_mask(k, n, f.args)
                 out = 0
-                for t in rel:
-                    out |= table.get(t, 0)
+                while bits:
+                    low = bits & -bits
+                    out |= table[low.bit_length() - 1]
+                    bits ^= low
         elif isinstance(f, And):
             out = go(f.lhs) & go(f.rhs)
         elif isinstance(f, Not):
@@ -348,58 +386,122 @@ def assignment_model(lang: Language, row: Sequence[bool], size: int = 1) -> Fini
 # ---------------------------------------------------------------------------
 # Packed structures and canonical forms
 
+def _index(k: int, t: Sequence[int]) -> int:
+    """Position of the tuple t among the k^len(t) tuples, lexicographically."""
+    idx = 0
+    for e in t:
+        idx = idx * k + e
+    return idx
+
+
 class _Space:
     """The size-k structures of one signature, each packed into one
-    integer code: one bit per possible tuple of each symbol (tuples in
-    lexicographic order, rank-0 symbols one bit), symbols in declaration
-    order. Universe permutations act as bit permutations; `tables` holds
-    the distinct ones."""
+    integer code: symbols in sorted order, each a contiguous block of one
+    bit per possible tuple (lexicographic order; one bit for rank 0).
 
-    __slots__ = ("k", "width", "blocks", "tables")
+    A block of rank r >= 1 is k^(r-1) rows of k bits, row i holding the
+    tuples that start with the i-th (r-1)-tuple. A universe permutation p
+    moves row i to the row of p applied to its prefix and permutes the
+    bits inside the row by p, which `_row_tables(k)` does by table lookup;
+    rank-0 bits are fixed points. `plan()` holds these row moves, one
+    tuple per distinct action."""
+
+    __slots__ = ("k", "width", "blocks", "fixed", "_plan")
 
     def __init__(self, symbols: tuple[tuple[str, int], ...], k: int):
         self.k = k
-        self.blocks: list[tuple[str, int, dict[tuple[int, ...], int]]] = []
+        self.blocks: dict[str, tuple[int, int]] = {}  # symbol -> (rank, offset)
+        self.fixed = 0
         offset = 0
         for sym, rank in symbols:
-            tuples = itertools.product(range(k), repeat=rank)
-            bit = {t: offset + i for i, t in enumerate(tuples)}
-            self.blocks.append((sym, rank, bit))
-            offset += len(bit)
-        self.width = offset
-        self.tables = list(dict.fromkeys(
-            tuple(bit[tuple(p[e] for e in t)] for _, _, bit in self.blocks for t in bit)
-            for p in itertools.permutations(range(k))
-        ))
-
-    def pack(self, model: FiniteModel) -> int:
-        code = 0
-        for sym, rank, bit in self.blocks:
-            v = model.interp[sym]
+            self.blocks[sym] = (rank, offset)
             if rank == 0:
-                v = {()} if v else ()
-            for t in v:
-                code |= 1 << bit[t]
-        return code
+                self.fixed |= 1 << offset
+            offset += k**rank
+        self.width = offset
+        self._plan: list[tuple[tuple[int, int, tuple[int, ...], int], ...]] | None = None
 
-    def unpack(self, lang: Language, code: int) -> FiniteModel:
+    def unpack(self, code: int) -> dict[str, object]:
         interp: dict[str, object] = {}
-        for sym, rank, bit in self.blocks:
-            chosen = {t for t, i in bit.items() if code >> i & 1}
-            interp[sym] = bool(chosen) if rank == 0 else chosen
-        return FiniteModel(lang, self.k, interp)
+        for sym, (rank, offset) in self.blocks.items():
+            bits = code >> offset
+            if rank == 0:
+                interp[sym] = bool(bits & 1)
+            else:
+                tuples = itertools.product(range(self.k), repeat=rank)
+                interp[sym] = frozenset(t for i, t in enumerate(tuples) if bits >> i & 1)
+        return interp
 
-    def orbit(self, code: int) -> set[int]:
-        out = set()
-        for table in self.tables:
-            image = 0
-            b = code
-            while b:
-                low = b & -b
-                image |= 1 << table[low.bit_length() - 1]
-                b ^= low
-            out.add(image)
-        return out
+    def plan(self) -> list[tuple[tuple[int, int, tuple[int, ...], int], ...]]:
+        """Per permutation, its (source shift, chunk mask, chunk table,
+        destination shift) moves. With a symbol of positive rank distinct
+        permutations act differently (on the tuple (e, ..., e)); without
+        one they all act as the identity, which is kept once."""
+        if self._plan is None:
+            k = self.k
+            ranked = [(r, off) for r, off in self.blocks.values() if r]
+            chunks = [(lo, min(lo + _CHUNK_BITS, k)) for lo in range(0, k, _CHUNK_BITS)]
+            perms = [((), ())]  # with rank 0 only, one identity action
+            if ranked:
+                perms = zip(itertools.permutations(range(k)), _row_tables(k))
+            self._plan = [
+                tuple(
+                    (off + k * row + lo, (1 << hi - lo) - 1, tab,
+                     off + k * _index(k, [p[e] for e in prefix]))
+                    for r, off in ranked
+                    for row, prefix in enumerate(itertools.product(range(k), repeat=r - 1))
+                    for (lo, hi), tab in zip(chunks, tabs)
+                )
+                for p, tabs in perms
+            ]
+        return self._plan
+
+    def images(self, code: int) -> Iterator[int]:
+        """The code's image under each distinct permutation: its orbit,
+        possibly with repeats."""
+        fixed = code & self.fixed
+        for moves in self.plan():
+            image = fixed
+            for src, mask, tab, dst in moves:
+                x = code >> src & mask
+                if x:
+                    image |= tab[x] << dst
+            yield image
+
+    def runs_in(self, big: "_Space") -> list[tuple[int, int, int]]:
+        """(source shift, mask, destination shift) runs that copy this
+        signature's blocks out of a code of `big`, a space over more
+        symbols at the same size. Blocks are consecutive here, so blocks
+        consecutive in `big` too merge into one run."""
+        runs: list[list[int]] = []
+        for sym, (rank, dst) in self.blocks.items():
+            src, n = big.blocks[sym][1], self.k**rank
+            if runs and runs[-1][0] + runs[-1][1] == src:
+                runs[-1][1] += n
+            else:
+                runs.append([src, n, dst])
+        return [(src, (1 << n) - 1, dst) for src, n, dst in runs]
+
+
+_CHUNK_BITS = 4  # row tables are indexed by at most 4 bits of a row at a time
+
+
+@functools.lru_cache(maxsize=None)
+def _row_tables(k: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Per permutation p of range(k), in itertools order: for each chunk of
+    _CHUNK_BITS bits of a k-bit row, the table sending a chunk value to
+    its image inside the row (bit lo + j to bit p(lo + j))."""
+    out = []
+    for p in itertools.permutations(range(k)):
+        tabs = []
+        for lo in range(0, k, _CHUNK_BITS):
+            tab = [0] * (1 << min(_CHUNK_BITS, k - lo))
+            for x in range(1, len(tab)):
+                low = x & -x
+                tab[x] = tab[x ^ low] | 1 << p[lo + low.bit_length() - 1]
+            tabs.append(tuple(tab))
+        out.append(tuple(tabs))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,7 +538,6 @@ def _satisfying_codes(
     full = (1 << (1 << w)) - 1
     low_bits = [b & full for b in _CODE_BITS[:w]]
     taus = _assignments(k, n)
-    bit_of = {sym: bit for sym, _, bit in space.blocks}
     where: dict[int, list[int]] = {}  # atom uid -> its code bit per assignment
     groups = {  # var -> the exists_groups masks as lists of assignment indices
         v: [[i for i in range(len(taus)) if g >> i & 1] for g in exists_groups(k, n, v)]
@@ -451,8 +552,8 @@ def _satisfying_codes(
             out = [full if t[f.i] == t[f.j] else 0 for t in taus]
         elif isinstance(f, Atom):
             if f.uid not in where:
-                bit = bit_of[f.sym]
-                where[f.uid] = [bit[tuple(t[a] for a in f.args)] for t in taus]
+                offset = space.blocks[f.sym][1]
+                where[f.uid] = [offset + _index(k, [t[a] for a in f.args]) for t in taus]
             out = [bits[j] for j in where[f.uid]]
         elif isinstance(f, And):
             out = [x & y for x, y in zip(go(f.lhs), go(f.rhs))]
@@ -490,13 +591,12 @@ def canonical_form(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> tuple[int, 
     k = model.size
     if k > caps.max_perm_size:
         raise CapExceededError(f"canonical form capped at size {caps.max_perm_size}")
-    space = _space(model.lang.symbols, k)
-    return (k, min(space.orbit(space.pack(model))))
+    return (k, min(_space(model.lang.symbols, k).images(model.code)))
 
 
 def canonical_model(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> FiniteModel:
     k, code = canonical_form(model, caps)
-    return _space(model.lang.symbols, k).unpack(model.lang, code)
+    return FiniteModel._of_code(model.lang, k, code)
 
 
 def isomorphic(a: FiniteModel, b: FiniteModel, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -513,7 +613,8 @@ _store = None  # optional persistent cache registered by the workbench
 
 
 def set_profile_store(store) -> None:
-    """Install a persistent cache with get(key, k) / put(key, k, payload)."""
+    """Install a persistent cache with get(key, k) / put(key, k, payload);
+    a payload is {"count": n, "codes": the n canonical codes, ascending}."""
     global _store
     _store = store
 
@@ -525,13 +626,7 @@ def clear_memory_caches() -> None:
     _proj_masks.clear()
     _exists_groups.clear()
     _space.cache_clear()
-
-
-def _candidate_count(lang: Language, k: int) -> int:
-    total = 1
-    for _, rank in lang.symbols:
-        total *= 1 << (k**rank)
-    return total
+    _row_tables.cache_clear()
 
 
 def enumeration_feasible(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -541,7 +636,7 @@ def enumeration_feasible(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> b
         return False
     if theory.lang.is_sentential:
         return True
-    return _candidate_count(theory.lang, k) <= caps.max_candidates
+    return 1 << _space(theory.lang.symbols, k).width <= caps.max_candidates
 
 
 def enumerate_models(
@@ -558,48 +653,55 @@ def enumerate_models(
     cached = _model_memo.get(memo_key)
     if cached is not None:
         return cached
-    if _store is not None:
-        payload = _store.get(theory.key, k)
-        if payload is not None:
-            models = [
-                FiniteModel(theory.lang, k, json.loads(m)["interp"])
-                for m in payload["models"]
-            ]
-            _model_memo[memo_key] = models
-            return models
-
     lang = theory.lang
-    if lang.is_sentential:
-        models = [
-            assignment_model(lang, row, k) for row in sorted(sat_assignments(theory))
-        ]
-    else:
-        # The models of a theory are closed under isomorphism, so an
-        # ascending pass over the satisfying codes that keeps each code not
-        # yet marked and marks its orbit keeps exactly the least codes.
-        candidates = _candidate_count(lang, k)
-        if candidates > caps.max_candidates:
-            raise CapExceededError(
-                f"{candidates} interpretation candidates at size {k} "
-                f"exceed cap {caps.max_candidates}"
-            )
-        space = _space(lang.symbols, k)
-        marked = bytearray(candidates)
-        models = []
-        for code in _satisfying_codes(space, theory.axioms, lang.var_bound):
-            if not marked[code]:
-                models.append(space.unpack(lang, code))
-                for image in space.orbit(code):
-                    marked[image] = 1
-
-    _model_memo[memo_key] = models
+    space = _space(lang.symbols, k)
+    codes = None
     if _store is not None:
-        _store.put(
-            theory.key,
-            k,
-            {"count": len(models), "models": [model_to_json(m) for m in models]},
-        )
+        codes = _stored_codes(_store.get(theory.key, k), space.width)
+    if codes is None:
+        if lang.is_sentential:
+            codes = list(_satisfying_codes(space, theory.axioms, 0))
+        else:
+            codes = _least_codes(theory, space, caps)
+        if _store is not None:
+            _store.put(theory.key, k, {"count": len(codes), "codes": codes})
+    if lang.is_sentential:
+        # the order of the sorted Sat rows; bit i of a code is row[i]
+        codes = sorted(codes, key=lambda c: [c >> i & 1 for i in range(space.width)])
+    models = [FiniteModel._of_code(lang, k, c) for c in codes]
+    _model_memo[memo_key] = models
     return models
+
+
+def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
+    """Ascending least codes of the orbits of the theory's models in the
+    space. The models are closed under isomorphism, so an ascending pass
+    over the satisfying codes that keeps each code not yet marked and
+    marks its orbit keeps exactly the least codes."""
+    candidates = 1 << space.width
+    if candidates > caps.max_candidates:
+        raise CapExceededError(
+            f"{candidates} interpretation candidates at size {space.k} "
+            f"exceed cap {caps.max_candidates}"
+        )
+    marked = bytearray(candidates)
+    codes = []
+    for code in _satisfying_codes(space, theory.axioms, theory.lang.var_bound):
+        if not marked[code]:
+            codes.append(code)
+            for image in space.images(code):
+                marked[image] = 1
+    return codes
+
+
+def _stored_codes(record, width: int) -> list[int] | None:
+    """The codes of a cache record when they are ints in [0, 2**width) in
+    strictly ascending order; anything else is a miss."""
+    codes = record.get("codes") if isinstance(record, dict) else None
+    if isinstance(codes, list) and all(type(c) is int for c in codes) \
+            and all(a < b for a, b in zip([-1] + codes, codes + [1 << width])):
+        return codes
+    return None
 
 
 def spectrum(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -735,10 +837,6 @@ class ConservativityResult:
         return self.holds
 
 
-def _reduct(model: FiniteModel, lang: Language) -> FiniteModel:
-    return FiniteModel(lang, model.size, {s: model.interp[s] for s, _ in lang.symbols})
-
-
 def conservative_extension(
     t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND, caps: Caps = DEFAULT_CAPS
 ) -> ConservativityResult:
@@ -746,7 +844,8 @@ def conservative_extension(
 
     Sentential case: the projection of Sat(t2) onto t1's constants must
     equal Sat(t1); exact. First-order case: for each size k <= bound the
-    canonicalized t1-reducts of t2's models must equal t1's model list; a
+    t1-reducts of t2's models (bit projections of their codes, taken to
+    the least code of their orbit) must equal t1's model list; a
     refutation shows the differing model of least canonical code.
     """
     if not t2.lang.includes(t1.lang):
@@ -779,14 +878,25 @@ def conservative_extension(
                 f"conservativity check infeasible at size {k} "
                 f"({t1.name} vs {t2.name})"
             )
-        own = {canonical_form(m, caps) for m in enumerate_models(t1, k, caps)}
-        reducts = {
-            canonical_form(_reduct(m, t1.lang), caps)
-            for m in enumerate_models(t2, k, caps)
-        }
+        # enumerated models are least codes, hence already canonical
+        own = {m.code for m in enumerate_models(t1, k, caps)}
+        expansions = enumerate_models(t2, k, caps)
+        if expansions and k > caps.max_perm_size:
+            raise CapExceededError(f"canonical form capped at size {caps.max_perm_size}")
+        space = _space(t1.lang.symbols, k)
+        runs = space.runs_in(_space(t2.lang.symbols, k))
+        reducts: set[int] = set()
+        for m in expansions:
+            code = 0
+            for src, mask, dst in runs:
+                code |= (m.code >> src & mask) << dst
+            # a code already in own or reducts is the least of its orbit
+            if code not in own and code not in reducts:
+                code = min(space.images(code))
+            reducts.add(code)
         if own == reducts:
             continue
-        model = _space(t1.lang.symbols, k).unpack(t1.lang, min(own ^ reducts)[1])
+        model = FiniteModel._of_code(t1.lang, k, min(own ^ reducts))
         witness = None
         if not reducts and own and t1.lang.var_bound >= k + 1:
             # t2 has no size-k models at all, so "not exactly k elements"

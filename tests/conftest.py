@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from thdist.catalog import loads_catalog, verify_all
-from thdist.paper_suite import shipped_catalog_text
+from thdist.catalog import loads_catalog, shipped_catalog_text, verify_all
 from thdist.syntax import Language
 
 

@@ -11,11 +11,11 @@ from thdist.catalog import (
     catalog_network,
     load_catalog,
     loads_catalog,
+    shipped_catalog_text,
     verify_all,
 )
 from thdist.errors import CatalogError, FormulaSyntaxError
 from thdist.network import export_dot, export_json
-from thdist.paper_suite import shipped_catalog_text
 from thdist.semantics import (
     clear_memory_caches,
     enumerate_models,
@@ -128,9 +128,40 @@ def test_stale_cache_version_ignored(tmp_path):
     # none, as older releases wrote) is stale too
     (path,) = tmp_path.rglob("a*.2.json")
     plain = {k: v for k, v in json.loads(path.read_text()).items() if k != "format"}
-    for stale in (plain, dict(plain, format="tuple-form-order")):
+    for stale in (
+        plain,
+        dict(plain, format="tuple-form-order"),
+        dict(plain, format="canonical-code-order"),  # lists of model JSON
+    ):
         path.write_text(json.dumps(stale))
         assert store.get("a" * 64, 2) is None
+    # a current record is served only if its codes are ints below 2**width
+    # (9 bits for Posets at size 3) in strictly ascending order; any other
+    # is recomputed, and the result equals a cacheless run
+    posets = loads_catalog(shipped_catalog_text()).theory("Posets")
+    clear_memory_caches()
+    set_profile_store(None)
+    cacheless = enumerate_models(posets, 3)
+    codes = [m.code for m in cacheless]
+    store = DiskProfileStore(tmp_path / "codes")
+    try:
+        for bad in (
+            [0, 1 << 9], [-1, 0], [0, "1"], [0, 1.5], [True], [3, 1], [1, 1], "01",
+        ):
+            store.put(posets.key, 3, {"count": len(bad), "codes": bad})
+            clear_memory_caches()
+            set_profile_store(store)
+            assert enumerate_models(posets, 3) == cacheless
+            assert store.get(posets.key, 3)["codes"] == codes
+            set_profile_store(None)
+        # a valid record is served as it stands
+        store.put(posets.key, 3, {"count": 1, "codes": codes[:1]})
+        clear_memory_caches()
+        set_profile_store(store)
+        assert enumerate_models(posets, 3) == cacheless[:1]
+    finally:
+        set_profile_store(None)
+        clear_memory_caches()
 
 
 def test_catalog_network_and_exports(examples_catalog):

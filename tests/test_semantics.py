@@ -412,7 +412,9 @@ def test_clear_memory_caches_empties_every_table():
     ):
         assert not table
     assert semantics._space.cache_info().currsize == 0
+    assert semantics._row_tables.cache_info().currsize == 0
     assert run() == before
+    assert semantics._row_tables.cache_info().currsize
 
 
 # Oracle for the bit-sliced enumeration: every labelled structure checked
@@ -453,12 +455,15 @@ class _BruteSpace:
                     interp[sym] = True
         return _Labelled(self.k, interp)
 
+    def orbit(self, code):
+        return {
+            sum(1 << perm[i] for i in range(len(self.slots)) if code >> i & 1)
+            for perm in self.perms
+        }
+
     def orbit_min(self, code):
         if code not in self.least:
-            orbit = {
-                sum(1 << perm[i] for i in range(len(self.slots)) if code >> i & 1)
-                for perm in self.perms
-            }
+            orbit = self.orbit(code)
             for image in orbit:
                 self.least[image] = min(orbit)
         return self.least[code]
@@ -526,6 +531,64 @@ def test_enumeration_matches_brute_force(example):
 @given(_axioms(_WIDE_CASE[0], max_leaves=4))
 def test_enumeration_matches_brute_force_across_blocks(axioms):
     _check_against_brute_force(*_WIDE_CASE, axioms)
+
+
+# Orbits and canonical forms of code-born models against the brute force
+# above, which relabels every tuple under every permutation. The
+# signatures mix ranks 0-3 in several orders of their blocks.
+_MIXED = [
+    Language.make("M0123", {"C": 0, "P": 1, "R": 2, "T": 3}, 3),
+    Language.make("M3021", {"A": 3, "B": 0, "D": 2, "E": 1}, 3),
+    Language.make("M202", {"A": 2, "B": 0, "C": 2}, 2),
+    Language.make("M00", {"A": 0, "B": 0}, 1),
+]
+
+
+def _brute(lang, k):
+    return _brute_spaces.setdefault((lang, k), _BruteSpace(lang, k))
+
+
+@st.composite
+def _coded(draw, langs=_MIXED, sizes=st.integers(1, 4)):
+    lang, k = draw(st.sampled_from(langs)), draw(sizes)
+    width = sum(k**rank for _, rank in lang.symbols)
+    return lang, k, draw(st.integers(0, (1 << width) - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_coded())
+def test_orbit_matches_brute_force(example):
+    lang, k, code = example
+    orbit = _brute(lang, k).orbit(code)
+    assert set(semantics._space(lang.symbols, k).images(code)) == orbit
+    model = FiniteModel._of_code(lang, k, code)
+    assert canonical_form(model) == (k, min(orbit))
+    assert canonical_model(model).code == min(orbit)
+
+
+# sizes 6 and 7 split each row into two table chunks
+_WIDE_ROWS = Language.make("CPR", {"C": 0, "P": 1, "R": 2}, 2)
+
+
+@settings(max_examples=6, deadline=None)
+@given(_coded([_WIDE_ROWS], st.integers(6, 7)))
+def test_canonical_form_matches_brute_force_at_sizes_6_and_7(example):
+    lang, k, code = example
+    model = FiniteModel._of_code(lang, k, code)
+    assert canonical_form(model) == (k, min(_brute(lang, k).orbit(code)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_coded())
+def test_code_born_model_round_trip(example):
+    lang, k, code = example
+    model = FiniteModel._of_code(lang, k, code)
+    assert model.interp == _brute(lang, k).structure(code).interp
+    rebuilt = FiniteModel(lang, k, model.interp)
+    assert rebuilt == model and hash(rebuilt) == hash(model)
+    assert rebuilt.code == code
+    assert model_to_json(rebuilt) == model_to_json(model)
+    assert model_from_json(model_to_json(model), lang) == model
 
 
 _S3 = Language.make("S3", {"A": 0, "B": 0, "C": 0}, 0)
