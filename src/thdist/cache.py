@@ -75,7 +75,3 @@ def activate_cache(root: str | Path | None = None) -> DiskProfileStore | None:
     store = DiskProfileStore(root)
     set_profile_store(store)
     return store
-
-
-def deactivate_cache() -> None:
-    set_profile_store(None)

@@ -31,6 +31,7 @@ from .network import check_amalgamation, classify_ad, export_dot, export_json
 from .semantics import (
     enumerate_models,
     model_lang_from_json,
+    model_to_dict,
     model_to_json,
     semantic_profile,
 )
@@ -78,13 +79,16 @@ def cmd_models(args) -> int:
     catalog, name = _load_ref(args.theory)
     theory = catalog.theory(name)
     models = enumerate_models(theory, args.size, catalog.policy.caps())
+    if args.human:
+        print("\n".join(model_to_json(m) for m in models) or "(none)")
+        return EXIT_OK
     payload = {
         "theory": name,
         "size": args.size,
         "count": len(models),
-        "models": [json.loads(model_to_json(m)) for m in models],
+        "models": [model_to_dict(m) for m in models],
     }
-    _emit(args, payload, "\n".join(model_to_json(m) for m in models) or "(none)")
+    _emit(args, payload)
     return EXIT_OK
 
 

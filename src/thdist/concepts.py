@@ -28,16 +28,19 @@ from .semantics import (
     DEFAULT_CAPS,
     FiniteModel,
     Theory,
+    _sat_pullback,
+    _set_bits,
     assignment_model,
     assignment_set,
     bounded_consequence,
     enumerate_models,
-    eval_formula,
     exists_groups,
     sat_assignments,
+    sat_rows,
 )
 from .syntax import (
     Formula,
+    Language,
     and_,
     atom,
     characteristic_formula,
@@ -73,7 +76,7 @@ def cz_sentential(theory: Theory) -> CzValue:
     """
     if not theory.lang.is_sentential:
         raise UnsupportedFragmentError("cz_sentential needs a sentential theory")
-    return CzValue(1 << len(sat_assignments(theory)), "sentential-exact")
+    return CzValue(1 << sat_assignments(theory).bit_count(), "sentential-exact")
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +315,13 @@ def formula_battery(theory: Theory, bound: int) -> list[Formula]:
     return out
 
 
-def _sentential_pullback(tr: Translation, row: tuple[bool, ...]) -> tuple[bool, ...]:
-    """The source assignment a target assignment induces through tr."""
-    model = assignment_model(tr.target, row)
-    return tuple(
-        eval_formula(model, (), tr.image(c)) for c in tr.source.constants
-    )
+def _sentential_pullback(tr: Translation, sat: int) -> dict[int, int]:
+    """Each row of a target Sat mask to the source row it induces through tr."""
+    return _sat_pullback(tr.target, [tr.image(c) for c in tr.source.constants], sat)
+
+
+def _row(lang: Language, r: int) -> tuple[bool, ...]:
+    return next(sat_rows(lang, 1 << r))
 
 
 def check_interpretation(
@@ -334,19 +338,20 @@ def check_interpretation(
         raise LanguageError("translation endpoints do not match the theories")
     if t1.lang.is_sentential and t2.lang.is_sentential:
         s1, s2 = sat_assignments(t1), sat_assignments(t2)
-        image = {_sentential_pullback(tr, b): b for b in sorted(s2)}
-        stray = sorted(a for a in image if a not in s1)
+        # source row -> the last target row inducing it
+        image = {a: b for b, a in _sentential_pullback(tr, s2).items()}
+        hit = sum(1 << a for a in image)
+        stray, missing = hit & ~s1, s1 & ~hit
         if stray:
-            a = stray[0]
+            a = next(_set_bits(stray))
             return CheckReport(
                 "refuted", True, None,
-                not_(characteristic_formula(t1.lang, a)),
-                assignment_model(t2.lang, image[a]),
+                not_(characteristic_formula(t1.lang, _row(t1.lang, a))),
+                assignment_model(t2.lang, _row(t2.lang, image[a])),
                 note=f"{t1.name} proves it, {t2.name} does not prove its translation",
             )
-        missing = sorted(s1 - set(image))
         if missing:
-            a = missing[0]
+            a = _row(t1.lang, next(_set_bits(missing)))
             return CheckReport(
                 "interpretation", True, None,
                 not_(characteristic_formula(t1.lang, a)),
@@ -401,40 +406,27 @@ def check_defeq(
 
     if t1.lang.is_sentential and t2.lang.is_sentential:
         s1, s2 = sat_assignments(t1), sat_assignments(t2)
-        pull12 = {b: _sentential_pullback(tr12, b) for b in s2}
-        pull21 = {a: _sentential_pullback(tr21, a) for a in s1}
-        for b in sorted(s2):
-            if pull12[b] not in s1:
-                return CheckReport(
-                    "refuted", True, None,
-                    not_(characteristic_formula(t1.lang, pull12[b])),
-                    assignment_model(t2.lang, b),
-                    note="tr12 is not an interpretation",
-                )
-        for a in sorted(s1):
-            if pull21[a] not in s2:
-                return CheckReport(
-                    "refuted", True, None,
-                    not_(characteristic_formula(t2.lang, pull21[a])),
-                    assignment_model(t1.lang, a),
-                    note="tr21 is not an interpretation",
-                )
-        for a in sorted(s1):
-            if pull12[pull21[a]] != a:
-                return CheckReport(
-                    "refuted", True, None,
-                    characteristic_formula(t1.lang, a),
-                    assignment_model(t1.lang, a),
-                    note="round trip through tr21;tr12 moves this assignment",
-                )
-        for b in sorted(s2):
-            if pull21[pull12[b]] != b:
-                return CheckReport(
-                    "refuted", True, None,
-                    characteristic_formula(t2.lang, b),
-                    assignment_model(t2.lang, b),
-                    note="round trip through tr12;tr21 moves this assignment",
-                )
+        pull12, pull21 = _sentential_pullback(tr12, s2), _sentential_pullback(tr21, s1)
+        sides = ((pull12, s1, t1.lang, t2.lang, "tr12"), (pull21, s2, t2.lang, t1.lang, "tr21"))
+        for pull, sat, to_lang, from_lang, label in sides:
+            for b, a in pull.items():
+                if not sat >> a & 1:
+                    return CheckReport(
+                        "refuted", True, None,
+                        not_(characteristic_formula(to_lang, _row(to_lang, a))),
+                        assignment_model(from_lang, _row(from_lang, b)),
+                        note=f"{label} is not an interpretation",
+                    )
+        trips = ((pull21, pull12, t1.lang, "tr21;tr12"), (pull12, pull21, t2.lang, "tr12;tr21"))
+        for pull, back, lang, label in trips:
+            for a, b in pull.items():
+                if back[b] != a:
+                    row = _row(lang, a)
+                    return CheckReport(
+                        "refuted", True, None,
+                        characteristic_formula(lang, row), assignment_model(lang, row),
+                        note=f"round trip through {label} moves this assignment",
+                    )
         return CheckReport("defeq", True, None)
 
     for theory, outer, inner in ((t1, tr21, tr12), (t2, tr12, tr21)):
@@ -473,36 +465,25 @@ def sentential_defeq_witness(
     for t in (t1, t2):
         if not t.lang.is_sentential:
             raise UnsupportedFragmentError("witness construction is sentential-only")
-    s1, s2 = sorted(sat_assignments(t1)), sorted(sat_assignments(t2))
+    s1, s2 = sat_assignments(t1), sat_assignments(t2)
     if not s1 or not s2:
         raise InconsistencyError("witness construction needs consistent theories")
-    if len(s1) != len(s2):
+    if s1.bit_count() != s2.bit_count():
         return None
     c1, c2 = t1.lang.constants, t2.lang.constants
     if (c1 and not c2) or (c2 and not c1):
         return None  # one side has no formulas at all
-    forward = dict(zip(s1, s2))
-    backward = dict(zip(s2, s1))
-    tr12 = Translation.make(
-        t1.lang,
-        t2.lang,
-        {
-            p: dnf_of_assignments(
-                t2.lang, [b for b in s2 if backward[b][i]]
-            )
-            for i, p in enumerate(c1)
-        },
-    )
-    tr21 = Translation.make(
-        t2.lang,
-        t1.lang,
-        {
-            q: dnf_of_assignments(
-                t1.lang, [a for a in s1 if forward[a][i]]
-            )
-            for i, q in enumerate(c2)
-        },
-    )
+    rows1, rows2 = list(sat_rows(t1.lang, s1)), list(sat_rows(t2.lang, s2))
+
+    def along(source: Language, target: Language, src_rows, dst_rows) -> Translation:
+        # the rows pair up in ascending order
+        return Translation.make(source, target, {
+            p: dnf_of_assignments(target, [b for a, b in zip(src_rows, dst_rows) if a[i]])
+            for i, p in enumerate(source.constants)
+        })
+
+    tr12 = along(t1.lang, t2.lang, rows1, rows2)
+    tr21 = along(t2.lang, t1.lang, rows2, rows1)
     report = check_defeq(tr12, tr21, t1, t2, bound)
     if report.verdict != "defeq":
         raise AssertionError(f"constructed witness failed verification: {report}")

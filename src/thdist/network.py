@@ -29,6 +29,8 @@ from .relations import (
     VERIFIED_EXACT,
     CertStatus,
     EdgeCertificate,
+    _trivial_translations,
+    axiom_add_exists,
     verify_certificate,
 )
 from .semantics import (
@@ -36,9 +38,15 @@ from .semantics import (
     DEFAULT_BOUND,
     DEFAULT_CAPS,
     Theory,
+    _set_bits,
+    enumeration_feasible,
+    logically_equivalent,
     sat_assignments,
+    sat_rows,
     spectrum,
+    theory_from_sat,
 )
+from .syntax import Language
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +440,15 @@ def build_network(
                 if su == sv:
                     edges.append(NetEdge(u, v, 0, "logical-equivalence"))
                 elif step == "axiom":
+                    # Sat(v) within Sat(u): v is u plus one axiom; and back
+                    down, up = not sv & ~su, not su & ~sv
                     if mode == "symmetric":
-                        if sv <= su or su <= sv:
+                        if down or up:
                             edges.append(NetEdge(u, v, 1, "axiom-add"))
                     else:
-                        if sv <= su:
+                        if down:
                             edges.append(NetEdge(u, v, 1, "axiom-add", directed=True))
-                        if su <= sv:
+                        if up:
                             edges.append(NetEdge(v, u, 1, "axiom-add", directed=True))
     return ClusterNetwork(name, mode, nodes, tuple(edges))
 
@@ -479,9 +489,6 @@ def classify_ad(
 ) -> DistanceResult:
     """The four-way classification {0, 1, 2, infinity} of axiomatic
     distance, valid on classes with the (co-)amalgamation property."""
-    from .relations import axiom_add_exists
-    from .semantics import logically_equivalent
-
     if amalgamation not in ("verified", "asserted"):
         raise LanguageError(
             "classification needs the amalgamation or co-amalgamation property "
@@ -542,7 +549,7 @@ def _arrow_matrix(
             if not tu.lang.same_formulas(tv.lang):
                 arrow[u, v] = False
             elif tu.lang.is_sentential:
-                arrow[u, v] = sat_assignments(tv) <= sat_assignments(tu)
+                arrow[u, v] = not sat_assignments(tv) & ~sat_assignments(tu)
             else:
                 arrow[u, v] = True if u == v else None
     for cert in certificates:
@@ -655,8 +662,6 @@ def lower_bound_certificates(
     count by at most 2^(k^m), m the maximal admitted rank, so the spectra
     ratio forces at least log_f(ratio) steps.
     """
-    from .semantics import enumeration_feasible
-
     table1: dict[int, int] = {}
     table2: dict[int, int] = {}
     for k in range(1, bound + 1):
@@ -791,15 +796,13 @@ def _reachable_cardinalities(start: int, steps: int) -> tuple[int, int]:
     return max(1, lo), start << steps
 
 
-def _ladder_theory(index: int, consts: int, sat_rows: list[tuple[bool, ...]]) -> Theory:
-    # zero-padded names keep the fresh constant last in alphabetical order
-    from .semantics import theory_from_sat
-    from .syntax import Language
-
+def _ladder_theory(index: int, consts: int, sat: int) -> Theory:
+    # zero-padded names keep the fresh constant last in alphabetical order,
+    # the lowest bit of a row index
     lang = Language.make(
         f"cdsolve.L{consts}", {f"K{i + 1:03d}": 0 for i in range(consts)}, 0
     )
-    return theory_from_sat(f"cdsolve.{index}", lang, sat_rows)
+    return theory_from_sat(f"cdsolve.{index}", lang, sat_rows(lang, sat))
 
 
 def sentential_cd_solve(
@@ -815,12 +818,10 @@ def sentential_cd_solve(
     The returned chain materializes concrete ladder theories with verified
     certificates.
     """
-    from .relations import _trivial_translations
-
     for t in (t1, t2):
         if not t.lang.is_sentential:
             raise LanguageError("sentential_cd_solve needs sentential theories")
-    s1, s2 = len(sat_assignments(t1)), len(sat_assignments(t2))
+    s1, s2 = sat_assignments(t1).bit_count(), sat_assignments(t2).bit_count()
     if s1 == 0 and s2 == 0:
         tr12, tr21 = _trivial_translations(t1, t2)
         cert = EdgeCertificate("defeq", t1.name, t2.name, tr12=tr12, tr21=tr21)
@@ -883,7 +884,7 @@ def sentential_cd_solve(
         current = lo_th
     else:
         base_consts = max(1, (lo_n - 1).bit_length())
-        ladder0 = _ladder_theory(0, base_consts, _first_rows(base_consts, lo_n))
+        ladder0 = _ladder_theory(0, base_consts, (1 << lo_n) - 1)
         lookup[ladder0.name] = ladder0
         cert0 = EdgeCertificate("defeq", lo_th.name, ladder0.name)
         add_cert(cert0)
@@ -896,14 +897,13 @@ def sentential_cd_solve(
     size_now = lo_n
     for i in range(steps):
         target = min(size_now * 2, hi_n)
-        prev_rows = sorted(sat_assignments(current))
         need = target - size_now
-        rows: list[tuple[bool, ...]] = []
-        for idx, row in enumerate(prev_rows):
-            rows.append(row + (False,))
-            if idx < need:
-                rows.append(row + (True,))
-        nxt = _ladder_theory(i + 1, base_consts + i + 1, rows)
+        # each row r gains the fresh constant false (row 2r); the first
+        # `need` rows also gain it true (row 2r + 1)
+        sat = 0
+        for idx, r in enumerate(_set_bits(sat_assignments(current))):
+            sat |= (3 if idx < need else 1) << 2 * r
+        nxt = _ladder_theory(i + 1, base_consts + i + 1, sat)
         lookup[nxt.name] = nxt
         cert = EdgeCertificate("concept-add", current.name, nxt.name)
         add_cert(cert)
@@ -932,13 +932,6 @@ def sentential_cd_solve(
         (chain[0].name, *(s.target for s in path_steps)), tuple(path_steps)
     )
     return SolveResult(fin(steps), witness, tuple(chain), tuple(certs), evidence, notes)
-
-
-def _first_rows(constants: int, count: int) -> list[tuple[bool, ...]]:
-    import itertools as it
-
-    rows = list(it.product((False, True), repeat=constants))
-    return rows[:count]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import ThdistError
 from .network import (
     ClusterNetwork,
     NetEdge,
+    axiomatic_distance,
     check_amalgamation,
     classify_ad,
     distance_matrix,
@@ -36,10 +37,11 @@ from .semantics import (
     logically_equivalent,
     sat_assignments,
     sat_of_formula,
+    sat_rows,
     spectrum,
     theory_from_sat,
 )
-from .syntax import Language, atom
+from .syntax import Language, and_, atom, not_, or_
 from .translation import apply_translation, identity_translation, make_pairing
 
 
@@ -77,12 +79,12 @@ def _catalog() -> Catalog:
 def _criterion(cid: str, title: str):
     def wrap(fn):
         def run() -> CriterionResult:
-            start = time.time()
+            start = time.perf_counter()
             try:
                 passed, details = fn()
             except ThdistError as exc:
                 passed, details = False, {"error": str(exc)}
-            return CriterionResult(cid, title, passed, time.time() - start, details)
+            return CriterionResult(cid, title, passed, time.perf_counter() - start, details)
 
         run.cid = cid
         return run
@@ -195,12 +197,10 @@ def a1():
 @lru_cache(maxsize=1)
 def _two_constant_universe() -> dict[str, Theory]:
     lang = Language.make("Univ2", {"P": 0, "Q": 0}, 0)
-    rows = list(itertools.product((False, True), repeat=2))
     out = {}
     for bits in range(16):
-        sat = [rows[i] for i in range(4) if bits >> i & 1]
         name = f"U{bits:02d}"
-        out[name] = theory_from_sat(name, lang, sat)
+        out[name] = theory_from_sat(name, lang, sat_rows(lang, bits))
     return out
 
 
@@ -213,13 +213,11 @@ def a2():
     if amalg.amalgamation != "holds":
         return False, {"amalgamation": amalg.to_json()}
     mism = []
-    from .network import axiomatic_distance
-
     for a in universe:
         for b in universe:
             d = axiomatic_distance(universe, a, b)
             sa, sb = sats[a], sats[b]
-            expected = 0 if sa == sb else (1 if sa <= sb or sb <= sa else 2)
+            expected = 0 if sa == sb else (1 if not sa & ~sb or not sb & ~sa else 2)
             if d.value.to_json() != expected:
                 mism.append((a, b, d.value.to_json(), expected))
             if sa and sb:
@@ -315,13 +313,11 @@ def a5():
 def _cz_oracle(theory: Theory, depth: int = 4) -> int:
     """Depth-bounded formula enumeration: close the constants under
     not/and/or, quotient semantically by agreement on Sat(T), count."""
-    from .syntax import and_, not_, or_
-
     lang = theory.lang
     sat = sat_assignments(theory)
 
-    def meaning(phi) -> frozenset:
-        return frozenset(sat_of_formula(lang, phi) & sat)
+    def meaning(phi) -> int:
+        return sat_of_formula(lang, phi) & sat
 
     layers = [[atom(c) for c in lang.constants]]
     seen = {meaning(f) for f in layers[0]}
@@ -349,7 +345,7 @@ def _cz_oracle(theory: Theory, depth: int = 4) -> int:
 def a6():
     universe = _two_constant_universe()
     for name, theory in universe.items():
-        expected = 1 << len(sat_assignments(theory))
+        expected = 1 << sat_assignments(theory).bit_count()
         value = cz_sentential(theory).value
         if value != expected:
             return False, {"theory": name, "cz": value, "expected": expected}
@@ -364,7 +360,7 @@ def a6():
         for b in names:
             ta, tb = universe[a], universe[b]
             sa, sb = sat_assignments(ta), sat_assignments(tb)
-            if a < b and sa and sb and len(sa) == len(sb):
+            if a < b and sa and sb and sa.bit_count() == sb.bit_count():
                 witness = sentential_defeq_witness(ta, tb)
                 if witness is None:
                     return False, {"missing-witness": [a, b]}

@@ -19,7 +19,7 @@ from .errors import (
     RemovalError,
     UnsupportedFragmentError,
 )
-from .concepts import check_defeq, check_interpretation, sentential_defeq_witness
+from .concepts import CheckReport, check_defeq, check_interpretation, sentential_defeq_witness
 from .semantics import (
     Caps,
     DEFAULT_BOUND,
@@ -34,12 +34,12 @@ from .semantics import (
     logically_equivalent,
     sat_assignments,
     sat_of_formula,
+    sat_rows,
     spectrum,
     theory_from_sat,
 )
 from .syntax import (
     Formula,
-    all_assignments,
     big_and,
     dnf_of_assignments,
     false_formula,
@@ -131,7 +131,7 @@ def check_axiom_add(
         actual = sat_assignments(t2)
         if expected == actual:
             return CertStatus(VERIFIED_EXACT)
-        row = sorted(expected ^ actual)[0]
+        row = next(sat_rows(t.lang, expected ^ actual))
         return CertStatus(
             REFUTED,
             witness=assignment_model(t.lang, row),
@@ -173,9 +173,9 @@ def axiom_add_exists(
         return AxiomAddAnswer("no", exact=True, note="language mismatch")
     if t.lang.is_sentential:
         s1, s2 = sat_assignments(t), sat_assignments(t2)
-        if s2 <= s1:
-            return AxiomAddAnswer("yes", dnf_of_assignments(t.lang, s2))
-        row = sorted(s2 - s1)[0]
+        if not s2 & ~s1:
+            return AxiomAddAnswer("yes", dnf_of_assignments(t.lang, sat_rows(t.lang, s2)))
+        row = next(sat_rows(t.lang, s2 & ~s1))
         return AxiomAddAnswer(
             "no", countermodel=assignment_model(t.lang, row),
             note="a model of T' is no model of T",
@@ -276,19 +276,17 @@ def concept_removals(t: Theory, phi: Formula) -> list[Removal]:
     sat = sat_assignments(t)
     if not sat:
         raise InconsistencyError(f"{t.name} is inconsistent")
-    falsifiers = frozenset(
-        row for row in sat_of_formula(t.lang, phi) ^ frozenset(all_assignments(t.lang))
-    )
+    full = (1 << (1 << len(t.lang.constants))) - 1
+    falsifiers = full ^ sat_of_formula(t.lang, phi)
     if not falsifiers:
         raise RemovalError("phi is a tautology; no consistent subtheory loses it")
     overlap = sat & falsifiers
     if overlap:
-        return [
-            Removal(theory_from_sat(f"{t.name}-minus", t.lang, sorted(overlap)), None)
-        ]
+        rows = sat_rows(t.lang, overlap)
+        return [Removal(theory_from_sat(f"{t.name}-minus", t.lang, rows), None)]
     return [
         Removal(theory_from_sat(f"{t.name}-minus-{i}", t.lang, [m]), m)
-        for i, m in enumerate(sorted(falsifiers))
+        for i, m in enumerate(sat_rows(t.lang, falsifiers))
     ]
 
 
@@ -302,16 +300,16 @@ def theorem_removals(t: Theory, phi: Formula) -> list[Removal]:
     sat = sat_assignments(t)
     if not sat:
         raise InconsistencyError(f"{t.name} is inconsistent")
-    falsifiers = sat_of_formula(t.lang, phi) ^ frozenset(all_assignments(t.lang))
+    full = (1 << (1 << len(t.lang.constants))) - 1
+    falsifiers = full ^ sat_of_formula(t.lang, phi)
     if sat & falsifiers:
         raise RemovalError(f"{t.name} does not prove the formula")
     if not falsifiers:
         raise RemovalError("phi is a tautology; no consistent subtheory loses it")
+    rows = list(sat_rows(t.lang, sat))
     return [
-        Removal(
-            theory_from_sat(f"{t.name}-unprove-{i}", t.lang, sorted(sat | {m})), m
-        )
-        for i, m in enumerate(sorted(falsifiers))
+        Removal(theory_from_sat(f"{t.name}-unprove-{i}", t.lang, [*rows, m]), m)
+        for i, m in enumerate(sat_rows(t.lang, falsifiers))
     ]
 
 
@@ -329,6 +327,17 @@ def _trivial_translations(t1: Theory, t2: Theory) -> tuple[Translation, Translat
         {s: false_formula(t1.lang) for s, _ in t2.lang.symbols},
     )
     return tr12, tr21
+
+
+def _status_of_report(rep: CheckReport, verdict: str) -> CertStatus:
+    if rep.verdict == verdict:
+        state = VERIFIED_EXACT if rep.exact else VERIFIED_BOUNDED
+        return CertStatus(state, rep.bound, note=rep.note)
+    return CertStatus(
+        REFUTED, rep.bound,
+        witness=rep.witness_model or rep.witness_formula,
+        note=rep.note or f"verdict {rep.verdict}",
+    )
 
 
 def _retry_bounded(fn: Callable[[int], CertStatus], bound: int) -> CertStatus:
@@ -400,18 +409,8 @@ def verify_certificate(
                             )
                         )
                     cert.tr12, cert.tr21 = pair
-            def run_de(b: int) -> CertStatus:
-                rep = check_defeq(cert.tr12, cert.tr21, t1, t2, b, caps)
-                if rep.verdict == "defeq":
-                    state = VERIFIED_EXACT if rep.exact else VERIFIED_BOUNDED
-                    return CertStatus(state, rep.bound, note=rep.note)
-                return CertStatus(
-                    REFUTED, rep.bound,
-                    witness=rep.witness_model or rep.witness_formula,
-                    note=rep.note,
-                )
-
-            return finish(_retry_bounded(run_de, k))
+            return finish(_retry_bounded(lambda b: _status_of_report(
+                check_defeq(cert.tr12, cert.tr21, t1, t2, b, caps), "defeq"), k))
 
         if cert.kind == "axiom-add":
             if cert.axiom is None:
@@ -493,19 +492,8 @@ def verify_certificate(
                         CertStatus(ASSERTED, note="no translation supplied; taken on trust")
                     )
                 raise LanguageError(f"{cert.label()}: faithful needs :tr")
-
-            def run_f(b: int) -> CertStatus:
-                rep = check_interpretation(cert.tr, t1, t2, b, caps)
-                if rep.verdict == "faithful":
-                    state = VERIFIED_EXACT if rep.exact else VERIFIED_BOUNDED
-                    return CertStatus(state, rep.bound, note=rep.note)
-                return CertStatus(
-                    REFUTED, rep.bound,
-                    witness=rep.witness_model or rep.witness_formula,
-                    note=rep.note or f"verdict {rep.verdict}",
-                )
-
-            return finish(_retry_bounded(run_f, k))
+            return finish(_retry_bounded(lambda b: _status_of_report(
+                check_interpretation(cert.tr, t1, t2, b, caps), "faithful"), k))
 
         raise LanguageError(f"unknown certificate kind {cert.kind!r}")
     except (InconsistencyError, RemovalError) as exc:

@@ -6,9 +6,14 @@ clauses one assignment at a time. `assignment_set` computes the whole set of
 satisfying assignments of a formula in one bottom-up pass, encoded as an
 integer bitmask over the k^n assignments in lexicographic order; bounded
 checks and concept closures run on these masks. Enumeration turns the
-evaluation sideways: `_satisfying_codes` evaluates a theory's axioms over
+evaluation sideways: `_satisfying_blocks` evaluates a theory's axioms over
 thousands of packed structures at once, one bit per structure. All three
 agree, which the test suite checks by property.
+
+A sentential Sat-set is an integer mask too: bit r is set when the r-th
+row of `syntax.all_assignments` (lexicographic) satisfies the theory, so
+ascending bits are ascending rows. `sat_rows` turns a mask back into rows
+where a witness or a DNF needs them.
 
 Every first-order answer carries its exact/bounded provenance; only the
 sentential fragment is ever reported exact.
@@ -33,11 +38,14 @@ from .syntax import (
     Formula,
     Language,
     Not,
+    atom,
     characteristic_formula,
+    dnf_of_assignments,
     make_psi_n,
     not_,
     parse_formula,
     print_formula,
+    validate_formula,
 )
 
 
@@ -135,13 +143,18 @@ class FiniteModel:
         return f"FiniteModel({self.lang.name}, {model_to_json(self)})"
 
 
-def model_to_json(model: FiniteModel) -> str:
-    """Deterministic JSON: symbols alphabetical, tuples lexicographic."""
+def model_to_dict(model: FiniteModel) -> dict:
+    """The JSON value of a model: tuples lexicographic."""
     interp: dict[str, object] = {}
     for sym, rank in model.lang.symbols:
         v = model.interp[sym]
         interp[sym] = v if isinstance(v, bool) else [list(t) for t in sorted(v)]
-    return json.dumps({"size": model.size, "interp": interp}, sort_keys=True)
+    return {"size": model.size, "interp": interp}
+
+
+def model_to_json(model: FiniteModel) -> str:
+    """Deterministic JSON: symbols alphabetical, tuples lexicographic."""
+    return json.dumps(model_to_dict(model), sort_keys=True)
 
 
 def model_from_json(text: str, lang: Language) -> FiniteModel:
@@ -325,8 +338,6 @@ class Theory:
         parsed = []
         for a in axioms:
             f = parse_formula(a, lang) if isinstance(a, str) else a
-            from .syntax import validate_formula
-
             validate_formula(f, lang)
             parsed.append(f)
         return Theory(name, lang, parsed)
@@ -339,44 +350,81 @@ def theory_from_sat(
     name: str, lang: Language, sat: Iterable[Sequence[bool]]
 ) -> Theory:
     """Sentential theory axiomatized by the canonical DNF of a Sat-set."""
-    from .syntax import dnf_of_assignments
-
     if not lang.is_sentential:
         raise UnsupportedFragmentError("theory_from_sat needs a sentential language")
     return Theory.make(name, lang, [dnf_of_assignments(lang, sat)])
 
 
 # ---------------------------------------------------------------------------
-# Sentential satisfying assignments
+# Sentential Sat-sets
 
-_sat_memo: dict[str, frozenset[tuple[bool, ...]]] = {}
+_sat_memo: dict[str, int] = {}
 
 
-def sat_assignments(theory: Theory) -> frozenset[tuple[bool, ...]]:
-    """Exact set of satisfying truth assignments (sentential theories)."""
+def sat_assignments(theory: Theory) -> int:
+    """Exact Sat-set of a sentential theory: the mask whose bit r is set
+    when the r-th row of `all_assignments` satisfies every axiom."""
     if not theory.lang.is_sentential:
         raise UnsupportedFragmentError(
             f"{theory.name} is not sentential; use bounded model enumeration"
         )
     cached = _sat_memo.get(theory.key)
     if cached is None:
-        cached = _sat_memo[theory.key] = _sat_rows(theory.lang, theory.axioms)
+        cached = _sat_memo[theory.key] = _sat_mask(theory.lang, theory.axioms)
     return cached
 
 
-def sat_of_formula(lang: Language, phi: Formula) -> frozenset[tuple[bool, ...]]:
+def sat_of_formula(lang: Language, phi: Formula) -> int:
     for sym, rank in lang.symbols:
         if rank:
             raise LanguageError(f"truth-table rows cannot interpret {sym}/{rank}")
-    return _sat_rows(lang, (phi,))
+    return _sat_mask(lang, (phi,))
 
 
-def _sat_rows(lang: Language, formulas: Sequence[Formula]) -> frozenset[tuple[bool, ...]]:
-    """Truth-table rows satisfying every formula. A row is the size-1
-    structure over the constants whose code has bit i = row[i]."""
+def _sat_mask(lang: Language, formulas: Sequence[Formula]) -> int:
+    """Sat mask of the formulas. Over the constants in reverse order the
+    size-1 structure packed as code r is the r-th truth-table row (its
+    first constant is the code's highest bit), so the satisfying codes
+    are the mask's bits."""
+    rows = 1 << len(lang.constants)
+    if rows > DEFAULT_CAPS.max_candidates:
+        raise CapExceededError(
+            f"{rows} truth-table rows exceed cap {DEFAULT_CAPS.max_candidates}"
+        )
+    mask = 0
+    for base, alive in _satisfying_blocks(_space(lang.symbols[::-1], 1), formulas, 0):
+        mask |= alive << base
+    return mask
+
+
+def _sat_pullback(lang: Language, images: Sequence[Formula], sat: int) -> dict[int, int]:
+    """Each row index b of a Sat mask over lang, ascending, to the index
+    of the row that b induces over the images' constants: its j-th
+    constant is the truth of the j-th image in row b."""
+    masks = [sat_of_formula(lang, phi) for phi in images]
+    pull = {}
+    for b in _set_bits(sat):
+        a = 0
+        for mask in masks:
+            a = a << 1 | mask >> b & 1
+        pull[b] = a
+    return pull
+
+
+def sat_rows(lang: Language, mask: int) -> Iterator[tuple[bool, ...]]:
+    """The truth-table rows of a Sat mask, ascending."""
     m = len(lang.constants)
-    codes = _satisfying_codes(_space(lang.symbols, 1), formulas, lang.var_bound)
-    return frozenset(tuple(bool(c >> i & 1) for i in range(m)) for c in codes)
+    for r in _set_bits(mask):
+        yield tuple(bool(r >> i & 1) for i in range(m - 1, -1, -1))
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, ascending."""
+    digits = f"{mask:b}"[::-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def assignment_model(lang: Language, row: Sequence[bool], size: int = 1) -> FiniteModel:
@@ -520,11 +568,12 @@ _CODE_BITS = [
 ]
 
 
-def _satisfying_codes(
+def _satisfying_blocks(
     space: _Space, formulas: Sequence[Formula], n: int
-) -> Iterator[int]:
-    """Ascending codes of the space's structures in which every formula
-    holds under all k^n assignments.
+) -> Iterator[tuple[int, int]]:
+    """(base, alive) per block of codes with a model, ascending: bit c of
+    alive is set when every formula holds in the structure packed as code
+    base + c under all k^n assignments.
 
     Bit-sliced: the codes go in blocks of 2^w, and inside a block a
     subformula is one int per assignment whose bit c says whether code
@@ -577,11 +626,8 @@ def _satisfying_codes(
                 alive &= x
             if not alive:
                 break
-        base = block << w
-        while alive:
-            low = alive & -alive
-            yield base + low.bit_length() - 1
-            alive ^= low
+        if alive:
+            yield block << w, alive
 
 
 def canonical_form(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
@@ -634,8 +680,6 @@ def enumeration_feasible(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> b
     lets callers skip a doomed size without paying for one side first."""
     if k < 1 or k > caps.max_size:
         return False
-    if theory.lang.is_sentential:
-        return True
     return 1 << _space(theory.lang.symbols, k).width <= caps.max_candidates
 
 
@@ -644,7 +688,7 @@ def enumerate_models(
 ) -> list[FiniteModel]:
     """Canonical representatives of the size-k models of the theory:
     first-order lists ascend by canonical code, sentential lists follow
-    the sorted Sat rows."""
+    the Sat mask's rows (the same codes at every k)."""
     if k < 1:
         raise CapExceededError("model size must be >= 1")
     if k > caps.max_size:
@@ -654,20 +698,19 @@ def enumerate_models(
     if cached is not None:
         return cached
     lang = theory.lang
-    space = _space(lang.symbols, k)
-    codes = None
-    if _store is not None:
-        codes = _stored_codes(_store.get(theory.key, k), space.width)
-    if codes is None:
-        if lang.is_sentential:
-            codes = list(_satisfying_codes(space, theory.axioms, 0))
-        else:
-            codes = _least_codes(theory, space, caps)
-        if _store is not None:
-            _store.put(theory.key, k, {"count": len(codes), "codes": codes})
     if lang.is_sentential:
-        # the order of the sorted Sat rows; bit i of a code is row[i]
-        codes = sorted(codes, key=lambda c: [c >> i & 1 for i in range(space.width)])
+        # bit i of a code is constant i, the row index's bit m-1-i
+        m = len(lang.constants)
+        codes = [int(f"{r:0{m}b}"[::-1], 2) for r in _set_bits(sat_assignments(theory))]
+    else:
+        space = _space(lang.symbols, k)
+        codes = None
+        if _store is not None:
+            codes = _stored_codes(_store.get(theory.key, k), space.width)
+        if codes is None:
+            codes = _least_codes(theory, space, caps)
+            if _store is not None:
+                _store.put(theory.key, k, {"count": len(codes), "codes": codes})
     models = [FiniteModel._of_code(lang, k, c) for c in codes]
     _model_memo[memo_key] = models
     return models
@@ -677,7 +720,10 @@ def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
     """Ascending least codes of the orbits of the theory's models in the
     space. The models are closed under isomorphism, so an ascending pass
     over the satisfying codes that keeps each code not yet marked and
-    marks its orbit keeps exactly the least codes."""
+    marks its orbit keeps exactly the least codes. The orbit plan holds
+    k! permutations, so k is held to the cap `canonical_form` keeps."""
+    if space.k > caps.max_perm_size:
+        raise CapExceededError(f"canonical form capped at size {caps.max_perm_size}")
     candidates = 1 << space.width
     if candidates > caps.max_candidates:
         raise CapExceededError(
@@ -686,11 +732,13 @@ def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
         )
     marked = bytearray(candidates)
     codes = []
-    for code in _satisfying_codes(space, theory.axioms, theory.lang.var_bound):
-        if not marked[code]:
-            codes.append(code)
-            for image in space.images(code):
-                marked[image] = 1
+    for base, alive in _satisfying_blocks(space, theory.axioms, theory.lang.var_bound):
+        for c in _set_bits(alive):
+            code = base + c
+            if not marked[code]:
+                codes.append(code)
+                for image in space.images(code):
+                    marked[image] = 1
     return codes
 
 
@@ -717,7 +765,7 @@ class SemanticProfile:
     max_size: int
     spectrum: dict[int, int]
     models: dict[int, list[FiniteModel]]
-    sat: frozenset[tuple[bool, ...]] | None
+    sat: int | None  # the Sat mask of a sentential theory
     exact: bool  # sentential profiles are exact; first-order are bounded
     unbounded_models_up_to: bool  # nonzero spectrum at every size <= max_size
 
@@ -760,12 +808,10 @@ def bounded_consequence(
     concrete countermodel. A first-order 'holds' is only holds-up-to-K.
     """
     if theory.lang.is_sentential:
-        sat = sat_assignments(theory)
-        bad = sorted(sat - sat_of_formula(theory.lang, phi))
+        bad = sat_assignments(theory) & ~sat_of_formula(theory.lang, phi)
         if bad:
-            return ConsequenceResult(
-                False, True, None, assignment_model(theory.lang, bad[0])
-            )
+            row = next(sat_rows(theory.lang, bad))
+            return ConsequenceResult(False, True, None, assignment_model(theory.lang, row))
         return ConsequenceResult(True, True, None)
     for k in range(1, bound + 1):
         for model in enumerate_models(theory, k, caps):
@@ -801,26 +847,20 @@ def logically_equivalent(
         s1, s2 = sat_assignments(t1), sat_assignments(t2)
         if s1 == s2:
             return EquivalenceResult(True, True, None)
-        row = (sorted(s1 - s2) or sorted(s2 - s1))[0]
+        row = next(sat_rows(t1.lang, s1 & ~s2 or s2 & ~s1))
         witness = not_(characteristic_formula(t1.lang, row))
         return EquivalenceResult(
             False, True, None, witness, assignment_model(t1.lang, row),
             reason="satisfying assignments differ",
         )
-    for phi in t2.axioms:
-        r = bounded_consequence(t1, phi, bound, caps)
-        if not r.holds:
-            return EquivalenceResult(
-                False, r.exact, r.bound, phi, r.countermodel,
-                reason=f"{t1.name} does not prove an axiom of {t2.name}",
-            )
-    for phi in t1.axioms:
-        r = bounded_consequence(t2, phi, bound, caps)
-        if not r.holds:
-            return EquivalenceResult(
-                False, r.exact, r.bound, phi, r.countermodel,
-                reason=f"{t2.name} does not prove an axiom of {t1.name}",
-            )
+    for a, b in ((t1, t2), (t2, t1)):
+        for phi in b.axioms:
+            r = bounded_consequence(a, phi, bound, caps)
+            if not r.holds:
+                return EquivalenceResult(
+                    False, r.exact, r.bound, phi, r.countermodel,
+                    reason=f"{a.name} does not prove an axiom of {b.name}",
+                )
     return EquivalenceResult(True, False, bound)
 
 
@@ -853,19 +893,19 @@ def conservative_extension(
             f"formulas of {t1.lang.name} are not all formulas of {t2.lang.name}"
         )
     if t1.lang.is_sentential and t2.lang.is_sentential:
-        consts2 = t2.lang.constants
-        positions = [consts2.index(c) for c in t1.lang.constants]
-        projected = frozenset(
-            tuple(row[p] for p in positions) for row in sat_assignments(t2)
-        )
+        atoms = [atom(c) for c in t1.lang.constants]
+        pull = _sat_pullback(t2.lang, atoms, sat_assignments(t2))
+        projected = sum(1 << a for a in set(pull.values()))
         s1 = sat_assignments(t1)
         if projected == s1:
             return ConservativityResult(True, True, None)
-        row = sorted(projected ^ s1)[0]
+        diff = projected ^ s1
+        low = diff & -diff
+        row = next(sat_rows(t1.lang, low))
         witness = not_(characteristic_formula(t1.lang, row))
         side = (
             f"{t2.name} proves it, {t1.name} does not"
-            if row not in projected
+            if not projected & low
             else f"{t1.name} proves it, {t2.name} does not"
         )
         return ConservativityResult(

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from thdist.catalog import loads_catalog, shipped_catalog_text
 from thdist.cli import main
+from thdist.semantics import enumerate_models, model_to_json
 
 GOOD_CAT = (
     '(language L (P 0) (Q 0) :vars 0)\n'
@@ -97,3 +99,42 @@ def test_classify_ad_builtin(capsys):
     code, out, _ = run(capsys, "classify-ad", "SentAx", "SentP", "SentPQ")
     assert code == 0
     assert json.loads(out)["distance"] == 1
+
+
+def test_orbit_plan_cap_exit_code(tmp_path, capsys):
+    # size 9 is inside this catalog's size cap, but its orbit plan would
+    # hold 9! permutations: refused before the plan is built
+    path = tmp_path / "wide.cat"
+    path.write_text(
+        "(policy :size-cap 9)\n(language U (P 1) :vars 1)\n(theory T :over U)\n"
+    )
+    code, out, err = run(capsys, "models", f"{path}:T", "--size", "9")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "canonical form capped at size 8"}
+
+
+def test_truth_table_cap_exit_code(tmp_path, capsys):
+    consts = " ".join(f"(C{i:02d} 0)" for i in range(22))
+    path = tmp_path / "wide.cat"
+    path.write_text(f"(language S22 {consts} :vars 0)\n(theory T :over S22)\n")
+    code, _, err = run(capsys, "cz", f"{path}:T")
+    assert code == 3 and "truth-table rows" in err
+
+
+@pytest.mark.parametrize("theory, size", [("SentP", 2), ("TStar2", 1), ("Posets", 3)])
+def test_models_output_is_model_to_json(capsys, theory, size):
+    models = enumerate_models(
+        loads_catalog(shipped_catalog_text()).theory(theory), size
+    )
+    code, out, _ = run(capsys, "models", theory, "--size", str(size))
+    expected = {
+        "theory": theory,
+        "size": size,
+        "count": len(models),
+        "models": [json.loads(model_to_json(m)) for m in models],
+    }
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, "models", theory, "--size", str(size), "--human")
+    assert code == 0
+    assert out == "\n".join(model_to_json(m) for m in models) + "\n"

@@ -14,6 +14,7 @@ from thdist.network import (
     NetEdge,
     axiomatic_distance,
     bidirected_conceptual_distance,
+    build_network,
     check_amalgamation,
     classify_ad,
     conceptual_distance,
@@ -318,6 +319,36 @@ def test_amalgamation_single_node_and_complete_catalog():
     # so only vacuous premise instances exist
     assert report.vacuous
     assert report.amalgamation == "holds"
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "directed"])
+def test_auto_sentential_edges_follow_sat_inclusion(mode):
+    # frozenset reference: v is u plus one axiom iff Sat(v) is within Sat(u)
+    rows = list(itertools.product((False, True), repeat=2))
+    sats = {
+        f"S{bits:02d}": frozenset(rows[i] for i in range(4) if bits >> i & 1)
+        for bits in range(16)
+    }
+    theories = {n: theory_from_sat(n, PQ, s) for n, s in sats.items()}
+    theories["Same"] = theory_from_sat("Same", PQ, sats["S06"])
+    sats["Same"] = sats["S06"]
+    expected = set()
+    names = list(theories)
+    for i, u in enumerate(names):
+        for v in names[i + 1 :]:
+            su, sv = sats[u], sats[v]
+            if su == sv:
+                expected.add((u, v, 0, False))
+            elif mode == "symmetric":
+                if sv <= su or su <= sv:
+                    expected.add((u, v, 1, False))
+            else:
+                if sv <= su:
+                    expected.add((u, v, 1, True))
+                if su <= sv:
+                    expected.add((v, u, 1, True))
+    net = build_network("auto", theories, mode=mode)
+    assert {(e.a, e.b, e.weight, e.directed) for e in net.edges} == expected
 
 
 def test_lower_bound_certificates_examples():

@@ -19,6 +19,7 @@ from thdist.semantics import (
     Theory,
     logically_equivalent,
     sat_assignments,
+    sat_rows,
     spectrum,
     theory_from_sat,
 )
@@ -37,6 +38,11 @@ EQREL_AXIOMS = [
     "(forall v0 (forall v1 (implies (R v0 v1) (R v1 v0))))",
     "(forall v0 (forall v1 (forall v2 (implies (and (R v0 v1) (R v1 v2)) (R v0 v2)))))",
 ]
+
+
+def _rows(theory):
+    """Sat(theory) as a set of truth-table rows."""
+    return frozenset(sat_rows(theory.lang, sat_assignments(theory)))
 
 
 def _sat_theories():
@@ -96,7 +102,7 @@ def test_axiom_add_language_mismatch():
 
 def test_facts_one_to_three_exhaustively_on_two_constants():
     theories = _sat_theories()
-    sats = {b: sat_assignments(t) for b, t in theories.items()}
+    sats = {b: _rows(t) for b, t in theories.items()}
 
     def arrow(a, b):
         return sats[b] <= sats[a]
@@ -145,12 +151,12 @@ def test_concept_removals_theorem_case():
     t = theory_from_sat("t", PQ, [(True, True)])
     phi = parse_formula("P", PQ)
     removals = concept_removals(t, phi)
-    sats = sorted(sorted(sat_assignments(r.theory)) for r in removals)
+    sats = sorted(sorted(_rows(r.theory)) for r in removals)
     assert sats == [[(False, False)], [(False, True)]]
     for r in removals:
         assert r.added_assignment is not None
         # maximality: the removal keeps falsity of phi with one new row
-        assert not sat_assignments(r.theory) & sat_assignments(t)
+        assert not _rows(r.theory) & _rows(t)
 
 
 def test_concept_removals_nontheorem_case_matches_paper_example():
@@ -159,7 +165,7 @@ def test_concept_removals_nontheorem_case_matches_paper_example():
     phi = parse_formula("(or (not (iff P2 P3)) (not (iff P3 P4)))", lang4)
     removals = concept_removals(t2, phi)
     assert len(removals) == 1 and removals[0].added_assignment is None
-    sat = sat_assignments(removals[0].theory)
+    sat = _rows(removals[0].theory)
     assert len(sat) == 4  # all P2 = P3 = P4 rows
     assert all(row[1] == row[2] == row[3] for row in sat)
 
@@ -178,7 +184,7 @@ def test_theorem_removals():
     t = theory_from_sat("t", PQ, [(True, True)])
     phi = parse_formula("P", PQ)
     removals = theorem_removals(t, phi)
-    sats = sorted(sorted(sat_assignments(r.theory)) for r in removals)
+    sats = sorted(sorted(_rows(r.theory)) for r in removals)
     assert sats == [
         [(False, False), (True, True)],
         [(False, True), (True, True)],
@@ -246,7 +252,7 @@ def test_concept_removal_maximality_pairwise():
     t = theory_from_sat("t", PQ, [(True, True)])
     phi = parse_formula("P", PQ)
     rows = list(itertools.product((False, True), repeat=2))
-    sat = sat_assignments(t)
+    sat = _rows(t)
     candidates = []
     for bits in range(16):
         superset = frozenset(rows[i] for i in range(4) if bits >> i & 1)
@@ -260,6 +266,6 @@ def test_concept_removal_maximality_pairwise():
     )
     assert chosen == sorted(minimal)
     for removal in concept_removals(t, phi):
-        removed_sat = sat_assignments(removal.theory)
+        removed_sat = _rows(removal.theory)
         assert removed_sat  # consistent
         assert all(not row[0] for row in removed_sat)  # proves not-phi

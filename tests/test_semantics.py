@@ -19,6 +19,7 @@ from thdist.semantics import (
     clear_memory_caches,
     conservative_extension,
     enumerate_models,
+    enumeration_feasible,
     eval_formula,
     is_true,
     isomorphic,
@@ -27,13 +28,16 @@ from thdist.semantics import (
     model_to_json,
     sat_assignments,
     sat_of_formula,
+    sat_rows,
     semantic_profile,
     spectrum,
 )
 from thdist.syntax import (
     Language,
+    all_assignments,
     and_,
     atom,
+    characteristic_formula,
     eq,
     exists,
     make_psi_n,
@@ -607,8 +611,130 @@ def test_sat_sets_match_truth_tables(axioms):
         row for row in rows
         if all(eval_formula(assignment_model(_S3, row), (), a) for a in axioms)
     )
-    assert sat_assignments(Theory("s", _S3, axioms)) == expected
+    assert frozenset(sat_rows(_S3, sat_assignments(Theory("s", _S3, axioms)))) == expected
     for phi in axioms:
-        assert sat_of_formula(_S3, phi) == frozenset(
+        assert frozenset(sat_rows(_S3, sat_of_formula(_S3, phi))) == frozenset(
             row for row in rows if eval_formula(assignment_model(_S3, row), (), phi)
         )
+
+
+# Sat masks against the truth-table oracle, bit by bit. 13 constants give
+# 2^13 rows, two evaluation blocks of 2^12.
+_S13 = Language.make("S13", {f"C{i:02d}": 0 for i in range(13)}, 0)
+
+
+def _sentences(lang, max_leaves=8):
+    return st.recursive(
+        st.sampled_from([atom(c) for c in lang.constants]),
+        lambda c: st.one_of(st.builds(and_, c, c), st.builds(not_, c)),
+        max_leaves=max_leaves,
+    )
+
+
+def _truth_table(lang, formulas):
+    """Per all_assignments row: does it satisfy every formula?"""
+    return [
+        all(eval_formula(assignment_model(lang, row), (), f) for f in formulas)
+        for row in all_assignments(lang)
+    ]
+
+
+def _assert_mask_matches(lang, mask, formulas):
+    table = _truth_table(lang, formulas)
+    assert mask >> len(table) == 0
+    assert [bool(mask >> r & 1) for r in range(len(table))] == table
+    assert list(sat_rows(lang, mask)) == [
+        row for row, ok in zip(all_assignments(lang), table) if ok
+    ]
+
+
+@settings(max_examples=60)
+@given(st.lists(_sentence, max_size=3))
+def test_sat_mask_bits_are_truth_table_rows(axioms):
+    _assert_mask_matches(_S3, sat_assignments(Theory("s", _S3, axioms)), axioms)
+    for phi in axioms:
+        _assert_mask_matches(_S3, sat_of_formula(_S3, phi), [phi])
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(_sentences(_S13), max_size=2))
+def test_sat_mask_bits_across_blocks(axioms):
+    _assert_mask_matches(_S13, sat_assignments(Theory("s13", _S13, axioms)), axioms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_sentence, max_size=3))
+def test_sentential_model_lists_are_the_mask_rows(axioms):
+    theory = Theory("s", _S3, axioms)
+    rows = list(sat_rows(_S3, sat_assignments(theory)))
+    for k in (1, 2, 3):
+        expected = [assignment_model(_S3, row, k) for row in rows]
+        assert enumerate_models(theory, k) == expected
+        assert [m.code for m in enumerate_models(theory, k)] == [m.code for m in expected]
+
+
+# The sentential decisions against a frozenset reference that keeps the
+# rule the witnesses follow: the least differing row in sorted order.
+def _ref_sat(lang, formulas):
+    return frozenset(
+        row for row, ok in zip(all_assignments(lang), _truth_table(lang, formulas)) if ok
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_sentence, max_size=3), _sentence)
+def test_sentential_consequence_witness_matches_reference(axioms, phi):
+    theory = Theory("s", _S3, axioms)
+    bad = sorted(_ref_sat(_S3, axioms) - _ref_sat(_S3, [phi]))
+    res = bounded_consequence(theory, phi)
+    assert res.exact and res.bound is None
+    assert res.holds == (not bad)
+    assert res.countermodel == (assignment_model(_S3, bad[0]) if bad else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_sentence, max_size=3), st.lists(_sentence, max_size=3))
+def test_sentential_equivalence_witness_matches_reference(ax1, ax2):
+    s1, s2 = _ref_sat(_S3, ax1), _ref_sat(_S3, ax2)
+    res = logically_equivalent(Theory("a", _S3, ax1), Theory("b", _S3, ax2))
+    assert res.exact and res.equivalent == (s1 == s2)
+    if s1 != s2:
+        row = (sorted(s1 - s2) or sorted(s2 - s1))[0]
+        assert res.witness_formula == not_(characteristic_formula(_S3, row))
+        assert res.witness_model == assignment_model(_S3, row)
+
+
+_S2 = Language.make("AC", {"A": 0, "C": 0}, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_sentences(_S2, 4), max_size=2), st.lists(_sentence, max_size=3))
+def test_sentential_conservativity_witness_matches_reference(ax1, ax2):
+    s1, s2 = _ref_sat(_S2, ax1), _ref_sat(_S3, ax2)
+    positions = [_S3.constants.index(c) for c in _S2.constants]
+    projected = frozenset(tuple(row[p] for p in positions) for row in s2)
+    res = conservative_extension(Theory("t1", _S2, ax1), Theory("t2", _S3, ax2))
+    assert res.exact and res.holds == (projected == s1)
+    if projected != s1:
+        row = sorted(projected ^ s1)[0]
+        assert res.witness_formula == not_(characteristic_formula(_S2, row))
+        assert res.witness_model == assignment_model(_S2, row)
+        assert res.detail == (
+            "t2 proves it, t1 does not" if row not in projected
+            else "t1 proves it, t2 does not"
+        )
+
+
+def test_truth_tables_are_capped():
+    wide = Language.make("S22", {f"C{i:02d}": 0 for i in range(22)}, 0)
+    theory = Theory.make("wide", wide, [])
+    assert not enumeration_feasible(theory, 1)
+    with pytest.raises(CapExceededError) as err:
+        sat_assignments(theory)
+    assert str(err.value) == "4194304 truth-table rows exceed cap 2097152"
+    with pytest.raises(CapExceededError):
+        enumerate_models(theory, 1)
+    with pytest.raises(CapExceededError):
+        sat_of_formula(wide, atom("C00"))
+    edge = Language.make("S21", {f"C{i:02d}": 0 for i in range(21)}, 0)
+    assert enumeration_feasible(Theory.make("edge", edge, []), 1)
