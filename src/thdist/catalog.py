@@ -18,9 +18,9 @@ symbols translate to themselves. :bound pins a per-certificate size bound,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CatalogError, FormulaSyntaxError, LanguageError, ThdistError
 from .network import (
@@ -46,8 +46,7 @@ from .syntax import Formula, Language, parse_formula
 from .translation import Translation
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(NamedTuple):
     """Catalog-wide caps: verification size bound K, maximal symbol rank,
     maximal variable bound."""
 
@@ -59,8 +58,7 @@ class Policy:
         return Caps(max_size=max(6, self.size_cap))
 
 
-@dataclass(frozen=True)
-class NetworkDecl:
+class NetworkDecl(NamedTuple):
     name: str
     equiv: str  # logical | defeq
     step: str  # axiom | concept | faithful
@@ -68,14 +66,23 @@ class NetworkDecl:
     nodes: tuple[str, ...]
 
 
-@dataclass
 class Catalog:
-    source: str
-    policy: Policy = field(default_factory=Policy)
-    languages: dict[str, Language] = field(default_factory=dict)
-    theories: dict[str, Theory] = field(default_factory=dict)
-    certificates: list[EdgeCertificate] = field(default_factory=list)
-    networks: dict[str, NetworkDecl] = field(default_factory=dict)
+    __slots__ = ("source", "policy", "languages", "theories", "certificates", "networks")
+
+    def __init__(
+        self,
+        source: str,
+        policy: Policy = Policy(),
+        languages: dict[str, Language] | None = None,
+        theories: dict[str, Theory] | None = None,
+        certificates: list[EdgeCertificate] | None = None,
+        networks: dict[str, NetworkDecl] | None = None,
+    ) -> None:
+        self.source, self.policy = source, policy
+        self.languages = {} if languages is None else languages
+        self.theories = {} if theories is None else theories
+        self.certificates = [] if certificates is None else certificates
+        self.networks = {} if networks is None else networks
 
     def theory(self, name: str) -> Theory:
         if name not in self.theories:
@@ -367,10 +374,12 @@ def shipped_catalog_text() -> str:
 # ---------------------------------------------------------------------------
 # Verification and distance entry points
 
-@dataclass
 class VerificationReport:
-    entries: list[tuple[EdgeCertificate, CertStatus]] = field(default_factory=list)
-    errors: list[tuple[EdgeCertificate, str]] = field(default_factory=list)
+    __slots__ = ("entries", "errors")
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[EdgeCertificate, CertStatus]] = []
+        self.errors: list[tuple[EdgeCertificate, str]] = []
 
     @property
     def refuted(self) -> list[EdgeCertificate]:

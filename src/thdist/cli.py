@@ -9,7 +9,6 @@ unless --human is given. Exit codes: 0 success, 1 refuted certificates,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -156,7 +155,8 @@ def cmd_classify_ad(args) -> int:
     certificates = [
         c for c in catalog.certificates if c.source in theories and c.target in theories
     ]
-    verify_all(dataclasses.replace(catalog, certificates=certificates))
+    verify_all(Catalog(catalog.source, catalog.policy, catalog.languages, catalog.theories,
+                       certificates, catalog.networks))
     if args.assume_amalgamation:
         flag = "asserted"
         amalgamation = None

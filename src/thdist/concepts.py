@@ -12,8 +12,7 @@ enumeration lower bounds tagged with their search depth.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     CapExceededError,
@@ -58,8 +57,7 @@ from .translation import Translation, apply_translation, compose
 # ---------------------------------------------------------------------------
 # Conceptual size
 
-@dataclass(frozen=True)
-class CzValue:
+class CzValue(NamedTuple):
     value: int
     method: str  # sentential-exact | closure-exact | enumeration-lower-bound
     lower_bound: bool = False
@@ -149,14 +147,16 @@ def _fixpoint(
     return traces
 
 
-@dataclass
 class ConceptClosure:
     """Fixpoint of diagonals and atom meanings under complement,
     intersection and per-coordinate cylindrification."""
 
-    model: FiniteModel
-    n_vars: int
-    traces: dict[int, Trace]  # assignment-set bitmask -> first generator
+    __slots__ = ("model", "n_vars", "traces")
+
+    def __init__(self, model: FiniteModel, n_vars: int, traces: dict[int, Trace]) -> None:
+        self.model = model
+        self.n_vars = n_vars
+        self.traces = traces  # assignment-set bitmask -> first generator
 
     @property
     def relations(self) -> frozenset[int]:
@@ -277,8 +277,7 @@ def cz_lower_bound(
 # ---------------------------------------------------------------------------
 # Interpretation and definitional equivalence checking
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     verdict: str  # faithful | interpretation | defeq | refuted
     exact: bool
     bound: int | None

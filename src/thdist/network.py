@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, total_ordering
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import LanguageError
 from .relations import (
@@ -53,11 +52,22 @@ from .syntax import Language
 # Extended naturals
 
 @total_ordering
-@dataclass(frozen=True, eq=True)
 class ExtNat:
     """Natural number or infinity, totally ordered, saturating addition."""
 
-    value: int | None = None  # None encodes infinity
+    __slots__ = ("value",)
+
+    def __init__(self, value: int | None = None) -> None:
+        self.value = value  # None encodes infinity
+
+    def __eq__(self, other):
+        return self.value == other.value if type(other) is ExtNat else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"ExtNat(value={self.value!r})"
 
     @property
     def is_finite(self) -> bool:
@@ -92,8 +102,7 @@ def fin(n: int) -> ExtNat:
 # ---------------------------------------------------------------------------
 # Networks
 
-@dataclass(frozen=True)
-class NetEdge:
+class NetEdge(NamedTuple):
     a: str
     b: str
     weight: int  # 0 = equivalence, 1 = step
@@ -111,16 +120,19 @@ class NetEdge:
         return self.status.state if self.status is not None else VERIFIED_EXACT
 
 
-@dataclass(frozen=True)
 class ClusterNetwork:
-    name: str
-    mode: str  # symmetric | directed
-    nodes: tuple[str, ...]
-    edges: tuple[NetEdge, ...]
+    # __dict__ holds the distance engine, built on the first query
+    __slots__ = ("name", "mode", "nodes", "edges", "__dict__")
 
-    def __post_init__(self):
-        known = set(self.nodes)
-        for e in self.edges:
+    def __init__(
+        self, name: str, mode: str, nodes: tuple[str, ...], edges: tuple[NetEdge, ...]
+    ) -> None:
+        self.name = name
+        self.mode = mode  # symmetric | directed
+        self.nodes = nodes
+        self.edges = edges
+        known = set(nodes)
+        for e in edges:
             if e.a not in known or e.b not in known:
                 raise LanguageError(f"edge {e.label()} references unknown node")
             if e.status is not None and e.status.state == REFUTED:
@@ -133,8 +145,7 @@ class ClusterNetwork:
         return _DistanceEngine(self)
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     source: str
     target: str
     bit: int
@@ -153,8 +164,7 @@ class PathStep:
         }
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(NamedTuple):
     nodes: tuple[str, ...]
     steps: tuple[PathStep, ...]
 
@@ -170,8 +180,7 @@ class PathWitness:
         return [s.to_json() for s in self.steps]
 
 
-@dataclass(frozen=True)
-class LowerBoundEvidence:
+class LowerBoundEvidence(NamedTuple):
     kind: str  # spectrum-obstruction | growth-certificate | exhausted-search | none
     bound: ExtNat = fin(0)
     size: int | None = None
@@ -195,8 +204,7 @@ class LowerBoundEvidence:
 EXHAUSTED = LowerBoundEvidence("exhausted-search", INFINITY, detail="no path in the network")
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     value: ExtNat
     witness: PathWitness | None = None
     status: str = "exact"  # exact | bounded | conditional
@@ -515,8 +523,7 @@ def classify_ad(
     return DistanceResult(fin(2), connected.witness, connected.status, notes=(note,))
 
 
-@dataclass(frozen=True)
-class AmalgamationReport:
+class AmalgamationReport(NamedTuple):
     amalgamation: str  # holds | fails | undecidable
     amalgamation_witness: tuple[str, str, str] | None
     co_amalgamation: str
@@ -768,8 +775,7 @@ def bidirected_conceptual_distance(
 # ---------------------------------------------------------------------------
 # Exact sentential conceptual-distance solver
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     distance: ExtNat
     witness: PathWitness | None
     chain: tuple[Theory, ...]

@@ -9,8 +9,7 @@ first-order removals are accepted only as asserted certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -66,8 +65,7 @@ VERIFIED_BOUNDED = "verified-bounded"
 REFUTED = "refuted"
 
 
-@dataclass(frozen=True)
-class CertStatus:
+class CertStatus(NamedTuple):
     state: str
     bound: int | None = None
     witness: object = None
@@ -95,23 +93,34 @@ class CertStatus:
         return out
 
 
-@dataclass
 class EdgeCertificate:
-    kind: str
-    source: str
-    target: str
-    name: str = ""
-    axiom: Formula | None = None
-    symbol: str | None = None
-    formula: Formula | None = None
-    extra_assignment: tuple[bool, ...] | None = None
-    phi: Formula | None = None
-    psi: Formula | None = None
-    tr12: Translation | None = None
-    tr21: Translation | None = None
-    tr: Translation | None = None
-    bound_override: int | None = None
-    status: CertStatus = field(default_factory=lambda: CertStatus(DECLARED))
+    __slots__ = ("kind", "source", "target", "name", "axiom", "symbol", "formula",
+                 "extra_assignment", "phi", "psi", "tr12", "tr21", "tr", "bound_override",
+                 "status")
+
+    def __init__(
+        self,
+        kind: str,
+        source: str,
+        target: str,
+        name: str = "",
+        axiom: Formula | None = None,
+        symbol: str | None = None,
+        formula: Formula | None = None,
+        extra_assignment: tuple[bool, ...] | None = None,
+        phi: Formula | None = None,
+        psi: Formula | None = None,
+        tr12: Translation | None = None,
+        tr21: Translation | None = None,
+        tr: Translation | None = None,
+        bound_override: int | None = None,
+        status: CertStatus = CertStatus(DECLARED),
+    ) -> None:
+        self.kind, self.source, self.target, self.name = kind, source, target, name
+        self.axiom, self.symbol, self.formula = axiom, symbol, formula
+        self.extra_assignment, self.phi, self.psi = extra_assignment, phi, psi
+        self.tr12, self.tr21, self.tr = tr12, tr21, tr
+        self.bound_override, self.status = bound_override, status
 
     def label(self) -> str:
         return self.name or f"{self.kind}:{self.source}->{self.target}"
@@ -149,8 +158,7 @@ def check_axiom_add(
     )
 
 
-@dataclass(frozen=True)
-class AxiomAddAnswer:
+class AxiomAddAnswer(NamedTuple):
     answer: str  # yes | no | unknown
     phi: Formula | None = None
     countermodel: FiniteModel | None = None
@@ -254,8 +262,7 @@ def _status_of_conservativity(res: ConservativityResult, bound: int) -> CertStat
 # ---------------------------------------------------------------------------
 # Concept removal and theorem removal (sentential exact mode only)
 
-@dataclass(frozen=True)
-class Removal:
+class Removal(NamedTuple):
     theory: Theory
     added_assignment: tuple[bool, ...] | None
 
@@ -349,7 +356,8 @@ def _retry_bounded(fn: Callable[[int], CertStatus], bound: int) -> CertStatus:
         except CapExceededError:
             continue
         if b < bound and status.state == VERIFIED_BOUNDED:
-            return replace(status, note=(status.note + f" (cap stopped at {b})").strip())
+            note = (status.note + f" (cap stopped at {b})").strip()
+            return CertStatus(status.state, status.bound, status.witness, note)
         return status
     raise CapExceededError("verification infeasible even at size 1")
 

@@ -26,8 +26,7 @@ import hashlib
 import itertools
 import json
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceededError, LanguageError, UnsupportedFragmentError
 from .syntax import (
@@ -49,8 +48,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Desk-scale guards for enumeration and canonicalization."""
 
     max_size: int = 6
@@ -757,17 +755,24 @@ def spectrum(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> int:
     return len(enumerate_models(theory, k, caps))
 
 
-@dataclass
 class SemanticProfile:
     """Cached semantic data for one theory up to a size bound."""
 
-    theory: Theory
-    max_size: int
-    spectrum: dict[int, int]
-    models: dict[int, list[FiniteModel]]
-    sat: int | None  # the Sat mask of a sentential theory
-    exact: bool  # sentential profiles are exact; first-order are bounded
-    unbounded_models_up_to: bool  # nonzero spectrum at every size <= max_size
+    __slots__ = ("theory", "max_size", "spectrum", "models", "sat", "exact",
+                 "unbounded_models_up_to")
+
+    def __init__(
+        self,
+        theory: Theory,
+        max_size: int,
+        spectrum: dict[int, int],
+        models: dict[int, list[FiniteModel]],
+        sat: int | None,  # the Sat mask of a sentential theory
+        exact: bool,  # sentential profiles are exact; first-order are bounded
+        unbounded_models_up_to: bool,  # nonzero spectrum at every size <= max_size
+    ) -> None:
+        self.theory, self.max_size, self.spectrum, self.models = theory, max_size, spectrum, models
+        self.sat, self.exact, self.unbounded_models_up_to = sat, exact, unbounded_models_up_to
 
 
 def semantic_profile(theory: Theory, max_size: int, caps: Caps = DEFAULT_CAPS) -> SemanticProfile:
@@ -788,8 +793,7 @@ def semantic_profile(theory: Theory, max_size: int, caps: Caps = DEFAULT_CAPS) -
 # ---------------------------------------------------------------------------
 # Bounded consequence / equivalence / conservativity
 
-@dataclass(frozen=True)
-class ConsequenceResult:
+class ConsequenceResult(NamedTuple):
     holds: bool
     exact: bool
     bound: int | None
@@ -820,8 +824,7 @@ def bounded_consequence(
     return ConsequenceResult(True, False, bound)
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     equivalent: bool
     exact: bool
     bound: int | None
@@ -864,8 +867,7 @@ def logically_equivalent(
     return EquivalenceResult(True, False, bound)
 
 
-@dataclass(frozen=True)
-class ConservativityResult:
+class ConservativityResult(NamedTuple):
     holds: bool
     exact: bool
     bound: int | None

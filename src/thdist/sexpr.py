@@ -1,37 +1,40 @@
 """Tiny s-expression reader shared by the formula parser and catalog loader.
 
-Tokens: ``(`` ``)``, double-quoted strings with ``\\"`` and ``\\\\`` escapes,
-and bare atoms (any run of non-space, non-paren, non-quote characters).
-``;`` starts a comment running to end of line. Positions are tracked for
-error reporting.
+Tokens: ``(`` ``)``, double-quoted strings with ``\\n``, ``\\t`` and
+``\\X`` (X itself) escapes, and bare atoms (an atom starts at any
+non-blank character and runs to the next paren, quote, ``;``, space, tab,
+CR or LF). ``;`` starts a comment running to end of line. One compiled
+regex splits the text; lines and columns (1-based, counted in characters)
+come from counting newlines between tokens, for error reporting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from typing import NamedTuple
 
 from .errors import FormulaSyntaxError
 
 
-@dataclass(frozen=True)
-class SAtom:
+class SAtom(NamedTuple):
     text: str
     line: int = 0
     column: int = 0
 
 
-@dataclass(frozen=True)
-class SString:
+class SString(NamedTuple):
     value: str
     line: int = 0
     column: int = 0
 
 
-@dataclass(frozen=True)
 class SList:
-    items: tuple = field(default_factory=tuple)
-    line: int = 0
-    column: int = 0
+    __slots__ = ("items", "line", "column")
+
+    def __init__(self, items: tuple = (), line: int = 0, column: int = 0) -> None:
+        self.items = items
+        self.line = line
+        self.column = column
 
     def __len__(self) -> int:
         return len(self.items)
@@ -39,102 +42,76 @@ class SList:
     def __getitem__(self, i):
         return self.items[i]
 
+    def __repr__(self) -> str:
+        return f"SList(items={self.items!r}, line={self.line}, column={self.column})"
 
-_DELIMS = set("() \t\r\n;\"")
+
+# blanks and comments, then at most one token: ( or ) or a string or a
+# quote that opens no complete string or an atom; only the end of the
+# text matches no token
+_TOKEN = re.compile(
+    r'(?:\s|;[^\n]*)*(?:(\()|(\))|("[^"\\]*(?:\\.[^"\\]*)*")|(")|([^()\s;"][^() \t\r\n;"]*))?',
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
-class _Scanner:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES.get(m[1], m[1])
 
-    def error(self, message: str) -> FormulaSyntaxError:
-        return FormulaSyntaxError(message, self.line, self.column)
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == ";":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif c.isspace():
-                self._advance()
-            else:
-                return
-
-    def at_end(self) -> bool:
-        self.skip_space()
-        return self.pos >= len(self.text)
-
-    def read(self):
-        self.skip_space()
-        if self.pos >= len(self.text):
-            raise self.error("unexpected end of input")
-        line, column = self.line, self.column
-        c = self.text[self.pos]
-        if c == "(":
-            self._advance()
+def _read(text: str, first_only: bool) -> list:
+    """The top-level nodes of `text`; with `first_only`, exactly one."""
+    out: list = []
+    items = out
+    open_lists: list = []  # (enclosing items, line, column) per unclosed '('
+    line, line_start, counted = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        start = m.end() if kind is None else m.start(kind)
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, start) + 1
+        counted = start
+        column = start - line_start + 1
+        if first_only and out:
+            if kind is None:
+                break
+            raise FormulaSyntaxError("unexpected trailing tokens", line, column)
+        if kind is None:
+            if open_lists:
+                raise FormulaSyntaxError("missing ')'", *open_lists[-1][1:])
+            if first_only:
+                raise FormulaSyntaxError("unexpected end of input", line, column)
+            break
+        if kind == 1:
+            open_lists.append((items, line, column))
             items = []
-            while True:
-                self.skip_space()
-                if self.pos >= len(self.text):
-                    raise FormulaSyntaxError("missing ')'", line, column)
-                if self.text[self.pos] == ")":
-                    self._advance()
-                    return SList(tuple(items), line, column)
-                items.append(self.read())
-        if c == ")":
-            raise self.error("unexpected ')'")
-        if c == '"':
-            self._advance()
-            out = []
-            while True:
-                if self.pos >= len(self.text):
-                    raise FormulaSyntaxError("unterminated string", line, column)
-                c = self.text[self.pos]
-                if c == '"':
-                    self._advance()
-                    return SString("".join(out), line, column)
-                if c == "\\":
-                    self._advance()
-                    if self.pos >= len(self.text):
-                        raise FormulaSyntaxError("unterminated string", line, column)
-                    esc = self.text[self.pos]
-                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    self._advance()
-                else:
-                    out.append(c)
-                    self._advance()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _DELIMS:
-            self._advance()
-        return SAtom(self.text[start : self.pos], line, column)
+        elif kind == 2:
+            if not open_lists:
+                raise FormulaSyntaxError("unexpected ')'", line, column)
+            enclosing, open_line, open_column = open_lists.pop()
+            enclosing.append(SList(tuple(items), open_line, open_column))
+            items = enclosing
+        elif kind == 3:
+            value = m[3][1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(_unescape, value)
+            items.append(SString(value, line, column))
+        elif kind == 4:
+            raise FormulaSyntaxError("unterminated string", line, column)
+        else:
+            items.append(SAtom(m[5], line, column))
+    return out
 
 
 def read_one(text: str):
     """Read exactly one s-expression; trailing tokens are an error."""
-    sc = _Scanner(text)
-    node = sc.read()
-    if not sc.at_end():
-        raise sc.error("unexpected trailing tokens")
-    return node
+    return _read(text, True)[0]
 
 
 def read_all(text: str) -> list:
     """Read a sequence of top-level s-expressions."""
-    sc = _Scanner(text)
-    out = []
-    while not sc.at_end():
-        out.append(sc.read())
-    return out
+    return _read(text, False)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FormulaSyntaxError, LanguageError, VariableBudgetError
 from .sexpr import SAtom, SList, SString, read_one
@@ -28,8 +27,7 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _VAR_RE = re.compile(r"v(\d+)\Z")
 
 
-@dataclass(frozen=True)
-class Language:
+class Language(NamedTuple):
     """Relation symbols with ranks, plus the fragment's variable bound."""
 
     name: str

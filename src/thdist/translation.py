@@ -9,8 +9,7 @@ chain and is recomputed on every application, never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import LanguageError, VariableBudgetError
 from .syntax import (
@@ -31,8 +30,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(NamedTuple):
     source: Language
     target: Language
     basic: tuple[tuple[str, Formula], ...]  # image of each canonical source atom
@@ -147,8 +145,7 @@ def compose(tr_outer: Translation, tr_inner: Translation, phi: Formula) -> Formu
     return apply_translation(tr_outer, apply_translation(tr_inner, phi))
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(NamedTuple):
     """One symbol coding two: the combined formula and both translations."""
 
     psi: Formula

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +142,18 @@ def test_models_output_is_model_to_json(capsys, theory, size):
     code, out, _ = run(capsys, "models", theory, "--size", str(size), "--human")
     assert code == 0
     assert out == "\n".join(model_to_json(m) for m in models) + "\n"
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # pytest imports both itself, so the check needs a fresh interpreter
+    code = (
+        "import sys, thdist.cli\n"
+        "from thdist.catalog import loads_catalog, shipped_catalog_text\n"
+        "loads_catalog(shipped_catalog_text())\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": "src"}
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -45,6 +45,7 @@ def test_concept_closure_two_point_order():
     m = FiniteModel(LT2, 2, {"R": {(0, 1)}})
     closure = concept_closure(m)
     assert len(closure) == 16  # every subset of M^2 is definable
+    assert len(closure) == len(closure.relations) == len(closure.traces)
 
 
 def test_concept_closure_single_point():

@@ -46,6 +46,29 @@ def test_extnat_laws():
     assert str(INFINITY) == "infinity" and INFINITY.to_json() == "infinity"
 
 
+def test_extnat_total_order_and_hash():
+    assert fin(3) < INFINITY and fin(3) <= INFINITY and INFINITY <= INFINITY
+    assert INFINITY > fin(3) and INFINITY >= fin(3) and INFINITY >= INFINITY
+    assert not INFINITY < INFINITY and not INFINITY > INFINITY and not fin(0) > fin(0)
+    assert fin(0) <= fin(0) and fin(0) >= fin(0) and fin(4) > fin(3) and fin(3) <= fin(4)
+    assert not fin(4) <= fin(3) and not fin(3) >= fin(4)
+    assert fin(None) == INFINITY and hash(fin(None)) == hash(INFINITY)
+    assert fin(2) == fin(2) and hash(fin(2)) == hash(fin(2)) and fin(2) != INFINITY
+    assert fin(0) != INFINITY and len({fin(1), fin(1), INFINITY, fin(None)}) == 2
+    mix = [INFINITY, fin(3), fin(0), INFINITY, fin(7), fin(3)]
+    assert [v.to_json() for v in sorted(mix)] == [0, 3, 3, 7, "infinity", "infinity"]
+    assert min(mix) == fin(0) and max(mix) == INFINITY
+
+
+def test_net_edges_built_apart_are_equal_values():
+    status = CertStatus("verified-exact", 2, note="n")
+    a = NetEdge("A", "B", 1, "axiom-add", status, directed=True)
+    b = NetEdge("A", "B", 1, "axiom-add", CertStatus("verified-exact", 2, None, "n"), None, True)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != NetEdge("A", "B", 1, "axiom-add", status)
+    assert NetEdge("A", "B", 0, "equiv") == NetEdge("A", "B", 0, "equiv")
+
+
 def _net(nodes, equiv, steps, mode="symmetric"):
     edges = [NetEdge(a, b, 0, "equiv") for a, b in equiv]
     edges += [

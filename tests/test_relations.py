@@ -4,9 +4,11 @@ import itertools
 
 import pytest
 
-from thdist.errors import RemovalError, UnsupportedFragmentError
+from thdist.errors import CapExceededError, RemovalError, UnsupportedFragmentError
 from thdist.relations import (
+    CertStatus,
     EdgeCertificate,
+    _retry_bounded,
     axiom_add_exists,
     check_axiom_add,
     check_concept_add,
@@ -269,3 +271,31 @@ def test_concept_removal_maximality_pairwise():
         removed_sat = _rows(removal.theory)
         assert removed_sat  # consistent
         assert all(not row[0] for row in removed_sat)  # proves not-phi
+
+
+def test_cert_status_values_built_apart_are_equal():
+    a = CertStatus("verified-bounded", 3, note="up to 3")
+    b = CertStatus("verified-bounded", 3, None, "up to 3")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != CertStatus("verified-bounded", 2, note="up to 3")
+    assert CertStatus("declared") == CertStatus("declared", None, None, "")
+
+
+@pytest.mark.parametrize("note, expected", [
+    ("", "(cap stopped at 2)"),
+    ("bounded", "bounded (cap stopped at 2)"),
+])
+def test_retry_bounded_notes_where_the_cap_stopped(note, expected):
+    witness = object()
+
+    def attempt(b):
+        if b > 2:
+            raise CapExceededError("too many candidates")
+        return CertStatus("verified-bounded", b, witness, note)
+
+    status = _retry_bounded(attempt, 4)
+    assert status == CertStatus("verified-bounded", 2, witness, expected)
+    assert _retry_bounded(attempt, 2) == CertStatus("verified-bounded", 2, witness, note)
+    refuted = _retry_bounded(lambda b: CertStatus("refuted", b, note=note) if b < 3
+                             else attempt(b), 4)
+    assert refuted == CertStatus("refuted", 2, note=note)  # only bounded successes are noted

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
-from thdist.errors import FormulaSyntaxError, LanguageError, VariableBudgetError
+from thdist.catalog import loads_catalog, shipped_catalog_text
+from thdist.errors import CatalogError, FormulaSyntaxError, LanguageError, VariableBudgetError
 from thdist.semantics import FiniteModel, is_true
 from thdist.syntax import (
     Exists,
@@ -28,6 +31,7 @@ from thdist.syntax import (
     true_formula,
     validate_formula,
 )
+from thdist.sexpr import SAtom, SList, SString, read_all, read_one
 
 
 BIN = Language.make("Bin", {"R": 2}, 3)
@@ -179,3 +183,101 @@ def test_psi_preconditions():
 def test_big_and_or_empty_need_language_with_formulas():
     assert big_and(BIN, []) is true_formula(BIN)
     assert big_or(BIN, []) is false_formula(BIN)
+
+
+# (reader, text, message, line, column): every position the reader reports
+_BAD_SOURCES = [
+    ("read_all", "(a (b c)", "missing ')'", 1, 1),
+    ("read_all", "(a b))", "unexpected ')'", 1, 6),
+    ("read_all", ")", "unexpected ')'", 1, 1),
+    ("read_all", '(x\n "abc', "unterminated string", 2, 2),
+    ("read_all", "(a\r\n (b", "missing ')'", 2, 2),
+    ("read_all", "(a\r\n b))", "unexpected ')'", 2, 4),
+    ("read_one", "", "unexpected end of input", 1, 1),
+    ("read_one", "  ; only a comment", "unexpected end of input", 1, 19),
+    ("read_one", "(a", "missing ')'", 1, 1),
+    ("read_one", "a)", "unexpected trailing tokens", 1, 2),
+    ("read_one", "(a) (b)", "unexpected trailing tokens", 1, 5),
+    ("read_one", "a ; comment\n b", "unexpected trailing tokens", 2, 2),
+    ("read_one", '"abc', "unterminated string", 1, 1),
+    ("read_one", '"abc\\', "unterminated string", 1, 1),
+    ("read_one", '"ab\\"', "unterminated string", 1, 1),
+    ("read_one", '"a\\n\\t\\"\\\\b" x', "unexpected trailing tokens", 1, 14),
+    ("read_one", '"line\nbreak" x', "unexpected trailing tokens", 2, 8),
+    ("read_one", "a\r\n  b", "unexpected trailing tokens", 2, 3),
+    ("read_one", 'a "unterminated', "unexpected trailing tokens", 1, 3),
+    ("read_one", "a )", "unexpected trailing tokens", 1, 3),
+    ("parse_formula", "(R v0 v1", "missing ')'", 1, 1),
+    ("parse_formula", "(R v0 v1))", "unexpected trailing tokens", 1, 10),
+    ("parse_formula", '(and\r\n  (R v0 v1) "s")', "strings are not formulas", 2, 13),
+    ("parse_formula", "(R v0 v1) (R v1 v0)", "unexpected trailing tokens", 1, 11),
+    ("parse_formula", '"P', "unterminated string", 1, 1),
+    ("parse_formula", "", "unexpected end of input", 1, 1),
+    ("loads_catalog", "(language L (P 0) :vars 0\n", "missing ')'", 1, 1),
+    ("loads_catalog", "(language L (P 0) :vars 0))", "unexpected ')'", 1, 27),
+    ("loads_catalog", '(language L (P 0) :vars 0)\r\n(theory T :over L :axioms "P\\',
+     "unterminated string", 2, 27),
+    ("loads_catalog", '(language L (P 0) :vars 0)\r\n(theory T :over L :axioms "(and P" )',
+     "bad axiom: missing ')' (at 1:1)", 2, 27),
+    ("loads_catalog", "x ; comment at end", "top-level declarations are lists", 1, 1),
+]
+
+_READERS = {
+    "read_all": read_all,
+    "read_one": read_one,
+    "parse_formula": lambda text: parse_formula(text, BIN),
+    "loads_catalog": loads_catalog,
+}
+
+
+@pytest.mark.parametrize("reader, text, message, line, column", _BAD_SOURCES)
+def test_reader_error_positions(reader, text, message, line, column):
+    with pytest.raises((FormulaSyntaxError, CatalogError)) as err:
+        _READERS[reader](text)
+    assert str(err.value) == f"{message} (at {line}:{column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_reader_strings_comments_and_blanks():
+    node = read_one('"a\\n\\t\\"\\\\b\\q"')
+    assert node == SString('a\n\t"\\bq', 1, 1)
+    [form] = read_all("(a) ; comment at end")
+    assert (form.items, form.line, form.column) == ((SAtom("a", 1, 2),), 1, 1)
+    assert read_one("\r\n\xa0a") == SAtom("a", 2, 2)  # any Unicode blank separates
+    assert read_one("a\x0cb") == SAtom("a\x0cb", 1, 1)  # only the listed delimiters end atoms
+    assert read_all("") == [] and read_all(" ; nothing\n") == []
+    assert list(loads_catalog("(language L (P 0) :vars 0) ; comment at end").languages) == ["L"]
+
+
+def test_slist_length_and_indexing():
+    form = read_one("(R v0 v1)")
+    assert isinstance(form, SList) and len(form) == 3 and len(read_one("()")) == 0
+    assert form[0] == SAtom("R", 1, 2) and form[-1] == SAtom("v1", 1, 7)
+    assert [n.text for n in form[1:]] == ["v0", "v1"]
+    assert form.items == (form[0], form[1], form[2])
+    with pytest.raises(IndexError):
+        form[3]
+
+
+def _node_rows(node):
+    text = getattr(node, "text", getattr(node, "value", None))
+    yield (type(node).__name__, text, node.line, node.column)
+    if isinstance(node, SList):
+        for child in node.items:
+            yield from _node_rows(child)
+
+
+def test_shipped_catalog_nodes_pinned():
+    rows = [row for form in read_all(shipped_catalog_text()) for row in _node_rows(form)]
+    assert len(rows) == 742
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "8a283339ee8612b59bf8082246527a07ab5afce0a1c7422103040971f622eb30"
+    )
+
+
+def test_languages_built_apart_are_equal_values():
+    a = Language.make("L", {"R": 2, "P": 0}, 3)
+    b = Language.make("L", [("P", 0), ("R", 2)], 3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Language.make("L", {"R": 2, "P": 0}, 4)
+    assert a != Language.make("M", {"R": 2, "P": 0}, 3)
