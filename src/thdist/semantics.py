@@ -390,7 +390,7 @@ def _sat_mask(lang: Language, formulas: Sequence[Formula]) -> int:
             f"{rows} truth-table rows exceed cap {DEFAULT_CAPS.max_candidates}"
         )
     mask = 0
-    for base, alive in _satisfying_blocks(_space(lang.symbols[::-1], 1), formulas, 0):
+    for base, alive in _satisfying_blocks(_space(lang.symbols[::-1], 1), formulas):
         mask |= alive << base
     return mask
 
@@ -566,52 +566,92 @@ _CODE_BITS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _restriction(k: int, vs: tuple[int, ...], sub: tuple[int, ...]) -> list[int]:
+    """Per assignment of the variables vs (lexicographic): the index of the
+    tuple it gives the variables sub, which all occur in vs."""
+    pos = [vs.index(x) for x in sub]
+    return [_index(k, [a[p] for p in pos]) for a in itertools.product(range(k), repeat=len(vs))]
+
+
+@functools.lru_cache(maxsize=None)
+def _fibres(k: int, m: int, p: int) -> list[list[int]]:
+    """Over m variables: per value e of the p-th, the indices of the
+    assignments giving it e, ordered by the assignment of the others."""
+    stride = k ** (m - 1 - p)
+    outer = [h * k * stride + l for h in range(k**p) for l in range(stride)]
+    return [[i + e * stride for i in outer] for e in range(k)]
+
+
 def _satisfying_blocks(
-    space: _Space, formulas: Sequence[Formula], n: int
+    space: _Space, formulas: Sequence[Formula]
 ) -> Iterator[tuple[int, int]]:
     """(base, alive) per block of codes with a model, ascending: bit c of
     alive is set when every formula holds in the structure packed as code
-    base + c under all k^n assignments.
+    base + c under every assignment.
 
     Bit-sliced: the codes go in blocks of 2^w, and inside a block a
-    subformula is one int per assignment whose bit c says whether code
-    base + c satisfies it there. An atom is the mask of its code bit,
-    periodic for the low w bits and all-ones or zero above them; `=` is
-    full or empty; not, and and exists are ^, & and an OR over the
-    exists_groups index groups.
+    subformula is a table over the assignments of its own free variables
+    (sorted, lexicographic): one int per assignment whose bit c says
+    whether code base + c satisfies it there. An atom is the mask of its
+    code bit, periodic for the low w bits and all-ones or zero above
+    them; `=` is full, or a k x k table; not works entrywise; and lifts
+    both sides to the union of their variables through `_restriction`
+    maps; exists ORs over the `_fibres` of its variable. A formula holds
+    under every assignment when its whole table does.
     """
     k, width = space.k, space.width
     w = min(width, _BLOCK_BITS)
     full = (1 << (1 << w)) - 1
     low_bits = [b & full for b in _CODE_BITS[:w]]
-    taus = _assignments(k, n)
-    where: dict[int, list[int]] = {}  # atom uid -> its code bit per assignment
-    groups = {  # var -> the exists_groups masks as lists of assignment indices
-        v: [[i for i in range(len(taus)) if g >> i & 1] for g in exists_groups(k, n, v)]
-        for v in range(n)
-    }
+    free: dict[int, tuple[int, ...]] = {}  # uid -> sorted free variables
+
+    def fv(f: Formula) -> tuple[int, ...]:
+        vs = free.get(f.uid)
+        if vs is None:
+            if isinstance(f, Eq):
+                vs = {f.i, f.j} if f.i != f.j else ()
+            elif isinstance(f, Atom):
+                vs = set(f.args)
+            elif isinstance(f, And):
+                vs = {*fv(f.lhs), *fv(f.rhs)}
+            elif isinstance(f, Not):
+                vs = fv(f.sub)
+            else:
+                vs = set(fv(f.sub)) - {f.var}
+            vs = free[f.uid] = tuple(sorted(vs))
+        return vs
+
+    def lift(f: Formula, vs: tuple[int, ...]) -> list[int]:
+        sub, table = fv(f), go(f)
+        return table if sub == vs else list(map(table.__getitem__, _restriction(k, vs, sub)))
 
     def go(f: Formula) -> list[int]:
         out = memo.get(f.uid)
         if out is not None:
             return out
         if isinstance(f, Eq):
-            out = [full if t[f.i] == t[f.j] else 0 for t in taus]
+            out = [full] if f.i == f.j else [
+                full if a == b else 0 for a in range(k) for b in range(k)
+            ]
         elif isinstance(f, Atom):
-            if f.uid not in where:
-                offset = space.blocks[f.sym][1]
-                where[f.uid] = [offset + _index(k, [t[a] for a in f.args]) for t in taus]
-            out = [bits[j] for j in where[f.uid]]
+            rank, offset = space.blocks[f.sym]
+            own = bits[offset : offset + k**rank]  # the symbol's code bits
+            out = list(map(own.__getitem__, _restriction(k, fv(f), f.args)))
         elif isinstance(f, And):
-            out = [x & y for x, y in zip(go(f.lhs), go(f.rhs))]
+            vs = fv(f)
+            out = list(map(operator.and_, lift(f.lhs, vs), lift(f.rhs, vs)))
         elif isinstance(f, Not):
-            out = [full ^ x for x in go(f.sub)]
+            out = list(map(full.__xor__, go(f.sub)))
         else:
-            sub, out = go(f.sub), [0] * len(taus)
-            for group in groups[f.var]:
-                some = functools.reduce(operator.or_, [sub[i] for i in group])
-                for i in group:
-                    out[i] = some
+            sub, vs = go(f.sub), fv(f.sub)
+            if f.var in vs:
+                first, *rest = _fibres(k, len(vs), vs.index(f.var))
+                out = list(map(sub.__getitem__, first))
+                for idx in rest:
+                    out = list(map(operator.or_, out, map(sub.__getitem__, idx)))
+            else:
+                out = sub
         memo[f.uid] = out
         return out
 
@@ -669,6 +709,8 @@ def clear_memory_caches() -> None:
     _eq_masks.clear()
     _proj_masks.clear()
     _exists_groups.clear()
+    _restriction.cache_clear()
+    _fibres.cache_clear()
     _space.cache_clear()
     _row_tables.cache_clear()
 
@@ -730,7 +772,7 @@ def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
         )
     marked = bytearray(candidates)
     codes = []
-    for base, alive in _satisfying_blocks(space, theory.axioms, theory.lang.var_bound):
+    for base, alive in _satisfying_blocks(space, theory.axioms):
         for c in _set_bits(alive):
             code = base + c
             if not marked[code]:

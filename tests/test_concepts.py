@@ -161,15 +161,17 @@ def _tuple_vector_cz(theory, bound, depth):
         for args in itertools.product(range(n), repeat=rank):
             add(vec(atom(sym, args)))
     counts = [len(seen)]
+    older = []  # the elements of the rounds before this one
     for _ in range(depth):
         fresh, frontier = frontier, []
-        known = list(seen)
-        for x in fresh:
+        for a, x in enumerate(fresh):
             add(tuple(map(operator.xor, fulls, x)))
             for i in range(n):
                 add(tuple(cylindrify(xc, m.size, n, i) for m, xc in zip(models, x)))
-            for y in known:
+            # & commutes: each unordered pair inside fresh is met once
+            for y in itertools.chain(older, fresh[a:]):
                 add(tuple(map(operator.and_, x, y)))
+        older += fresh
         counts.append(len(seen))
     return counts
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from thdist import semantics
 from thdist.errors import CapExceededError, LanguageError
@@ -408,15 +408,14 @@ def test_clear_memory_caches_empties_every_table():
         )
 
     before = run()
-    assert semantics._eq_masks and semantics._proj_masks and semantics._exists_groups
+    tables = (semantics._eq_masks, semantics._proj_masks, semantics._exists_groups)
+    cached = (semantics._space, semantics._row_tables, semantics._restriction, semantics._fibres)
+    assert all(tables) and all(f.cache_info().currsize for f in cached)
     clear_memory_caches()
-    for table in (
-        semantics._eq_masks, semantics._proj_masks, semantics._exists_groups,
-        semantics._model_memo, semantics._sat_memo,
-    ):
+    for table in (*tables, semantics._model_memo, semantics._sat_memo):
         assert not table
-    assert semantics._space.cache_info().currsize == 0
-    assert semantics._row_tables.cache_info().currsize == 0
+    for f in cached:
+        assert f.cache_info().currsize == 0
     assert run() == before
     assert semantics._row_tables.cache_info().currsize
 
@@ -535,6 +534,58 @@ def test_enumeration_matches_brute_force(example):
 @given(_axioms(_WIDE_CASE[0], max_leaves=4))
 def test_enumeration_matches_brute_force_across_blocks(axioms):
     _check_against_brute_force(*_WIDE_CASE, axioms)
+
+
+# The sweep's alive masks against is_true on every code-born model. Each
+# subformula is swept as a table over its own free variables, so the
+# explicit cases hold the shapes where that table is not over all n:
+# axioms with free variables (universally closed), vacuous exists, (= v v)
+# and atoms with a repeated argument. Code widths 4-11 bits at sizes 1-4.
+_SWEPT = [
+    (Language.make("M0123", {"C": 0, "P": 1, "R": 2, "T": 3}, 3), 1),
+    (Language.make("BPT", {"B": 0, "P": 1, "T": 3}, 3), 2),
+    (Language.make("CR3", {"C": 0, "R": 2}, 3), 3),
+    (Language.make("CPQ", {"C": 0, "P": 1, "Q": 1}, 3), 4),
+]
+# 13 bits: two blocks of 2^12 codes, the top bit from the block index
+_SWEPT_WIDE = (Language.make("CPR", {"C": 0, "P": 1, "R": 2}, 2), 3)
+
+
+def _check_sweep(lang, k, axioms):
+    swept = 0
+    for base, alive in semantics._satisfying_blocks(semantics._space(lang.symbols, k), axioms):
+        assert alive and swept >> base == 0  # blocks with a model, ascending
+        swept |= alive << base
+    width = sum(k**rank for _, rank in lang.symbols)
+    assert swept == sum(
+        1 << code for code in range(1 << width)
+        if all(is_true(FiniteModel._of_code(lang, k, code), a) for a in axioms)
+    )
+
+
+def _swept_example(case, *texts):
+    lang, _ = case
+    return example((case, [parse_formula(t, lang) for t in texts]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SWEPT).flatmap(lambda case: st.tuples(st.just(case), _axioms(case[0]))))
+@_swept_example(_SWEPT[1], "(P v0)")
+@_swept_example(_SWEPT[1], "(T v0 v0 v1)", "(exists v2 (P v0))")
+@_swept_example(_SWEPT[2], "(and (R v2 v2) (not (= v1 v1)))")
+@_swept_example(_SWEPT[2], "(exists v0 (or (R v1 v0) (= v0 v2)))")
+@_swept_example(_SWEPT[3], "(or C (and (P v2) (not (Q v0))))")
+def test_sweep_matches_is_true_per_code(case):
+    (lang, k), axioms = case
+    _check_sweep(lang, k, axioms)
+
+
+# no shrinking: each shrink step reruns the 2^13-code oracle
+@settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(_axioms(_SWEPT_WIDE[0], max_leaves=4))
+@example([parse_formula("(or (R v1 v1) (P v0))", _SWEPT_WIDE[0])])
+def test_sweep_matches_is_true_per_code_across_blocks(axioms):
+    _check_sweep(*_SWEPT_WIDE, axioms)
 
 
 # Orbits and canonical forms of code-born models against the brute force
