@@ -445,27 +445,23 @@ class _Space:
     integer code: symbols in sorted order, each a contiguous block of one
     bit per possible tuple (lexicographic order; one bit for rank 0).
 
-    A block of rank r >= 1 is k^(r-1) rows of k bits, row i holding the
-    tuples that start with the i-th (r-1)-tuple. A universe permutation p
-    moves row i to the row of p applied to its prefix and permutes the
-    bits inside the row by p, which `_row_tables(k)` does by table lookup;
-    rank-0 bits are fixed points. `plan()` holds these row moves, one
-    tuple per distinct action."""
+    A universe permutation p acts on codes by a position map m: bit i,
+    the tuple t, moves to bit m[i], the tuple p(t); rank-0 bits are fixed
+    points. Read the other way, bit j of the image is bit m[j] of the code
+    under the inverse of p, so the maps of all permutations serve both
+    directions. `maps()` holds one map per distinct non-identity action."""
 
-    __slots__ = ("k", "width", "blocks", "fixed", "_plan")
+    __slots__ = ("k", "width", "blocks", "_maps")
 
     def __init__(self, symbols: tuple[tuple[str, int], ...], k: int):
         self.k = k
         self.blocks: dict[str, tuple[int, int]] = {}  # symbol -> (rank, offset)
-        self.fixed = 0
         offset = 0
         for sym, rank in symbols:
             self.blocks[sym] = (rank, offset)
-            if rank == 0:
-                self.fixed |= 1 << offset
             offset += k**rank
         self.width = offset
-        self._plan: list[tuple[tuple[int, int, tuple[int, ...], int], ...]] | None = None
+        self._maps: list[tuple[int, ...]] | None = None
 
     def unpack(self, code: int) -> dict[str, object]:
         interp: dict[str, object] = {}
@@ -478,41 +474,32 @@ class _Space:
                 interp[sym] = frozenset(t for i, t in enumerate(tuples) if bits >> i & 1)
         return interp
 
-    def plan(self) -> list[tuple[tuple[int, int, tuple[int, ...], int], ...]]:
-        """Per permutation, its (source shift, chunk mask, chunk table,
-        destination shift) moves. With a symbol of positive rank distinct
-        permutations act differently (on the tuple (e, ..., e)); without
-        one they all act as the identity, which is kept once."""
-        if self._plan is None:
-            k = self.k
+    def maps(self) -> list[tuple[int, ...]]:
+        """The position maps of the non-identity permutations, built on
+        first use. With a symbol of positive rank distinct permutations
+        act differently (on the tuple (e, ..., e)); without one every
+        permutation acts as the identity and there is no map."""
+        if self._maps is None:
+            k, pos = self.k, tuple(range(self.width))
             ranked = [(r, off) for r, off in self.blocks.values() if r]
-            chunks = [(lo, min(lo + _CHUNK_BITS, k)) for lo in range(0, k, _CHUNK_BITS)]
-            perms = [((), ())]  # with rank 0 only, one identity action
-            if ranked:
-                perms = zip(itertools.permutations(range(k)), _row_tables(k))
-            self._plan = [
-                tuple(
-                    (off + k * row + lo, (1 << hi - lo) - 1, tab,
-                     off + k * _index(k, [p[e] for e in prefix]))
-                    for r, off in ranked
-                    for row, prefix in enumerate(itertools.product(range(k), repeat=r - 1))
-                    for (lo, hi), tab in zip(chunks, tabs)
-                )
-                for p, tabs in perms
-            ]
-        return self._plan
+            perms = itertools.permutations(range(k)) if ranked else ()
+            self._maps = []
+            for p in itertools.islice(perms, 1, None):  # the identity comes first
+                m, moved = list(pos), [0]
+                for r, off in sorted(ranked):
+                    while len(moved) < k**r:  # index of p(t), t lexicographic
+                        moved = [x * k + e for x in moved for e in p]
+                    m[off : off + k**r] = [pos[off + x] for x in moved]
+                self._maps.append(tuple(m))
+        return self._maps
 
     def images(self, code: int) -> Iterator[int]:
-        """The code's image under each distinct permutation: its orbit,
-        possibly with repeats."""
-        fixed = code & self.fixed
-        for moves in self.plan():
-            image = fixed
-            for src, mask, tab, dst in moves:
-                x = code >> src & mask
-                if x:
-                    image |= tab[x] << dst
-            yield image
+        """The code's orbit, possibly with repeats: the code itself, then
+        its set bits moved through each map."""
+        yield code
+        bits, power = list(_set_bits(code)), [1 << i for i in range(self.width)]
+        for m in self.maps():
+            yield sum(map(power.__getitem__, map(m.__getitem__, bits)))
 
     def runs_in(self, big: "_Space") -> list[tuple[int, int, int]]:
         """(source shift, mask, destination shift) runs that copy this
@@ -529,27 +516,6 @@ class _Space:
         return [(src, (1 << n) - 1, dst) for src, n, dst in runs]
 
 
-_CHUNK_BITS = 4  # row tables are indexed by at most 4 bits of a row at a time
-
-
-@functools.lru_cache(maxsize=None)
-def _row_tables(k: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Per permutation p of range(k), in itertools order: for each chunk of
-    _CHUNK_BITS bits of a k-bit row, the table sending a chunk value to
-    its image inside the row (bit lo + j to bit p(lo + j))."""
-    out = []
-    for p in itertools.permutations(range(k)):
-        tabs = []
-        for lo in range(0, k, _CHUNK_BITS):
-            tab = [0] * (1 << min(_CHUNK_BITS, k - lo))
-            for x in range(1, len(tab)):
-                low = x & -x
-                tab[x] = tab[x ^ low] | 1 << p[lo + low.bit_length() - 1]
-            tabs.append(tuple(tab))
-        out.append(tuple(tabs))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _space(symbols: tuple[tuple[str, int], ...], k: int) -> _Space:
     return _Space(symbols, k)
@@ -564,6 +530,17 @@ _CODE_BITS = [
     * (((1 << (1 << _BLOCK_BITS)) - 1) // ((1 << (2 << i)) - 1))
     for i in range(_BLOCK_BITS)
 ]
+
+
+def _code_masks(width: int, block: int) -> list[int]:
+    """Per code bit j < width: the mask whose bit c is bit j of code
+    (block << w) + c, for the 2^w codes of a block (w = min(width,
+    _BLOCK_BITS)). Periodic below w, all-ones or zero from w up."""
+    w = min(width, _BLOCK_BITS)
+    full = (1 << (1 << w)) - 1
+    return [b & full for b in _CODE_BITS[:w]] + [
+        full if block >> (j - w) & 1 else 0 for j in range(w, width)
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -603,7 +580,6 @@ def _satisfying_blocks(
     k, width = space.k, space.width
     w = min(width, _BLOCK_BITS)
     full = (1 << (1 << w)) - 1
-    low_bits = [b & full for b in _CODE_BITS[:w]]
     free: dict[int, tuple[int, ...]] = {}  # uid -> sorted free variables
 
     def fv(f: Formula) -> tuple[int, ...]:
@@ -656,7 +632,7 @@ def _satisfying_blocks(
         return out
 
     for block in range(1 << (width - w)):
-        bits = low_bits + [full if block >> (j - w) & 1 else 0 for j in range(w, width)]
+        bits = _code_masks(width, block)
         memo: dict[int, list[int]] = {}
         alive = full
         for phi in formulas:
@@ -712,7 +688,6 @@ def clear_memory_caches() -> None:
     _restriction.cache_clear()
     _fibres.cache_clear()
     _space.cache_clear()
-    _row_tables.cache_clear()
 
 
 def enumeration_feasible(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -720,6 +695,8 @@ def enumeration_feasible(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> b
     lets callers skip a doomed size without paying for one side first."""
     if k < 1 or k > caps.max_size:
         return False
+    if k > caps.max_perm_size and not theory.lang.is_sentential:
+        return False  # _least_codes refuses it
     return 1 << _space(theory.lang.symbols, k).width <= caps.max_candidates
 
 
@@ -758,10 +735,15 @@ def enumerate_models(
 
 def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
     """Ascending least codes of the orbits of the theory's models in the
-    space. The models are closed under isomorphism, so an ascending pass
-    over the satisfying codes that keeps each code not yet marked and
-    marks its orbit keeps exactly the least codes. The orbit plan holds
-    k! permutations, so k is held to the cap `canonical_form` keeps."""
+    space. The models are closed under isomorphism, so these are the
+    satisfying codes c that no permutation maps below c.
+
+    The test runs bit-sliced over each block of the sweep, with x[j] the
+    mask of the block's codes whose bit j is set. Bit j of the image of c
+    under a map m is bit m[j] of c, so scanning j downwards, eq holds the
+    codes whose image agrees with them above j, and those of eq whose bit
+    j is 1 while bit m[j] is 0 map below themselves. The maps hold k!
+    permutations, so k is held to the cap `canonical_form` keeps."""
     if space.k > caps.max_perm_size:
         raise CapExceededError(f"canonical form capped at size {caps.max_perm_size}")
     candidates = 1 << space.width
@@ -770,15 +752,26 @@ def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
             f"{candidates} interpretation candidates at size {space.k} "
             f"exceed cap {caps.max_candidates}"
         )
-    marked = bytearray(candidates)
+    moves = [
+        [(j, m[j]) for j in range(space.width - 1, -1, -1) if m[j] != j]
+        for m in space.maps()
+    ]
     codes = []
     for base, alive in _satisfying_blocks(space, theory.axioms):
-        for c in _set_bits(alive):
-            code = base + c
-            if not marked[code]:
-                codes.append(code)
-                for image in space.images(code):
-                    marked[image] = 1
+        x = _code_masks(space.width, base >> _BLOCK_BITS)
+        keep = alive
+        for moved in moves:
+            eq = keep
+            for j, src in moved:
+                differ = eq & (x[j] ^ x[src])
+                if differ:
+                    keep ^= differ & x[j]
+                    eq ^= differ
+                    if not eq:
+                        break
+            if not keep:
+                break
+        codes.extend(base + c for c in _set_bits(keep))
     return codes
 
 
@@ -965,8 +958,6 @@ def conservative_extension(
         # enumerated models are least codes, hence already canonical
         own = {m.code for m in enumerate_models(t1, k, caps)}
         expansions = enumerate_models(t2, k, caps)
-        if expansions and k > caps.max_perm_size:
-            raise CapExceededError(f"canonical form capped at size {caps.max_perm_size}")
         space = _space(t1.lang.symbols, k)
         runs = space.runs_in(_space(t2.lang.symbols, k))
         reducts: set[int] = set()

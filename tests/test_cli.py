@@ -106,8 +106,8 @@ def test_classify_ad_builtin(capsys):
 
 
 def test_orbit_plan_cap_exit_code(tmp_path, capsys):
-    # size 9 is inside this catalog's size cap, but its orbit plan would
-    # hold 9! permutations: refused before the plan is built
+    # size 9 is inside this catalog's size cap, but its canonicity test
+    # would take 9! permutations: refused before their maps are built
     path = tmp_path / "wide.cat"
     path.write_text(
         "(policy :size-cap 9)\n(language U (P 1) :vars 1)\n(theory T :over U)\n"

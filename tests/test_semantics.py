@@ -7,6 +7,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from thdist import semantics
 from thdist.errors import CapExceededError, LanguageError
+from thdist.network import lower_bound_certificates
 from thdist.semantics import (
     Caps,
     FiniteModel,
@@ -405,11 +406,12 @@ def test_clear_memory_caches_empties_every_table():
             [model_to_json(x) for x in enumerate_models(posets, 3)],
             assignment_set(m, phi),
             sat_assignments(sent),
+            canonical_form(m),
         )
 
     before = run()
     tables = (semantics._eq_masks, semantics._proj_masks, semantics._exists_groups)
-    cached = (semantics._space, semantics._row_tables, semantics._restriction, semantics._fibres)
+    cached = (semantics._space, semantics._restriction, semantics._fibres)
     assert all(tables) and all(f.cache_info().currsize for f in cached)
     clear_memory_caches()
     for table in (*tables, semantics._model_memo, semantics._sat_memo):
@@ -417,7 +419,6 @@ def test_clear_memory_caches_empties_every_table():
     for f in cached:
         assert f.cache_info().currsize == 0
     assert run() == before
-    assert semantics._row_tables.cache_info().currsize
 
 
 # Oracle for the bit-sliced enumeration: every labelled structure checked
@@ -536,6 +537,66 @@ def test_enumeration_matches_brute_force_across_blocks(axioms):
     _check_against_brute_force(*_WIDE_CASE, axioms)
 
 
+# Burnside: the orbits of an axiom-free theory number the mean, over the
+# k! permutations, of 2^(cycles of the permutation's action on the code
+# bits). Widths 8-20 bits, so the larger ones span several blocks.
+_BURNSIDE = [
+    ({"R": 2}, 4, 3044),
+    ({"IOb": 1, "W": 2}, 4, 45960),  # KinBase's 42,916 and the 3,044 without IOb
+    ({"T": 3}, 2, 136),
+    ({"A": 1, "B": 1, "C": 1}, 6, 1716),
+    ({"C": 0, "P": 1, "R": 2}, 3, 1504),  # C doubles the 752 orbits of (P 1)(R 2)
+]
+
+
+def _cycles(perm):
+    seen, count = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            count += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return count
+
+
+@pytest.mark.parametrize("symbols, k, orbits", _BURNSIDE)
+def test_orbit_count_matches_burnside(symbols, k, orbits):
+    lang = Language.make("Free", symbols, 3)
+    perms = _brute(lang, k).perms
+    assert sum(2 ** _cycles(p) for p in perms) == orbits * len(perms)
+    assert len(enumerate_models(Theory.make("free", lang, []), k)) == orbits
+
+
+# 13-16 bits: permutations move code bits between the block index (bits
+# 12 and up) and the low 12 bits of a block
+_ACROSS_BLOCKS = [
+    (Language.make("CPR", {"C": 0, "P": 1, "R": 2}, 2), 3),
+    (Language.make("CDPR", {"C": 0, "D": 0, "P": 1, "R": 2}, 2), 3),
+    (Language.make("PQR", {"P": 1, "Q": 1, "R": 2}, 2), 3),
+    (Language.make("R", {"R": 2}, 2), 4),
+]
+
+
+@pytest.mark.parametrize("lang, k", _ACROSS_BLOCKS)
+def test_kept_codes_are_the_orbit_minima(lang, k):
+    brute = _brute(lang, k)
+    kept = {m.code for m in enumerate_models(Theory.make("free", lang, []), k)}
+    assert kept == {c for c in range(1 << len(brute.slots)) if brute.orbit_min(c) == c}
+
+
+def test_perm_cap_bounds_feasible_sizes():
+    caps = Caps(max_size=4, max_perm_size=3)
+    s1 = Theory.make("S1", Language.make("A", {"A": 1}, 1), [])
+    s2 = Theory.make("S2", Language.make("AB", {"A": 1, "B": 1}, 1), [])
+    assert enumeration_feasible(s1, 3, caps) and not enumeration_feasible(s1, 4, caps)
+    assert enumeration_feasible(Theory.make("p", PQ, ["P"]), 4, caps)  # no permutations
+    evidence = lower_bound_certificates(s1, s2, rank_cap=1, caps=caps)
+    assert evidence.kind == "growth-certificate" and evidence.size in (1, 2, 3)
+    with pytest.raises(CapExceededError):
+        conservative_extension(s1, s2, caps=caps)
+
+
 # The sweep's alive masks against is_true on every code-born model. Each
 # subformula is swept as a table over its own free variables, so the
 # explicit cases hold the shapes where that table is not over all n:
@@ -621,7 +682,7 @@ def test_orbit_matches_brute_force(example):
     assert canonical_model(model).code == min(orbit)
 
 
-# sizes 6 and 7 split each row into two table chunks
+# sizes 6 and 7: 719 and 5,039 position maps
 _WIDE_ROWS = Language.make("CPR", {"C": 0, "P": 1, "R": 2}, 2)
 
 
