@@ -38,7 +38,8 @@ class DiskProfileStore:
             data = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if data.get("version") != self.version or data.get("format") != FORMAT:
+        if not isinstance(data, dict) or data.get("version") != self.version \
+                or data.get("format") != FORMAT:
             return None
         return data
 

@@ -1,14 +1,14 @@
 """Finite-model semantics: evaluation, enumeration up to isomorphism,
 spectra, bounded consequence and equivalence, conservative extensions.
 
-Evaluation comes in two forms. `eval_formula` implements the satisfaction
+Evaluation comes in three forms. `eval_formula` implements the satisfaction
 clauses one assignment at a time. `assignment_set` computes the whole set of
 satisfying assignments of a formula in one bottom-up pass, encoded as an
-integer bitmask over the k^n assignments in lexicographic order; bounded
-checks and concept closures run on these masks. Enumeration turns the
-evaluation sideways: `_satisfying_blocks` evaluates a theory's axioms over
-thousands of packed structures at once, one bit per structure. All three
-agree, which the test suite checks by property.
+integer bitmask over the k^n assignments in lexicographic order; concept
+closures run on these masks. `_holds` turns the evaluation sideways, one
+bit (lane) per packed structure: enumeration sweeps blocks of codes with it
+and bounded checks a theory's model list. All three agree, which the test
+suite checks by property.
 
 A sentential Sat-set is an integer mask too: bit r is set when the r-th
 row of `syntax.all_assignments` (lexicographic) satisfies the theory, so
@@ -560,27 +560,31 @@ def _fibres(k: int, m: int, p: int) -> list[list[int]]:
     return [[i + e * stride for i in outer] for e in range(k)]
 
 
-def _satisfying_blocks(
-    space: _Space, formulas: Sequence[Formula]
-) -> Iterator[tuple[int, int]]:
-    """(base, alive) per block of codes with a model, ascending: bit c of
-    alive is set when every formula holds in the structure packed as code
-    base + c under every assignment.
-
-    Bit-sliced: the codes go in blocks of 2^w, and inside a block a
-    subformula is a table over the assignments of its own free variables
-    (sorted, lexicographic): one int per assignment whose bit c says
-    whether code base + c satisfies it there. An atom is the mask of its
-    code bit, periodic for the low w bits and all-ones or zero above
-    them; `=` is full, or a k x k table; not works entrywise; and lifts
-    both sides to the union of their variables through `_restriction`
-    maps; exists ORs over the `_fibres` of its variable. A formula holds
-    under every assignment when its whole table does.
-    """
-    k, width = space.k, space.width
+def _satisfying_blocks(space: _Space, formulas: Sequence[Formula]) -> Iterator[tuple[int, int]]:
+    """(base, alive) per block of 2^w codes with a model, ascending: bit c
+    of alive is set when every formula holds in code base + c. One
+    free-variable memo serves every block."""
+    width = space.width
     w = min(width, _BLOCK_BITS)
-    full = (1 << (1 << w)) - 1
-    free: dict[int, tuple[int, ...]] = {}  # uid -> sorted free variables
+    full, free = (1 << (1 << w)) - 1, {}
+    for block in range(1 << (width - w)):
+        alive = _holds(space, _code_masks(width, block), full, formulas, free)
+        if alive:
+            yield block << w, alive
+
+
+def _holds(
+    space: _Space, bits: Sequence[int], full: int, formulas: Sequence[Formula], free: dict
+) -> int:
+    """The lanes of `full` in which every formula holds under every
+    assignment, bits[j] masking the lanes whose code has bit j set. A
+    subformula is a table of lane masks over the assignments of its own
+    sorted free variables (`free` memoises them by uid): an atom gathers
+    its code bits, `=` is full or a k x k table, not works entrywise,
+    and lifts both sides to their union of variables via `_restriction`,
+    exists ORs over the `_fibres` of its variable."""
+    k = space.k
+    memo: dict[int, list[int]] = {}
 
     def fv(f: Formula) -> tuple[int, ...]:
         vs = free.get(f.uid)
@@ -631,17 +635,14 @@ def _satisfying_blocks(
         memo[f.uid] = out
         return out
 
-    for block in range(1 << (width - w)):
-        bits = _code_masks(width, block)
-        memo: dict[int, list[int]] = {}
-        alive = full
-        for phi in formulas:
-            for x in go(phi):
-                alive &= x
-            if not alive:
-                break
-        if alive:
-            yield block << w, alive
+    alive = full
+    for phi in formulas:
+        for x in go(phi):
+            alive &= x
+        if not alive:
+            break
+    memo.clear()  # go and lift form a reference cycle: free the tables now
+    return alive
 
 
 def canonical_form(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
@@ -668,7 +669,7 @@ def isomorphic(a: FiniteModel, b: FiniteModel, caps: Caps = DEFAULT_CAPS) -> boo
 # ---------------------------------------------------------------------------
 # Enumeration up to isomorphism, spectra, profiles
 
-_model_memo: dict[tuple[str, int], list[FiniteModel]] = {}
+_model_memo: dict[tuple[str, int], list] = {}  # -> [models, lane masks or None]
 _store = None  # optional persistent cache registered by the workbench
 
 
@@ -713,7 +714,7 @@ def enumerate_models(
     memo_key = (theory.key, k)
     cached = _model_memo.get(memo_key)
     if cached is not None:
-        return cached
+        return cached[0]
     lang = theory.lang
     if lang.is_sentential:
         # bit i of a code is constant i, the row index's bit m-1-i
@@ -729,8 +730,28 @@ def enumerate_models(
             if _store is not None:
                 _store.put(theory.key, k, {"count": len(codes), "codes": codes})
     models = [FiniteModel._of_code(lang, k, c) for c in codes]
-    _model_memo[memo_key] = models
+    _model_memo[memo_key] = [models, None]
     return models
+
+
+def first_countermodel(
+    theory: Theory, k: int, formulas: Sequence[Formula], caps: Caps = DEFAULT_CAPS
+) -> FiniteModel | None:
+    """The first of the theory's size-k models (in `enumerate_models`
+    order) in which some formula is not true, or None. One `_holds` pass
+    checks them all: bit i of lane mask j is bit j of the i-th model's
+    code, read off one binary string of the codes padded to n bytes each."""
+    models = enumerate_models(theory, k, caps)
+    entry, space = _model_memo[theory.key, k], _space(theory.lang.symbols, k)
+    if entry[1] is None:
+        n, packed = space.width // 8 + 1, bytearray()
+        for m in models:
+            packed += m.code.to_bytes(n, "little")
+        bits = f"{int.from_bytes(packed, 'little'):0{8 * len(packed)}b}"
+        entry[1] = [int(bits[8 * n - 1 - j :: 8 * n] or "0", 2) for j in range(space.width)]
+    full = (1 << len(models)) - 1
+    bad = full ^ _holds(space, entry[1], full, formulas, {})
+    return models[(bad & -bad).bit_length() - 1] if bad else None
 
 
 def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
@@ -853,9 +874,9 @@ def bounded_consequence(
             return ConsequenceResult(False, True, None, assignment_model(theory.lang, row))
         return ConsequenceResult(True, True, None)
     for k in range(1, bound + 1):
-        for model in enumerate_models(theory, k, caps):
-            if not is_true(model, phi):
-                return ConsequenceResult(False, True, k, model)
+        model = first_countermodel(theory, k, (phi,), caps)
+        if model is not None:
+            return ConsequenceResult(False, True, k, model)
     return ConsequenceResult(True, False, bound)
 
 

@@ -154,6 +154,15 @@ def test_stale_cache_version_ignored(tmp_path):
             assert enumerate_models(posets, 3) == cacheless
             assert store.get(posets.key, 3)["codes"] == codes
             set_profile_store(None)
+        # so is a record that is valid JSON but no object
+        (record,) = (tmp_path / "codes").rglob(f"{posets.key}.3.json")
+        for text in ("[1, 2]", "null", "3", '"x"'):
+            record.write_text(text)
+            clear_memory_caches()
+            set_profile_store(store)
+            assert enumerate_models(posets, 3) == cacheless
+            assert store.get(posets.key, 3)["codes"] == codes
+            set_profile_store(None)
         # a valid record is served as it stands
         store.put(posets.key, 3, {"count": 1, "codes": codes[:1]})
         clear_memory_caches()

@@ -8,6 +8,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from thdist import semantics
 from thdist.errors import CapExceededError, LanguageError
 from thdist.network import lower_bound_certificates
+from thdist.relations import axiom_add_exists
 from thdist.semantics import (
     Caps,
     FiniteModel,
@@ -407,12 +408,15 @@ def test_clear_memory_caches_empties_every_table():
             assignment_set(m, phi),
             sat_assignments(sent),
             canonical_form(m),
+            bounded_consequence(posets, parse_formula("(R v0 v0)", BIN), 3),
         )
 
     before = run()
     tables = (semantics._eq_masks, semantics._proj_masks, semantics._exists_groups)
     cached = (semantics._space, semantics._restriction, semantics._fibres)
     assert all(tables) and all(f.cache_info().currsize for f in cached)
+    # bounded_consequence keeps lane masks beside the model lists it checked
+    assert all(semantics._model_memo[posets.key, k][1] is not None for k in (1, 2, 3))
     clear_memory_caches()
     for table in (*tables, semantics._model_memo, semantics._sat_memo):
         assert not table
@@ -647,6 +651,48 @@ def test_sweep_matches_is_true_per_code(case):
 @example([parse_formula("(or (R v1 v1) (P v0))", _SWEPT_WIDE[0])])
 def test_sweep_matches_is_true_per_code_across_blocks(axioms):
     _check_sweep(*_SWEPT_WIDE, axioms)
+
+
+# bounded_consequence and axiom_add_exists check all of a model list at
+# once, one lane per model; the reference checks one model at a time and
+# reports the first that fails.
+def _first_failure(theory, bound, formulas):
+    for k in range(1, bound + 1):
+        for m in enumerate_models(theory, k):
+            if not all(is_true(m, f) for f in formulas):
+                return k, m
+    return None
+
+
+def _lane_example(case, axioms, formulas):
+    lang, _ = case
+    return example((case, *([parse_formula(t, lang) for t in ts] for ts in (axioms, formulas))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SWEPT).flatmap(
+    lambda case: st.tuples(st.just(case), _axioms(case[0]), _axioms(case[0]))
+))
+@_lane_example(_SWEPT[2], ["(not (= v0 v0))"], ["(R v0 v1)"])  # no models at all
+@_lane_example(_SWEPT[2], ["(= v0 v1)"], ["(not C)", "(R v0 v0)"])  # none above size 1
+@_lane_example(_SWEPT[1], ["(T v0 v0 v1)"], ["(exists v2 (P v0))"])
+@_lane_example(_SWEPT[2], ["(R v1 v1)"], ["(and (R v2 v2) (= v1 v1))"])
+@_lane_example(_SWEPT[3], ["(or C (P v0))"], ["(exists v0 (or (Q v1) (= v0 v2)))"])
+def test_bounded_checks_match_is_true_per_model(case):
+    (lang, k), axioms, formulas = case
+    theory, other = Theory("T", lang, axioms), Theory("U", lang, formulas)
+    failure = _first_failure(theory, k, formulas[:1])
+    assert bounded_consequence(theory, formulas[0], k) == (
+        (False, True, *failure) if failure else (True, False, k, None)
+    )
+    answer = axiom_add_exists(other, theory, k)
+    if set(formulas) <= set(axioms):
+        assert answer.answer == "yes"
+    else:
+        failure = _first_failure(theory, k, formulas)
+        assert (answer.answer, answer.countermodel) == (
+            ("no", failure[1]) if failure else ("unknown", None)
+        )
 
 
 # Orbits and canonical forms of code-born models against the brute force
