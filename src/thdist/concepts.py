@@ -375,9 +375,13 @@ def check_interpretation(
             reflect_witness = (phi, r1.countermodel)
     if forward_witness is not None:
         phi, cm, exact = forward_witness
+        # a non-axiom held in t1's models only up to the bound: t1 may
+        # still fail to prove it, so the refutation is bounded
         return CheckReport(
             "refuted", exact, bound, phi, cm,
-            note="theoremhood not preserved",
+            note="theoremhood not preserved" if exact else
+            f"theoremhood not preserved, bounded: {t1.name} proves the formula "
+            f"only up to size {bound}",
         )
     if reflect_witness is not None:
         phi, cm = reflect_witness
@@ -445,7 +449,7 @@ def check_defeq(
         if not rep.ok:
             return CheckReport(
                 "refuted", rep.exact, rep.bound, rep.witness_formula,
-                rep.witness_model, note=f"{label} is not an interpretation",
+                rep.witness_model, note=f"{label} is not an interpretation: {rep.note}",
             )
     return CheckReport("defeq", False, bound)
 

@@ -668,7 +668,14 @@ def lower_bound_certificates(
     distance. Otherwise, one concept step multiplies the size-k model
     count by at most 2^(k^m), m the maximal admitted rank, so the spectra
     ratio forces at least log_f(ratio) steps.
+
+    Both arguments need the size-k structures told apart by the fragment,
+    which takes k + 1 variables: with n the smaller variable bound, only
+    sizes k <= n - 1 count, unless both theories are sentential (whose
+    models are the same rows at every size).
     """
+    if not (t1.lang.is_sentential and t2.lang.is_sentential):
+        bound = min(bound, t1.lang.var_bound - 1, t2.lang.var_bound - 1)
     table1: dict[int, int] = {}
     table2: dict[int, int] = {}
     for k in range(1, bound + 1):

@@ -63,6 +63,7 @@ ASSERTED = "asserted"
 VERIFIED_EXACT = "verified-exact"
 VERIFIED_BOUNDED = "verified-bounded"
 REFUTED = "refuted"
+UNDECIDED = "undecided"  # neither verified nor refuted; builds no edge
 
 
 class CertStatus(NamedTuple):
@@ -250,6 +251,8 @@ def _status_of_conservativity(res: ConservativityResult, bound: int) -> CertStat
         if res.exact:
             return CertStatus(VERIFIED_EXACT)
         return CertStatus(VERIFIED_BOUNDED, bound=res.bound)
+    if res.holds is None:
+        return CertStatus(UNDECIDED, res.bound, res.witness_model, res.detail)
     return CertStatus(
         REFUTED,
         bound=None if res.exact else res.bound,

@@ -10,6 +10,12 @@ bit (lane) per packed structure: enumeration sweeps blocks of codes with it
 and bounded checks a theory's model list. All three agree, which the test
 suite checks by property.
 
+The sweep splits axioms at their top-level ands and evaluates each
+conjunct at most once per block of codes of a signature and size: the
+space keeps the conjunct's alive mask per block, keyed by the interned
+formula's uid, so theories that share a conjunct (reflexivity, say) read
+it from there, and `clear_memory_caches` drops it with the space.
+
 A sentential Sat-set is an integer mask too: bit r is set when the r-th
 row of `syntax.all_assignments` (lexicographic) satisfies the theory, so
 ascending bits are ascending rows. `sat_rows` turns a mask back into rows
@@ -44,6 +50,7 @@ from .syntax import (
     not_,
     parse_formula,
     print_formula,
+    subformulas,
     validate_formula,
 )
 
@@ -271,11 +278,7 @@ def assignment_set(model: FiniteModel, phi: Formula) -> int:
     full = (1 << (k**n)) - 1
     blocks, code = _space(model.lang.symbols, k).blocks, model.code
     memo: dict[int, int] = {}
-
-    def go(f: Formula) -> int:
-        cached = memo.get(f.uid)
-        if cached is not None:
-            return cached
+    for f in subformulas(phi):  # children first
         if isinstance(f, Eq):
             out = _eq_mask(k, n, f.i, f.j)
         elif isinstance(f, Atom):
@@ -291,16 +294,14 @@ def assignment_set(model: FiniteModel, phi: Formula) -> int:
                     out |= table[low.bit_length() - 1]
                     bits ^= low
         elif isinstance(f, And):
-            out = go(f.lhs) & go(f.rhs)
+            out = memo[f.lhs.uid] & memo[f.rhs.uid]
         elif isinstance(f, Not):
-            out = full ^ go(f.sub)
+            out = full ^ memo[f.sub.uid]
         else:
             assert isinstance(f, Exists)
-            out = cylindrify(go(f.sub), k, n, f.var)
+            out = cylindrify(memo[f.sub.uid], k, n, f.var)
         memo[f.uid] = out
-        return out
-
-    return go(phi)
+    return memo[phi.uid]
 
 
 def is_true(model: FiniteModel, phi: Formula) -> bool:
@@ -390,7 +391,7 @@ def _sat_mask(lang: Language, formulas: Sequence[Formula]) -> int:
             f"{rows} truth-table rows exceed cap {DEFAULT_CAPS.max_candidates}"
         )
     mask = 0
-    for base, alive in _satisfying_blocks(_space(lang.symbols[::-1], 1), formulas):
+    for base, alive, _ in _satisfying_blocks(_space(lang.symbols[::-1], 1), formulas, {}):
         mask |= alive << base
     return mask
 
@@ -449,9 +450,11 @@ class _Space:
     the tuple t, moves to bit m[i], the tuple p(t); rank-0 bits are fixed
     points. Read the other way, bit j of the image is bit m[j] of the code
     under the inverse of p, so the maps of all permutations serve both
-    directions. `maps()` holds one map per distinct non-identity action."""
+    directions. `maps()` holds one map per distinct non-identity action.
+    `alive` is the sweep's memo: (block, conjunct uid) -> the mask of the
+    block's codes in which the conjunct holds."""
 
-    __slots__ = ("k", "width", "blocks", "_maps")
+    __slots__ = ("k", "width", "blocks", "_maps", "alive")
 
     def __init__(self, symbols: tuple[tuple[str, int], ...], k: int):
         self.k = k
@@ -462,6 +465,7 @@ class _Space:
             offset += k**rank
         self.width = offset
         self._maps: list[tuple[int, ...]] | None = None
+        self.alive: dict[tuple[int, int], int] = {}
 
     def unpack(self, code: int) -> dict[str, object]:
         interp: dict[str, object] = {}
@@ -560,17 +564,41 @@ def _fibres(k: int, m: int, p: int) -> list[list[int]]:
     return [[i + e * stride for i in outer] for e in range(k)]
 
 
-def _satisfying_blocks(space: _Space, formulas: Sequence[Formula]) -> Iterator[tuple[int, int]]:
-    """(base, alive) per block of 2^w codes with a model, ascending: bit c
-    of alive is set when every formula holds in code base + c. One
-    free-variable memo serves every block."""
+def _conjuncts(phi: Formula) -> list[Formula]:
+    """phi split at its top-level ands: the universal closure of a
+    conjunction is the conjunction of the closures."""
+    if isinstance(phi, And):
+        return _conjuncts(phi.lhs) + _conjuncts(phi.rhs)
+    return [phi]
+
+
+def _satisfying_blocks(
+    space: _Space, formulas: Sequence[Formula], memo: dict[tuple[int, int], int]
+) -> Iterator[tuple[int, int, list[int] | None]]:
+    """(base, alive, bits) per block of 2^w codes with a model, ascending:
+    bit c of alive is set when every formula holds in code base + c, and
+    bits are the block's `_code_masks`, or None when no conjunct needed
+    them. memo maps (block, conjunct uid) to the conjunct's alive mask,
+    read before evaluating and filled on a miss; a block stops at the
+    first conjunct that leaves no code alive. One free-variable memo
+    serves every block."""
     width = space.width
     w = min(width, _BLOCK_BITS)
     full, free = (1 << (1 << w)) - 1, {}
+    conjuncts = {c.uid: c for f in formulas for c in _conjuncts(f)}.values()  # each once
     for block in range(1 << (width - w)):
-        alive = _holds(space, _code_masks(width, block), full, formulas, free)
+        alive, bits = full, None
+        for phi in conjuncts:
+            mask = memo.get((block, phi.uid))
+            if mask is None:
+                if bits is None:
+                    bits = _code_masks(width, block)
+                mask = memo[block, phi.uid] = _holds(space, bits, full, (phi,), free)
+            alive &= mask
+            if not alive:
+                break
         if alive:
-            yield block << w, alive
+            yield block << w, alive, bits
 
 
 def _holds(
@@ -778,8 +806,9 @@ def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
         for m in space.maps()
     ]
     codes = []
-    for base, alive in _satisfying_blocks(space, theory.axioms):
-        x = _code_masks(space.width, base >> _BLOCK_BITS)
+    for base, alive, x in _satisfying_blocks(space, theory.axioms, space.alive):
+        if x is None and moves:
+            x = _code_masks(space.width, base >> _BLOCK_BITS)
         keep = alive
         for moved in moves:
             eq = keep
@@ -924,7 +953,7 @@ def logically_equivalent(
 
 
 class ConservativityResult(NamedTuple):
-    holds: bool
+    holds: bool | None  # None: undecided, the evidence lies beyond L^n
     exact: bool
     bound: int | None
     witness_formula: Formula | None = None
@@ -932,7 +961,7 @@ class ConservativityResult(NamedTuple):
     detail: str = ""
 
     def __bool__(self) -> bool:
-        return self.holds
+        return self.holds is True
 
 
 def conservative_extension(
@@ -945,6 +974,14 @@ def conservative_extension(
     t1-reducts of t2's models (bit projections of their codes, taken to
     the least code of their orbit) must equal t1's model list; a
     refutation shows the differing model of least canonical code.
+
+    The claim is about t1's formulas, with n = t1's variable bound. A
+    size-k t1-model lacking a t2-expansion refutes only where k <= n - 1:
+    telling a size-k structure apart takes k + 1 variables, and with fewer
+    it may be L^n-equivalent to a reduct. From k = n on such a mismatch
+    leaves the answer undecided (holds None, the model as witness) unless
+    a larger size refutes. A reduct that is no t1-model refutes at every
+    size: its t2-model fails an axiom of t1.
     """
     if not t2.lang.includes(t1.lang):
         raise LanguageError(
@@ -970,6 +1007,7 @@ def conservative_extension(
             False, True, None, witness, assignment_model(t1.lang, row), side
         )
 
+    n, undecided = t1.lang.var_bound, None
     for k in range(1, bound + 1):
         if not (enumeration_feasible(t1, k, caps) and enumeration_feasible(t2, k, caps)):
             raise CapExceededError(
@@ -992,16 +1030,25 @@ def conservative_extension(
             reducts.add(code)
         if own == reducts:
             continue
-        model = FiniteModel._of_code(t1.lang, k, min(own ^ reducts))
+        decisive = own ^ reducts if k < n else reducts - own
+        model = FiniteModel._of_code(t1.lang, k, min(decisive or own ^ reducts))
+        if not decisive:
+            if undecided is None:
+                undecided = ConservativityResult(
+                    None, False, k, None, model,
+                    f"size-{k} models of {t1.name} lack {t2.name}-expansions, "
+                    f"but {n} variables cannot tell size-{k} structures apart",
+                )
+            continue
         witness = None
-        if not reducts and own and t1.lang.var_bound >= k + 1:
+        if not reducts:
             # t2 has no size-k models at all, so "not exactly k elements"
-            # is a t2-theorem (exactly, at this k) that t1 fails to prove.
+            # (k + 1 <= n variables) is a t2-theorem that t1 fails to prove.
             witness = not_(make_psi_n(k, t1.lang))
         detail = (
             f"size-{k} reducts of {t2.name} differ from models of {t1.name}"
         )
         return ConservativityResult(False, False, k, witness, model, detail)
-    return ConservativityResult(True, False, bound)
+    return ConservativityResult(True, False, bound) if undecided is None else undecided
 
 

@@ -247,21 +247,21 @@ def big_or(lang: Language, items: Sequence[Formula]) -> Formula:
 def subformulas(phi: Formula) -> list[Formula]:
     """All distinct subformulas, children before parents."""
     seen: dict[int, Formula] = {}
-
-    def walk(f: Formula) -> None:
-        if f.uid in seen:
-            return
-        if isinstance(f, And):
-            walk(f.lhs)
-            walk(f.rhs)
-        elif isinstance(f, Not):
-            walk(f.sub)
-        elif isinstance(f, Exists):
-            walk(f.sub)
-        seen[f.uid] = f
-
-    walk(phi)
+    _walk(phi, seen)
     return list(seen.values())
+
+
+def _walk(f: Formula, seen: dict[int, Formula]) -> None:
+    # a module-level walk: a nested recursive closure would leave a
+    # reference cycle behind every call
+    if f.uid in seen:
+        return
+    if isinstance(f, And):
+        _walk(f.lhs, seen)
+        _walk(f.rhs, seen)
+    elif isinstance(f, (Not, Exists)):
+        _walk(f.sub, seen)
+    seen[f.uid] = f
 
 
 def validate_formula(phi: Formula, lang: Language) -> None:

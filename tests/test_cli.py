@@ -82,6 +82,40 @@ def test_dist_and_export(tmp_path, capsys):
     assert code == 0 and out.startswith('digraph "N"')
 
 
+# T's spectrum at sizes 1-4 is 2, 0, 1, 2, but an L^2 sentence over pure
+# equality can only say "one element" or "more than one", so T is
+# conservative over Set in L^2: its missing 2-element model is evidence that
+# needs 3 variables, and must neither refute the certificate nor obstruct
+# the distance.
+TWO_VARIABLE_CAT = (
+    "(policy :size-cap 4 :rank-cap 3 :var-cap 6)\n"
+    "(language Eq :vars 2)\n"
+    "(language LE (E 2) :vars 2)\n"
+    "(theory Set :over Eq :axioms)\n"
+    '(theory T :over LE :axioms "(or (forall v0 (forall v1 (= v0 v1))) '
+    "(and (forall v0 (not (E v0 v0))) (and (forall v0 (forall v1 (implies "
+    "(not (= v0 v1)) (iff (E v0 v1) (not (E v1 v0)))))) "
+    '(forall v0 (exists v1 (E v0 v1))))))")\n'
+    "(certificate :kind concept-add :from Set :to T :bound 4)\n"
+    "(network N :equiv defeq :step concept :mode symmetric :nodes Set T)\n"
+)
+
+
+def test_size_evidence_beyond_the_variable_bound_decides_nothing(tmp_path, capsys):
+    path = tmp_path / "two.cat"
+    path.write_text(TWO_VARIABLE_CAT)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["summary"] == {"undecided": 1}
+    status = data["certificates"][0]["status"]
+    assert status["state"] == "undecided" and status["bound"] == 2
+    code, out, _ = run(capsys, "dist", f"{path}:N", "Set", "T")
+    assert code == 0
+    evidence = json.loads(out)["lower_bound"]
+    assert evidence["kind"] == "growth-certificate" and evidence["size"] == 1
+
+
 def test_dist_builtin_human(capsys):
     code, out, _ = run(capsys, "dist", "Ladder", "TStar0", "TStar2", "--human")
     assert code == 0 and "= 2" in out

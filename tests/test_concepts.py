@@ -206,6 +206,21 @@ def test_check_interpretation_refuted():
     assert rep.verdict == "refuted" and rep.exact
 
 
+def test_check_interpretation_first_order_refutation_through_a_non_axiom_is_bounded():
+    # the axiom's atom (R v1 v0) needs a substitution chain past v1, so the
+    # axiom itself is skipped; its conjunct (P v0) held in t1's models only
+    # up to the bound, so failing it in t2 refutes only up to that bound
+    lang = Language.make("RP", {"P": 1, "R": 2}, 2)
+    t1 = Theory.make("t1", lang, ["(and (R v1 v0) (forall v0 (P v0)))"])
+    t2 = Theory.make("t2", lang, [])
+    rep = check_interpretation(identity_translation(lang, lang), t1, t2, 2)
+    assert (rep.verdict, rep.exact, rep.bound) == ("refuted", False, 2)
+    assert rep.witness_formula == atom("P", (0,))
+    assert rep.note == (
+        "theoremhood not preserved, bounded: t1 proves the formula only up to size 2"
+    )
+
+
 def test_check_interpretation_not_faithful():
     # everything maps to theorems, but falsity is not reflected
     t1 = Theory.make("free", Language.make("LP", {"P": 0}, 0), [])

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
+import inspect
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -368,6 +371,34 @@ def test_conservative_extension_refuted_with_psi_witness():
     assert res.witness_formula is not None  # not psi(k) for the missing size
 
 
+def test_conservativity_beyond_the_variable_bound():
+    pure2, lang = Language.make("Eq2", {}, 2), Language.make("E2", {"E": 2}, 2)
+    # a reduct that fails an axiom of t1 refutes at any size: here the
+    # 2-element set, at k = 2 = n
+    one_point = Theory.make("one", pure2, ["(forall v0 (forall v1 (= v0 v1)))"])
+    res = conservative_extension(one_point, Theory.make("free", lang, []), 3)
+    assert res.holds is False and res.bound == 2 and res.witness_model.size == 2
+    # one point, or a tournament where every point beats another: none on
+    # two points, but L^2 cannot tell two points from three, so a missing
+    # expansion at k >= n leaves the answer undecided
+    tournament = Theory.make("T", lang, [
+        "(or (forall v0 (forall v1 (= v0 v1))) (and (forall v0 (not (E v0 v0))) "
+        "(and (forall v0 (forall v1 (implies (not (= v0 v1)) (iff (E v0 v1) "
+        "(not (E v1 v0)))))) (forall v0 (exists v1 (E v0 v1))))))",
+    ])
+    assert [spectrum(tournament, k) for k in (1, 2, 3, 4)] == [2, 0, 1, 2]
+    res = conservative_extension(Theory.make("Set", pure2, []), tournament, 4)
+    assert res.holds is None and not res and res.bound == 2
+    assert res.witness_model.size == 2 and res.witness_formula is None
+    # with three variables the same gap refutes, with "not exactly 2" as witness
+    pure3, lang3 = Language.make("Eq3", {}, 3), Language.make("E3", {"E": 2}, 3)
+    res = conservative_extension(
+        Theory.make("Set", pure3, []), Theory("T", lang3, tournament.axioms), 4
+    )
+    assert res.holds is False and res.bound == 2
+    assert res.witness_formula == not_(make_psi_n(2, pure3))
+
+
 def test_sentential_truth_ignores_universe_size():
     phi = parse_formula("(implies P (or P Q))", PQ)
     for row in itertools.product((False, True), repeat=2):
@@ -417,12 +448,42 @@ def test_clear_memory_caches_empties_every_table():
     assert all(tables) and all(f.cache_info().currsize for f in cached)
     # bounded_consequence keeps lane masks beside the model lists it checked
     assert all(semantics._model_memo[posets.key, k][1] is not None for k in (1, 2, 3))
+    space = semantics._space(BIN.symbols, 3)
+    assert space.alive  # the sweep's conjunct memo lives on its space
     clear_memory_caches()
     for table in (*tables, semantics._model_memo, semantics._sat_memo):
         assert not table
     for f in cached:
         assert f.cache_info().currsize == 0
+    fresh = semantics._space(BIN.symbols, 3)
+    assert fresh is not space and not fresh.alive
     assert run() == before
+
+
+def test_assignment_set_leaves_nothing_behind():
+    # with the cyclic collector off, every block assignment_set allocates
+    # must be freed by reference counting when the call returns
+    m = FiniteModel(BIN, 3, {"R": {(0, 1), (1, 2)}})
+    phi = parse_formula("(exists v2 (and (R v0 v2) (not (= v1 v2))))", BIN)
+    expected = assignment_set(m, phi)  # fills the mask tables first
+    lines, first = inspect.getsourcelines(semantics.assignment_set)
+    last = first + len(lines) - 1
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start(25)
+    try:
+        assert assignment_set(m, phi) == expected
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    left = [
+        t for t in snapshot.traces
+        if any(f.filename == semantics.__file__ and first <= f.lineno <= last
+               for f in t.traceback)
+    ]
+    assert left == []
 
 
 # Oracle for the bit-sliced enumeration: every labelled structure checked
@@ -541,6 +602,78 @@ def test_enumeration_matches_brute_force_across_blocks(axioms):
     _check_against_brute_force(*_WIDE_CASE, axioms)
 
 
+# The sweep memo: each space maps (block, conjunct uid) to the mask of the
+# block's codes where the conjunct holds, and every theory over the space
+# reads it. Theories sharing conjuncts, enumerated in any order, must list
+# what a run from empty caches lists, and what the brute force lists.
+@st.composite
+def _shared_conjunct_theories(draw):
+    lang, k = draw(st.sampled_from(_SMALL_CASES))
+    pool = draw(_axioms(lang)) + draw(_axioms(lang))
+    conjunct = st.sampled_from(pool)
+    item = st.one_of(conjunct, st.builds(and_, conjunct, conjunct))
+    theories = draw(st.lists(st.lists(item, min_size=1, max_size=3), min_size=2, max_size=4))
+    return lang, k, theories, draw(st.permutations(range(len(theories))))
+
+
+def _model_list(lang, k, axioms, name="T"):
+    return [model_to_json(m) for m in enumerate_models(Theory(name, lang, axioms), k)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_shared_conjunct_theories())
+def test_sweep_memo_shared_across_theories(case):
+    lang, k, theories, order = case
+    clear_memory_caches()
+    shared = {i: _model_list(lang, k, theories[i], f"T{i}") for i in order}
+    brute = _brute_spaces.setdefault((lang, k), _BruteSpace(lang, k))
+    for i, axioms in enumerate(theories):
+        clear_memory_caches()
+        assert shared[i] == _model_list(lang, k, axioms) == brute.models(axioms)
+
+
+def _memo_uids(lang, k):
+    return {uid for _, uid in semantics._space(lang.symbols, k).alive}
+
+
+def test_sweep_memo_splits_conjunctions():
+    # one axiom (and A (and B C)) against the three axioms A, B, C over
+    # sixteen blocks: the second theory finds every entry in the memo
+    refl, anti, trans = (parse_formula(t, BIN) for t in POSET_AXIOMS)
+    clear_memory_caches()
+    one = _model_list(BIN, 4, [and_(refl, and_(anti, trans))], "one")
+    space = semantics._space(BIN.symbols, 4)
+    entries = dict(space.alive)
+    assert {uid for _, uid in entries} == {refl.uid, anti.uid, trans.uid}
+    assert {block for block, _ in entries} == set(range(16))
+    assert _model_list(BIN, 4, [refl, anti, trans], "three") == one
+    assert space.alive == entries
+    assert len(one) == 16  # posets on four points
+    clear_memory_caches()
+    assert _model_list(BIN, 4, [refl, anti, trans]) == one
+
+
+@pytest.mark.parametrize("texts, conjuncts", [
+    # an open conjunct that no structure satisfies, alone and inside an and
+    (["(not (= v0 v0))"], ["(not (= v0 v0))"]),
+    (["(and (R v0 v1) (not (= v0 v0)))"], ["(R v0 v1)", "(not (= v0 v0))"]),
+    # open conjuncts, universally closed
+    (["(and (R v0 v1) (exists v2 (not (R v2 v2))))"], ["(R v0 v1)", "(exists v2 (not (R v2 v2)))"]),
+    # a conjunct repeated within one theory is swept once
+    (["(R v0 v0)", "(and (exists v1 (R v0 v1)) (R v0 v0))", "(R v0 v0)"],
+     ["(R v0 v0)", "(exists v1 (R v0 v1))"]),
+])
+def test_sweep_memo_conjunct_cases(texts, conjuncts):
+    lang, k = _SMALL_CASES[3]
+    axioms = [parse_formula(t, lang) for t in texts]
+    clear_memory_caches()
+    _check_against_brute_force(lang, k, axioms)
+    # the memo holds only the top-level conjuncts that were reached
+    assert _memo_uids(lang, k) <= {parse_formula(t, lang).uid for t in conjuncts}
+    parts = [parse_formula(t, lang) for t in conjuncts]
+    assert _model_list(lang, k, parts, "parts") == _model_list(lang, k, axioms)
+
+
 # Burnside: the orbits of an axiom-free theory number the mean, over the
 # k! permutations, of 2^(cycles of the permutation's action on the code
 # bits). Widths 8-20 bits, so the larger ones span several blocks.
@@ -591,8 +724,10 @@ def test_kept_codes_are_the_orbit_minima(lang, k):
 
 def test_perm_cap_bounds_feasible_sizes():
     caps = Caps(max_size=4, max_perm_size=3)
-    s1 = Theory.make("S1", Language.make("A", {"A": 1}, 1), [])
-    s2 = Theory.make("S2", Language.make("AB", {"A": 1, "B": 1}, 1), [])
+    # 5 variables: spectrum evidence counts up to size 4, so the perm cap
+    # is what stops it at 3
+    s1 = Theory.make("S1", Language.make("A", {"A": 1}, 5), [])
+    s2 = Theory.make("S2", Language.make("AB", {"A": 1, "B": 1}, 5), [])
     assert enumeration_feasible(s1, 3, caps) and not enumeration_feasible(s1, 4, caps)
     assert enumeration_feasible(Theory.make("p", PQ, ["P"]), 4, caps)  # no permutations
     evidence = lower_bound_certificates(s1, s2, rank_cap=1, caps=caps)
@@ -617,8 +752,8 @@ _SWEPT_WIDE = (Language.make("CPR", {"C": 0, "P": 1, "R": 2}, 2), 3)
 
 
 def _check_sweep(lang, k, axioms):
-    swept = 0
-    for base, alive in semantics._satisfying_blocks(semantics._space(lang.symbols, k), axioms):
+    swept, space = 0, semantics._space(lang.symbols, k)
+    for base, alive, _ in semantics._satisfying_blocks(space, axioms, space.alive):
         assert alive and swept >> base == 0  # blocks with a model, ascending
         swept |= alive << base
     width = sum(k**rank for _, rank in lang.symbols)
