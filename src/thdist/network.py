@@ -14,7 +14,6 @@ Asserted certificates taint results to status "conditional".
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from functools import cached_property, total_ordering
 from typing import Iterable, Mapping, NamedTuple
@@ -24,6 +23,7 @@ from .relations import (
     ASSERTED,
     DECLARED,
     REFUTED,
+    UNDECIDED,
     VERIFIED_BOUNDED,
     VERIFIED_EXACT,
     CertStatus,
@@ -122,15 +122,17 @@ class NetEdge(NamedTuple):
 
 class ClusterNetwork:
     # __dict__ holds the distance engine, built on the first query
-    __slots__ = ("name", "mode", "nodes", "edges", "__dict__")
+    __slots__ = ("name", "mode", "nodes", "edges", "undecided", "__dict__")
 
     def __init__(
-        self, name: str, mode: str, nodes: tuple[str, ...], edges: tuple[NetEdge, ...]
+        self, name: str, mode: str, nodes: tuple[str, ...], edges: tuple[NetEdge, ...],
+        undecided: tuple[str, ...] = (),
     ) -> None:
         self.name = name
         self.mode = mode  # symmetric | directed
         self.nodes = nodes
         self.edges = edges
+        self.undecided = undecided  # labels of undecided certificates left out
         known = set(nodes)
         for e in edges:
             if e.a not in known or e.b not in known:
@@ -226,20 +228,6 @@ class DistanceResult(NamedTuple):
         return out
 
 
-def _result_from_path(value: int, witness: PathWitness) -> DistanceResult:
-    states = [s.state for s in witness.steps]
-    asserted = tuple(
-        s.edge_label for s in witness.steps if s.state == ASSERTED
-    )
-    if asserted:
-        status = "conditional"
-    elif any(st == VERIFIED_BOUNDED for st in states):
-        status = "bounded"
-    else:
-        status = "exact"
-    return DistanceResult(fin(value), witness, status, asserted)
-
-
 _STATE_RANK = {VERIFIED_EXACT: 0, VERIFIED_BOUNDED: 1, ASSERTED: 2}
 
 
@@ -255,15 +243,17 @@ class _DistanceEngine:
     def __init__(self, net: ClusterNetwork) -> None:
         self.names = tuple(dict.fromkeys(net.nodes))
         self.index = {n: i for i, n in enumerate(self.names)}
-        self.moves: list[list[tuple[int, PathStep]]] = [[] for _ in self.names]
+        undecided = ", ".join(net.undecided)
+        self.notes = (f"undecided certificates left out: {undecided}",) if undecided else ()
+        self.moves: list[list[tuple[int, int, PathStep]]] = [[] for _ in self.names]
         for e in net.edges:
             a, b = self.index[e.a], self.index[e.b]
-            label, state = e.label(), e.state()
-            self.moves[a].append((b, PathStep(e.a, e.b, e.weight, e.kind, label, state)))
+            label, state, w = e.label(), e.state(), e.weight
+            self.moves[a].append((b, w, PathStep(e.a, e.b, w, e.kind, label, state)))
             if not e.directed:
-                self.moves[b].append((a, PathStep(e.b, e.a, e.weight, e.kind, label, state)))
+                self.moves[b].append((a, w, PathStep(e.b, e.a, w, e.kind, label, state)))
         for entries in self.moves:
-            entries.sort(key=lambda t: (t[1].bit, _STATE_RANK.get(t[1].state, 3)))
+            entries.sort(key=lambda t: (t[1], _STATE_RANK.get(t[2].state, 3)))
         self.runs: dict[str, SourceDistances] = {}
 
     def from_source(self, source: str) -> "SourceDistances":
@@ -273,62 +263,67 @@ class _DistanceEngine:
         return run
 
     def _zero_one_bfs(self, source: int) -> "SourceDistances":
-        dist: list[float] = [math.inf] * len(self.names)
-        parent: list[tuple[int, PathStep] | None] = [None] * len(self.names)
+        # the deque stays sorted by push distance: expand a node on its first pop;
+        # n, past every distance, marks the nodes not reached
+        n = len(self.names)
+        dist, parent, expanded = [n] * n, [None] * n, bytearray(n)
         dist[source] = 0
         moves = self.moves
-        dq: deque[tuple[int, int]] = deque([(0, source)])
+        dq = deque((source,))
+        pop, push_front, push_back = dq.popleft, dq.appendleft, dq.append
         while dq:
-            d, u = dq.popleft()
-            if d > dist[u]:
+            u = pop()
+            if expanded[u]:
                 continue
-            for v, step in moves[u]:
-                nd = d + step.bit
+            expanded[u] = 1
+            d = dist[u]
+            for v, bit, step in moves[u]:
+                nd = d + bit
                 if nd < dist[v]:
                     dist[v] = nd
-                    parent[v] = (u, step)
-                    if step.bit == 0:
-                        dq.appendleft((nd, v))
+                    parent[v] = step
+                    if bit:
+                        push_back(v)
                     else:
-                        dq.append((nd, v))
-        return SourceDistances(self.names, self.index, source, dist, parent)
+                        push_front(v)
+        return SourceDistances(self.names, self.index, source, dist, parent, self.notes)
 
 
 class SourceDistances(Mapping[str, DistanceResult]):
     """Distances from one source to every node of its network, read off a
     single 0/1-BFS. A target's witness is walked back through the parent
-    map when the target is looked up."""
+    steps when the target is looked up. On a network that left undecided
+    certificates out, no answer is better than bounded."""
 
     def __init__(
-        self,
-        names: tuple[str, ...],
-        index: dict[str, int],
-        source: int,
-        dist: list[float],
-        parent: list[tuple[int, PathStep] | None],
+        self, names: tuple[str, ...], index: dict[str, int], source: int,
+        dist: list[int], parent: list[PathStep | None], notes: tuple[str, ...],
     ) -> None:
         # no reference back to the engine, so that dropping a network
         # frees its memo at once rather than at the next cycle collection
-        self._names = names
-        self._index = index
-        self._source = source
-        self._dist = dist
-        self._parent = parent
+        self._names, self._index, self._source = names, index, source
+        self._dist, self._parent, self._notes = dist, parent, notes
 
     def __getitem__(self, target: str) -> DistanceResult:
-        node = self._index[target]
+        index, parent, source, notes = self._index, self._parent, self._source, self._notes
+        node = index[target]
         value = self._dist[node]
-        if value == math.inf:
-            return DistanceResult(INFINITY, None, "exact", (), EXHAUSTED)
-        steps: list[PathStep] = []
-        while node != self._source:
-            node, step = self._parent[node]
+        if value == len(self._names):
+            status = "bounded" if notes else "exact"
+            return DistanceResult(INFINITY, None, status, (), EXHAUSTED, notes)
+        steps, asserted, bounded = [], [], bool(notes)
+        while node != source:
+            step = parent[node]
             steps.append(step)
+            if step.state == ASSERTED:
+                asserted.append(step.edge_label)
+            elif step.state == VERIFIED_BOUNDED:
+                bounded = True
+            node = index[step.source]
         steps.reverse()
-        witness = PathWitness(
-            (self._names[self._source], *(s.target for s in steps)), tuple(steps)
-        )
-        return _result_from_path(value, witness)
+        status = "conditional" if asserted else "bounded" if bounded else "exact"
+        witness = PathWitness((self._names[source], *[s.target for s in steps]), tuple(steps))
+        return DistanceResult(ExtNat(value), witness, status, tuple(asserted[::-1]), None, notes)
 
     def __iter__(self):
         return iter(self._names)
@@ -401,7 +396,9 @@ def build_network(
     verified here; refuted ones never enter. On sentential same-language
     pairs the logical-equivalence and (for axiom networks) axiom-adding
     relations are added exactly from Sat-sets. Logical equivalence also
-    yields defeq edges: the identity translations witness them.
+    yields defeq edges: the identity translations witness them. The
+    labels of undecided certificates are kept, and no distance on the
+    network is then better than bounded.
     """
     if equiv not in _EQUIV_KINDS or step not in _STEP_KINDS:
         raise LanguageError(f"unknown network declaration {equiv}/{step}")
@@ -414,6 +411,7 @@ def build_network(
     equiv_kinds = set(_EQUIV_KINDS[equiv])
     nodes = tuple(theories)
     edges: list[NetEdge] = []
+    undecided: list[str] = []
     for cert in certificates:
         if cert.kind not in step_kinds and cert.kind not in equiv_kinds:
             continue
@@ -422,6 +420,8 @@ def build_network(
         if cert.status.state == DECLARED:
             verify_certificate(cert, theories, bound, caps)
         if not cert.status.usable:
+            if cert.status.state == UNDECIDED:
+                undecided.append(cert.label())
             continue
         weight = 0 if cert.kind in equiv_kinds else 1
         edges.append(
@@ -458,7 +458,7 @@ def build_network(
                             edges.append(NetEdge(u, v, 1, "axiom-add", directed=True))
                         if up:
                             edges.append(NetEdge(v, u, 1, "axiom-add", directed=True))
-    return ClusterNetwork(name, mode, nodes, tuple(edges))
+    return ClusterNetwork(name, mode, nodes, tuple(edges), tuple(undecided))
 
 
 # ---------------------------------------------------------------------------

@@ -664,12 +664,14 @@ def _holds(
         return out
 
     alive = full
-    for phi in formulas:
-        for x in go(phi):
-            alive &= x
-        if not alive:
-            break
-    memo.clear()  # go and lift form a reference cycle: free the tables now
+    try:
+        for phi in formulas:
+            for x in go(phi):
+                alive &= x
+            if not alive:
+                break
+    finally:
+        fv = lift = go = None  # the closures reference each other: break the cycle
     return alive
 
 

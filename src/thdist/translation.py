@@ -135,7 +135,10 @@ def apply_translation(tr: Translation, phi: Formula) -> Formula:
         memo[f.uid] = out
         return out
 
-    result = go(phi)
+    try:
+        result = go(phi)
+    finally:
+        go = None  # go references itself: break the cycle
     validate_formula(result, tr.target)
     return result
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import types
 
 import pytest
 
@@ -89,6 +91,28 @@ def test_deliberately_wrong_axiom_add_refuted():
     assert len(report.refuted) == 1
     status = report.entries[0][1]
     assert status.state == "refuted" and status.witness is not None
+
+
+def test_verify_all_leaves_no_closure_cycles():
+    # the evaluator's and the translator's nested closures are unbound on
+    # return, so a cold pass leaves none of them for the cyclic collector
+    gc.collect()
+    clear_memory_caches()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        verify_all(loads_catalog(shipped_catalog_text()))
+        gc.collect()
+        left = {
+            obj.__qualname__ for obj in gc.garbage
+            if isinstance(obj, types.FunctionType)
+            and obj.__qualname__.startswith(("_holds.<locals>", "apply_translation.<locals>"))
+        }
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == set()
 
 
 def test_deterministic_reports(examples_catalog):

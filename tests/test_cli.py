@@ -112,8 +112,12 @@ def test_size_evidence_beyond_the_variable_bound_decides_nothing(tmp_path, capsy
     assert status["state"] == "undecided" and status["bound"] == 2
     code, out, _ = run(capsys, "dist", f"{path}:N", "Set", "T")
     assert code == 0
-    evidence = json.loads(out)["lower_bound"]
+    data = json.loads(out)
+    evidence = data["lower_bound"]
     assert evidence["kind"] == "growth-certificate" and evidence["size"] == 1
+    # the undecided concept-add builds no edge, so "no path" is not exact
+    assert data["distance"] == "infinity" and data["status"] == "bounded"
+    assert data["notes"] == ["undecided certificates left out: c0"]
 
 
 def test_dist_builtin_human(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from thdist.network import (
     INFINITY,
     ClusterNetwork,
     NetEdge,
+    PathStep,
     axiomatic_distance,
     bidirected_conceptual_distance,
     build_network,
@@ -139,6 +141,27 @@ def test_witness_tie_break_and_per_network_memo():
     assert res.status == "conditional"
     assert res.asserted_used == ("ab-asserted", "cd-asserted")
     assert step_distance(net, "A", "D") == first
+
+
+def test_undecided_certificates_cap_every_answer_at_bounded():
+    edges = (
+        _certified("A", "B", 1, "verified-exact", "ab-exact"),
+        _certified("B", "C", 1, "asserted", "bc-asserted"),
+    )
+    plain = ClusterNetwork("u", "symmetric", tuple("ABCD"), edges)
+    assert step_distance(plain, "A", "B").status == "exact"
+    assert step_distance(plain, "A", "D").status == "exact"
+    net = ClusterNetwork("u", "symmetric", tuple("ABCD"), edges, ("ad-open", "cd-open"))
+    note = ("undecided certificates left out: ad-open, cd-open",)
+    for target, value, status in (
+        ("A", fin(0), "bounded"),
+        ("B", fin(1), "bounded"),
+        ("C", fin(2), "conditional"),
+        ("D", INFINITY, "bounded"),
+    ):
+        res = step_distance(net, "A", target)
+        assert (res.value, res.status, res.notes) == (value, status, note)
+    assert step_distance(net, "A", "C").asserted_used == ("bc-asserted",)
 
 
 def test_refuted_certificates_never_enter_networks():
@@ -296,6 +319,97 @@ def test_distances_from_and_matrix_match_floyd_warshall(net):
             assert witness.nodes[0] == a and witness.nodes[-1] == b
             for here, s in zip(witness.nodes, witness.steps):
                 assert s.source == here and (s.source, s.target, s.bit) in moves
+
+
+_STATES = ("verified-exact", "verified-bounded", "asserted", None)  # None: auto edge
+
+
+@st.composite
+def _certified_multigraphs(draw):
+    # parallel edges between one pair differ in weight, state or both
+    directed = draw(st.booleans())
+    n = draw(st.integers(1, 9))
+    nodes = tuple(f"n{i}" for i in range(n))
+    node = st.integers(0, n - 1)
+    copy = st.tuples(st.integers(0, 1), st.sampled_from(_STATES))
+    bundles = draw(st.lists(st.tuples(node, node, st.lists(copy, min_size=1, max_size=3)),
+                            max_size=2 * n))
+    edges = []
+    for a, b, copies in bundles:
+        for weight, state in copies:
+            kind = "equiv" if weight == 0 else "axiom-add"
+            cert = None
+            if state is not None:
+                name = f"e{len(edges)}"
+                cert = EdgeCertificate(kind, nodes[a], nodes[b], name=name,
+                                       status=CertStatus(state))
+            edges.append(NetEdge(nodes[a], nodes[b], weight, kind,
+                                 cert.status if cert else None, cert, directed and weight == 1))
+    return ClusterNetwork("multi", "directed" if directed else "symmetric", nodes,
+                          tuple(edges))
+
+
+def _tuple_deque_answers(net, source):
+    """The (d, u)-tuple deque BFS with (u, step) parents and the per-path
+    status that the distance engine used before its one-pass walk:
+    target -> (value, status, asserted, nodes, step labels)."""
+    rank = {"verified-exact": 0, "verified-bounded": 1, "asserted": 2}
+    names = tuple(dict.fromkeys(net.nodes))
+    index = {x: i for i, x in enumerate(names)}
+    moves = [[] for _ in names]
+    for e in net.edges:
+        a, b = index[e.a], index[e.b]
+        label, state = e.label(), e.state()
+        moves[a].append((b, PathStep(e.a, e.b, e.weight, e.kind, label, state)))
+        if not e.directed:
+            moves[b].append((a, PathStep(e.b, e.a, e.weight, e.kind, label, state)))
+    for entries in moves:
+        entries.sort(key=lambda t: (t[1].bit, rank.get(t[1].state, 3)))
+    dist, parent = [math.inf] * len(names), [None] * len(names)
+    dist[index[source]] = 0
+    dq = deque([(0, index[source])])
+    while dq:
+        d, u = dq.popleft()
+        if d > dist[u]:
+            continue
+        for v, step in moves[u]:
+            if d + step.bit < dist[v]:
+                dist[v], parent[v] = d + step.bit, (u, step)
+                (dq.appendleft if step.bit == 0 else dq.append)((d + step.bit, v))
+    answers = {}
+    for target in names:
+        node = index[target]
+        if dist[node] == math.inf:
+            answers[target] = (None, "exact", (), None, None)
+            continue
+        steps = []
+        while node != index[source]:
+            node, step = parent[node]
+            steps.append(step)
+        steps.reverse()
+        asserted = tuple(s.edge_label for s in steps if s.state == "asserted")
+        bounded = any(s.state == "verified-bounded" for s in steps)
+        status = "conditional" if asserted else "bounded" if bounded else "exact"
+        nodes = (source, *(s.target for s in steps))
+        answers[target] = (dist[index[target]], status, asserted, nodes,
+                           [s.edge_label for s in steps])
+    return answers
+
+
+@settings(max_examples=150, deadline=None)
+@given(_certified_multigraphs())
+def test_witnesses_match_the_tuple_deque_bfs(net):
+    for a in net.nodes:
+        want = _tuple_deque_answers(net, a)
+        row = distances_from(net, a)
+        for b in net.nodes:
+            res = row[b]
+            got = (
+                res.value.value, res.status, res.asserted_used,
+                res.witness and res.witness.nodes,
+                res.witness and [s.edge_label for s in res.witness.steps],
+            )
+            assert got == want[b]
 
 
 @settings(max_examples=30, deadline=None)
