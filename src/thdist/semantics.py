@@ -1,14 +1,14 @@
 """Finite-model semantics: evaluation, enumeration up to isomorphism,
 spectra, bounded consequence and equivalence, conservative extensions.
 
-Evaluation comes in three forms. `eval_formula` implements the satisfaction
-clauses one assignment at a time. `assignment_set` computes the whole set of
-satisfying assignments of a formula in one bottom-up pass, encoded as an
-integer bitmask over the k^n assignments in lexicographic order; concept
-closures run on these masks. `_holds` turns the evaluation sideways, one
-bit (lane) per packed structure: enumeration sweeps blocks of codes with it
-and bounded checks a theory's model list. All three agree, which the test
-suite checks by property.
+Evaluation comes in two forms. `eval_formula` implements the satisfaction
+clauses one assignment at a time; it is the reference. `_Tables` evaluates
+sideways, one bit (lane) per packed structure, each subformula a table of
+lane masks over its free variables: enumeration sweeps blocks of codes with
+it and bounded checks a theory's model list. `assignment_set` and `is_true`
+are its one-lane case; `assignment_set` packs the table into an integer
+bitmask over the k^n assignments in lexicographic order, and concept
+closures run on these masks. The test suite checks both forms agree.
 
 The sweep splits axioms at their top-level ands and evaluates each
 conjunct at most once per block of codes of a signature and size: the
@@ -50,7 +50,6 @@ from .syntax import (
     not_,
     parse_formula,
     print_formula,
-    subformulas,
     validate_formula,
 )
 
@@ -214,54 +213,12 @@ def eval_formula(model: FiniteModel, assignment: Sequence[int], phi: Formula) ->
 
 
 # ---------------------------------------------------------------------------
-# Assignment-set (bitmask) evaluation
+# Assignment sets: the table evaluator on one lane
 
-_eq_masks: dict[tuple[int, int, int, int], int] = {}
-_proj_masks: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
-_exists_groups: dict[tuple[int, int, int], list[int]] = {}
-
-
-def _assignments(k: int, n: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(k), repeat=n))
-
-
-def _eq_mask(k: int, n: int, i: int, j: int) -> int:
-    key = (k, n, i, j)
-    mask = _eq_masks.get(key)
-    if mask is None:
-        mask = 0
-        for idx, a in enumerate(_assignments(k, n)):
-            if a[i] == a[j]:
-                mask |= 1 << idx
-        _eq_masks[key] = mask
-    return mask
-
-
-def _proj_mask(k: int, n: int, args: tuple[int, ...]) -> list[int]:
-    """Per tuple index (lexicographic, as in the packed code): the mask of
-    the assignments that send `args` to that tuple."""
-    key = (k, n, args)
-    table = _proj_masks.get(key)
-    if table is None:
-        table = [0] * k ** len(args)
-        for idx, a in enumerate(_assignments(k, n)):
-            table[_index(k, [a[x] for x in args])] |= 1 << idx
-        _proj_masks[key] = table
-    return table
-
-
+@functools.lru_cache(maxsize=None)
 def exists_groups(k: int, n: int, var: int) -> list[int]:
     """Masks of assignment groups agreeing everywhere but coordinate `var`."""
-    key = (k, n, var)
-    groups = _exists_groups.get(key)
-    if groups is None:
-        buckets: dict[tuple[int, ...], int] = {}
-        for idx, a in enumerate(_assignments(k, n)):
-            rest = a[:var] + a[var + 1 :]
-            buckets[rest] = buckets.get(rest, 0) | (1 << idx)
-        groups = list(buckets.values())
-        _exists_groups[key] = groups
-    return groups
+    return [sum(1 << i for i in g) for g in zip(*_fibres(k, n, var))]
 
 
 def cylindrify(mask: int, k: int, n: int, var: int) -> int:
@@ -272,42 +229,25 @@ def cylindrify(mask: int, k: int, n: int, var: int) -> int:
     return out
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _one_lane(model: FiniteModel) -> "_Tables":
+    """The tables of one lane, the model: bits[j] is bit j of its code."""
+    space, code = _space(model.lang.symbols, model.size), model.code
+    return _Tables(space, [code >> j & 1 for j in range(space.width)], 1, {})
+
+
 def assignment_set(model: FiniteModel, phi: Formula) -> int:
-    """Bitmask of assignments satisfying `phi` (lexicographic order)."""
-    k, n = model.size, model.lang.var_bound
-    full = (1 << (k**n)) - 1
-    blocks, code = _space(model.lang.symbols, k).blocks, model.code
-    memo: dict[int, int] = {}
-    for f in subformulas(phi):  # children first
-        if isinstance(f, Eq):
-            out = _eq_mask(k, n, f.i, f.j)
-        elif isinstance(f, Atom):
-            rank, offset = blocks[f.sym]
-            bits = code >> offset & (1 << k**rank) - 1
-            if rank == 0:
-                out = full if bits else 0
-            else:
-                table = _proj_mask(k, n, f.args)
-                out = 0
-                while bits:
-                    low = bits & -bits
-                    out |= table[low.bit_length() - 1]
-                    bits ^= low
-        elif isinstance(f, And):
-            out = memo[f.lhs.uid] & memo[f.rhs.uid]
-        elif isinstance(f, Not):
-            out = full ^ memo[f.sub.uid]
-        else:
-            assert isinstance(f, Exists)
-            out = cylindrify(memo[f.sub.uid], k, n, f.var)
-        memo[f.uid] = out
-    return memo[phi.uid]
+    """Bitmask of assignments satisfying `phi` (lexicographic order): its
+    one-lane table lifted to v0..varBound-1, entry i as bit i."""
+    table = _one_lane(model).lift(phi, tuple(range(model.lang.var_bound)))
+    return int(bytes(table[::-1]).translate(_DIGITS), 2)
 
 
 def is_true(model: FiniteModel, phi: Formula) -> bool:
     """True in the model: satisfied under every assignment."""
-    k, n = model.size, model.lang.var_bound
-    return assignment_set(model, phi) == (1 << (k**n)) - 1
+    return all(_one_lane(model).table(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -601,58 +541,63 @@ def _satisfying_blocks(
             yield block << w, alive, bits
 
 
-def _holds(
-    space: _Space, bits: Sequence[int], full: int, formulas: Sequence[Formula], free: dict
-) -> int:
-    """The lanes of `full` in which every formula holds under every
-    assignment, bits[j] masking the lanes whose code has bit j set. A
-    subformula is a table of lane masks over the assignments of its own
-    sorted free variables (`free` memoises them by uid): an atom gathers
-    its code bits, `=` is full or a k x k table, not works entrywise,
-    and lifts both sides to their union of variables via `_restriction`,
-    exists ORs over the `_fibres` of its variable."""
-    k = space.k
-    memo: dict[int, list[int]] = {}
+class _Tables:
+    """Per subformula, a table of lane masks over the assignments of its
+    own sorted free variables (lexicographic), bits[j] masking the lanes
+    of `full` whose code has bit j set. `free` memoises the free
+    variables by uid and may be shared; the tables are memoised per
+    instance. An atom gathers its code bits, `=` is full or a k x k
+    table, not works entrywise, and lifts both sides to their union of
+    variables via `_restriction`, exists ORs over the `_fibres` of its
+    variable."""
 
-    def fv(f: Formula) -> tuple[int, ...]:
-        vs = free.get(f.uid)
+    __slots__ = ("k", "blocks", "bits", "full", "free", "memo")
+
+    def __init__(self, space: _Space, bits: Sequence[int], full: int, free: dict):
+        self.k, self.blocks, self.bits, self.full = space.k, space.blocks, bits, full
+        self.free, self.memo = free, {}
+
+    def fv(self, f: Formula) -> tuple[int, ...]:
+        vs = self.free.get(f.uid)
         if vs is None:
             if isinstance(f, Eq):
                 vs = {f.i, f.j} if f.i != f.j else ()
             elif isinstance(f, Atom):
                 vs = set(f.args)
             elif isinstance(f, And):
-                vs = {*fv(f.lhs), *fv(f.rhs)}
+                vs = {*self.fv(f.lhs), *self.fv(f.rhs)}
             elif isinstance(f, Not):
-                vs = fv(f.sub)
+                vs = self.fv(f.sub)
             else:
-                vs = set(fv(f.sub)) - {f.var}
-            vs = free[f.uid] = tuple(sorted(vs))
+                vs = set(self.fv(f.sub)) - {f.var}
+            vs = self.free[f.uid] = tuple(sorted(vs))
         return vs
 
-    def lift(f: Formula, vs: tuple[int, ...]) -> list[int]:
-        sub, table = fv(f), go(f)
-        return table if sub == vs else list(map(table.__getitem__, _restriction(k, vs, sub)))
+    def lift(self, f: Formula, vs: tuple[int, ...]) -> list[int]:
+        """f's table over vs, a sorted superset of its free variables."""
+        sub, table = self.fv(f), self.table(f)
+        return table if sub == vs else list(map(table.__getitem__, _restriction(self.k, vs, sub)))
 
-    def go(f: Formula) -> list[int]:
-        out = memo.get(f.uid)
+    def table(self, f: Formula) -> list[int]:
+        out = self.memo.get(f.uid)
         if out is not None:
             return out
+        k, full = self.k, self.full
         if isinstance(f, Eq):
             out = [full] if f.i == f.j else [
                 full if a == b else 0 for a in range(k) for b in range(k)
             ]
         elif isinstance(f, Atom):
-            rank, offset = space.blocks[f.sym]
-            own = bits[offset : offset + k**rank]  # the symbol's code bits
-            out = list(map(own.__getitem__, _restriction(k, fv(f), f.args)))
+            rank, offset = self.blocks[f.sym]
+            own = self.bits[offset : offset + k**rank]  # the symbol's code bits
+            out = list(map(own.__getitem__, _restriction(k, self.fv(f), f.args)))
         elif isinstance(f, And):
-            vs = fv(f)
-            out = list(map(operator.and_, lift(f.lhs, vs), lift(f.rhs, vs)))
+            vs = self.fv(f)
+            out = list(map(operator.and_, self.lift(f.lhs, vs), self.lift(f.rhs, vs)))
         elif isinstance(f, Not):
-            out = list(map(full.__xor__, go(f.sub)))
+            out = list(map(full.__xor__, self.table(f.sub)))
         else:
-            sub, vs = go(f.sub), fv(f.sub)
+            sub, vs = self.table(f.sub), self.fv(f.sub)
             if f.var in vs:
                 first, *rest = _fibres(k, len(vs), vs.index(f.var))
                 out = list(map(sub.__getitem__, first))
@@ -660,18 +605,21 @@ def _holds(
                     out = list(map(operator.or_, out, map(sub.__getitem__, idx)))
             else:
                 out = sub
-        memo[f.uid] = out
+        self.memo[f.uid] = out
         return out
 
-    alive = full
-    try:
-        for phi in formulas:
-            for x in go(phi):
-                alive &= x
-            if not alive:
-                break
-    finally:
-        fv = lift = go = None  # the closures reference each other: break the cycle
+
+def _holds(
+    space: _Space, bits: Sequence[int], full: int, formulas: Sequence[Formula], free: dict
+) -> int:
+    """The lanes of `full` in which every formula holds under every
+    assignment: the AND over each formula's `_Tables` table."""
+    tables, alive = _Tables(space, bits, full, free), full
+    for phi in formulas:
+        for x in tables.table(phi):
+            alive &= x
+        if not alive:
+            break
     return alive
 
 
@@ -713,11 +661,9 @@ def set_profile_store(store) -> None:
 def clear_memory_caches() -> None:
     _model_memo.clear()
     _sat_memo.clear()
-    _eq_masks.clear()
-    _proj_masks.clear()
-    _exists_groups.clear()
     _restriction.cache_clear()
     _fibres.cache_clear()
+    exists_groups.cache_clear()
     _space.cache_clear()
 
 

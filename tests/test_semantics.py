@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gc
-import inspect
 import itertools
 import tracemalloc
 
@@ -56,6 +55,12 @@ PQ = Language.make("PQ", {"P": 0, "Q": 0}, 0)
 PURE = Language.make("Pure", {}, 4)
 
 
+def _true(model, phi):
+    """Reference truth: eval_formula under every assignment."""
+    taus = itertools.product(range(model.size), repeat=model.lang.var_bound)
+    return all(eval_formula(model, tau, phi) for tau in taus)
+
+
 def test_eval_satisfaction_clauses():
     m = FiniteModel(BIN, 2, {"R": {(0, 1)}})
     phi = parse_formula("(exists v1 (R v0 v1))", BIN)
@@ -83,43 +88,12 @@ def test_rank0_atom_truth():
     assert is_true(m, atom("P")) and not is_true(m, atom("Q"))
 
 
-_sizes = st.integers(1, 3)
-
-
 @st.composite
-def _bin_models(draw, size=_sizes):
+def _bin_models(draw, size=st.integers(1, 3)):
     k = draw(size)
     pairs = list(itertools.product(range(k), repeat=2))
     rel = {p for p in pairs if draw(st.booleans())}
     return FiniteModel(BIN, k, {"R": rel})
-
-
-_var = st.integers(0, 2)
-_formula = st.recursive(
-    st.one_of(
-        st.builds(eq, _var, _var),
-        st.builds(lambda i, j: atom("R", (i, j)), _var, _var),
-    ),
-    lambda c: st.one_of(
-        st.builds(and_, c, c),
-        st.builds(not_, c),
-        st.builds(exists, _var, c),
-    ),
-    max_leaves=8,
-)
-
-
-@settings(max_examples=60)
-@given(_bin_models(), _formula)
-def test_assignment_set_agrees_with_eval(model, phi):
-    k, n = model.size, BIN.var_bound
-    mask = assignment_set(model, phi)
-    for idx, tau in enumerate(itertools.product(range(k), repeat=n)):
-        assert bool(mask >> idx & 1) == eval_formula(model, tau, phi)
-    assert is_true(model, phi) == all(
-        eval_formula(model, tau, phi)
-        for tau in itertools.product(range(k), repeat=n)
-    )
 
 
 def test_enumerate_empty_language_one_model_per_size():
@@ -437,21 +411,21 @@ def test_clear_memory_caches_empties_every_table():
         return (
             [model_to_json(x) for x in enumerate_models(posets, 3)],
             assignment_set(m, phi),
+            semantics.cylindrify(assignment_set(m, phi), 3, 3, 2),
             sat_assignments(sent),
             canonical_form(m),
             bounded_consequence(posets, parse_formula("(R v0 v0)", BIN), 3),
         )
 
     before = run()
-    tables = (semantics._eq_masks, semantics._proj_masks, semantics._exists_groups)
-    cached = (semantics._space, semantics._restriction, semantics._fibres)
-    assert all(tables) and all(f.cache_info().currsize for f in cached)
+    cached = (semantics._space, semantics._restriction, semantics._fibres, semantics.exists_groups)
+    assert all(f.cache_info().currsize for f in cached)
     # bounded_consequence keeps lane masks beside the model lists it checked
     assert all(semantics._model_memo[posets.key, k][1] is not None for k in (1, 2, 3))
     space = semantics._space(BIN.symbols, 3)
     assert space.alive  # the sweep's conjunct memo lives on its space
     clear_memory_caches()
-    for table in (*tables, semantics._model_memo, semantics._sat_memo):
+    for table in (semantics._model_memo, semantics._sat_memo):
         assert not table
     for f in cached:
         assert f.cache_info().currsize == 0
@@ -461,29 +435,44 @@ def test_clear_memory_caches_empties_every_table():
 
 
 def test_assignment_set_leaves_nothing_behind():
-    # with the cyclic collector off, every block assignment_set allocates
-    # must be freed by reference counting when the call returns
+    # with the cyclic collector off, what assignment_set and is_true
+    # allocate is freed by reference counting: a collection finds no
+    # garbage, and the memory traced to semantics.py is no larger after
+    # 500 more calls than after one. Each measure runs a full collection
+    # first, which also empties the interpreter's free lists, so a list
+    # header kept there for reuse does not count.
     m = FiniteModel(BIN, 3, {"R": {(0, 1), (1, 2)}})
     phi = parse_formula("(exists v2 (and (R v0 v2) (not (= v1 v2))))", BIN)
-    expected = assignment_set(m, phi)  # fills the mask tables first
-    lines, first = inspect.getsourcelines(semantics.assignment_set)
-    last = first + len(lines) - 1
+    expected = assignment_set(m, phi), is_true(m, phi)  # fills the lru tables first
+    here = [tracemalloc.Filter(True, semantics.__file__, all_frames=True)]
+
+    def call():
+        assert (assignment_set(m, phi), is_true(m, phi)) == expected
+
+    def traced():
+        gc.collect()
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(here).traces)
+
+    gc.collect()
     enabled = gc.isenabled()
     gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
     tracemalloc.start(25)
     try:
-        assert assignment_set(m, phi) == expected
-        snapshot = tracemalloc.take_snapshot()
+        call()
+        once = traced()
+        for _ in range(500):
+            call()
+        many = traced()
+        garbage = list(gc.garbage)
     finally:
         tracemalloc.stop()
+        gc.set_debug(0)
+        gc.garbage.clear()
         if enabled:
             gc.enable()
-    left = [
-        t for t in snapshot.traces
-        if any(f.filename == semantics.__file__ and first <= f.lineno <= last
-               for f in t.traceback)
-    ]
-    assert left == []
+    assert garbage == []
+    assert many <= once
 
 
 # Oracle for the bit-sliced enumeration: every labelled structure checked
@@ -562,21 +551,26 @@ _WIDE_CASE = (Language.make("R", {"R": 2}, 2), 4)
 _brute_spaces: dict = {}
 
 
-def _axioms(lang, max_leaves=6):
+def _formulas(lang, max_leaves=6):
     n = lang.var_bound
     var = st.integers(0, n - 1)
-    leaves = [st.builds(eq, var, var)] + [
+    leaves = [st.builds(eq, var, var)] if n else []
+    leaves += [
         st.builds(lambda s, args: atom(s, args), st.just(sym), st.tuples(*[var] * rank))
         for sym, rank in lang.symbols
     ]
-    formula = st.recursive(
+    return st.recursive(
         st.one_of(leaves),
         lambda c: st.one_of(
-            st.builds(and_, c, c), st.builds(not_, c), st.builds(exists, var, c)
+            st.builds(and_, c, c), st.builds(not_, c),
+            *[st.builds(exists, var, c)] if n else [],
         ),
         max_leaves=max_leaves,
     )
-    return st.lists(formula, min_size=1, max_size=2)
+
+
+def _axioms(lang, max_leaves=6):
+    return st.lists(_formulas(lang, max_leaves), min_size=1, max_size=2)
 
 
 def _check_against_brute_force(lang, k, axioms):
@@ -736,7 +730,9 @@ def test_perm_cap_bounds_feasible_sizes():
         conservative_extension(s1, s2, caps=caps)
 
 
-# The sweep's alive masks against is_true on every code-born model. Each
+# The sweep's alive masks against the reference truth on every code-born
+# model (eval_formula under every assignment: is_true runs the sweep's own
+# table evaluator, so it cannot be the oracle here). Each
 # subformula is swept as a table over its own free variables, so the
 # explicit cases hold the shapes where that table is not over all n:
 # axioms with free variables (universally closed), vacuous exists, (= v v)
@@ -751,6 +747,60 @@ _SWEPT = [
 _SWEPT_WIDE = (Language.make("CPR", {"C": 0, "P": 1, "R": 2}, 2), 3)
 
 
+# assignment_set bit by bit, and is_true, against eval_formula over the
+# swept signatures (ranks 0-3), BIN, and a sentential language whose mask
+# has one bit. The examples hold the tables that are not over all n
+# variables: (= v v), a vacuous exists, a repeated argument, sentences,
+# and exists over a variable after the first of its body's.
+_EVAL_LANGS = [BIN, PQ] + [lang for lang, _ in _SWEPT]
+
+
+@st.composite
+def _model_and_formula(draw):
+    lang = draw(st.sampled_from(_EVAL_LANGS))
+    k = draw(st.integers(1, 4))
+    code = draw(st.integers(0, (1 << sum(k**rank for _, rank in lang.symbols)) - 1))
+    return FiniteModel._of_code(lang, k, code), draw(_formulas(lang, max_leaves=8))
+
+
+def _eval_example(lang, k, code, text):
+    return example((FiniteModel._of_code(lang, k, code), parse_formula(text, lang)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model_and_formula())
+@_eval_example(_SWEPT[0][0], 3, 0b1011_0110_1101, "(= v1 v1)")
+@_eval_example(_SWEPT[1][0], 2, 0b10_0110_1101, "(exists v2 (P v0))")
+@_eval_example(_SWEPT[1][0], 2, 0b11_0100_1011, "(T v0 v0 v1)")
+@_eval_example(_SWEPT[2][0], 3, 0b01_0011_0101, "(and (R v2 v2) (not (= v1 v1)))")
+@_eval_example(_SWEPT[2][0], 3, 0b00_1010_0110, "(exists v0 (forall v1 (R v0 v1)))")
+@_eval_example(BIN, 2, 0b0010, "(exists v1 (R v0 v1))")
+@_eval_example(_SWEPT[0][0], 2, 1 << 8, "(exists v2 (T v0 v1 v2))")
+@_eval_example(PQ, 1, 0b01, "(or P (not Q))")
+@_eval_example(PQ, 3, 0b10, "(and P (not Q))")
+def test_assignment_set_agrees_with_eval(case):
+    model, phi = case
+    mask = assignment_set(model, phi)
+    taus = list(itertools.product(range(model.size), repeat=model.lang.var_bound))
+    assert mask >> len(taus) == 0
+    for idx, tau in enumerate(taus):
+        assert bool(mask >> idx & 1) == eval_formula(model, tau, phi)
+    assert is_true(model, phi) == _true(model, phi)
+
+
+def test_exists_groups_match_bucket_definition():
+    # one group per assignment of the other variables, in order of first
+    # appearance: the assignments that agree everywhere but var
+    for k, n in itertools.product(range(1, 5), range(1, 4)):
+        taus = list(itertools.product(range(k), repeat=n))
+        for var in range(n):
+            buckets: dict[tuple, int] = {}
+            for idx, tau in enumerate(taus):
+                rest = tau[:var] + tau[var + 1 :]
+                buckets[rest] = buckets.get(rest, 0) | 1 << idx
+            assert semantics.exists_groups(k, n, var) == list(buckets.values())
+
+
 def _check_sweep(lang, k, axioms):
     swept, space = 0, semantics._space(lang.symbols, k)
     for base, alive, _ in semantics._satisfying_blocks(space, axioms, space.alive):
@@ -759,7 +809,7 @@ def _check_sweep(lang, k, axioms):
     width = sum(k**rank for _, rank in lang.symbols)
     assert swept == sum(
         1 << code for code in range(1 << width)
-        if all(is_true(FiniteModel._of_code(lang, k, code), a) for a in axioms)
+        if all(_true(FiniteModel._of_code(lang, k, code), a) for a in axioms)
     )
 
 
@@ -774,6 +824,7 @@ def _swept_example(case, *texts):
 @_swept_example(_SWEPT[1], "(T v0 v0 v1)", "(exists v2 (P v0))")
 @_swept_example(_SWEPT[2], "(and (R v2 v2) (not (= v1 v1)))")
 @_swept_example(_SWEPT[2], "(exists v0 (or (R v1 v0) (= v0 v2)))")
+@_swept_example(_SWEPT[2], "(exists v1 (R v0 v1))")
 @_swept_example(_SWEPT[3], "(or C (and (P v2) (not (Q v0))))")
 def test_sweep_matches_is_true_per_code(case):
     (lang, k), axioms = case
@@ -789,12 +840,12 @@ def test_sweep_matches_is_true_per_code_across_blocks(axioms):
 
 
 # bounded_consequence and axiom_add_exists check all of a model list at
-# once, one lane per model; the reference checks one model at a time and
-# reports the first that fails.
+# once, one lane per model; the reference checks one model at a time with
+# eval_formula under every assignment and reports the first that fails.
 def _first_failure(theory, bound, formulas):
     for k in range(1, bound + 1):
         for m in enumerate_models(theory, k):
-            if not all(is_true(m, f) for f in formulas):
+            if not all(_true(m, f) for f in formulas):
                 return k, m
     return None
 
@@ -813,6 +864,7 @@ def _lane_example(case, axioms, formulas):
 @_lane_example(_SWEPT[1], ["(T v0 v0 v1)"], ["(exists v2 (P v0))"])
 @_lane_example(_SWEPT[2], ["(R v1 v1)"], ["(and (R v2 v2) (= v1 v1))"])
 @_lane_example(_SWEPT[3], ["(or C (P v0))"], ["(exists v0 (or (Q v1) (= v0 v2)))"])
+@_lane_example(_SWEPT[2], ["(exists v1 (R v0 v1))"], ["(exists v1 (R v1 v0))"])
 def test_bounded_checks_match_is_true_per_model(case):
     (lang, k), axioms, formulas = case
     theory, other = Theory("T", lang, axioms), Theory("U", lang, formulas)
