@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .errors import CatalogError, FormulaSyntaxError, LanguageError, ThdistError
 from .network import (
+    NETWORK_KINDS,
     ClusterNetwork,
     DistanceResult,
     build_network,
@@ -303,11 +304,11 @@ def _parse_network(form: SList, catalog: Catalog) -> None:
     step = _name_of(_one(kw, "step", form))
     mode_node = _one(kw, "mode", form, required=False)
     mode = _name_of(mode_node) if mode_node else "symmetric"
-    if equiv not in ("logical", "defeq"):
+    if equiv not in NETWORK_KINDS["equiv"]:
         raise _err(form, "equiv is logical or defeq")
-    if step not in ("axiom", "concept", "faithful"):
+    if step not in NETWORK_KINDS["step"]:
         raise _err(form, "step is axiom, concept or faithful")
-    if mode not in ("symmetric", "directed"):
+    if mode not in NETWORK_KINDS["mode"]:
         raise _err(form, "mode is symmetric or directed")
     nodes = tuple(_name_of(n) for n in kw.get("nodes", []))
     for n in nodes:

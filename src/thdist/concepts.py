@@ -171,22 +171,14 @@ class ConceptClosure:
 
 
 def concept_closure(
-    model: FiniteModel,
-    n_vars: int | None = None,
-    max_elements: int = 1 << 16,
-    caps: Caps = DEFAULT_CAPS,
+    model: FiniteModel, max_elements: int = 1 << 16, caps: Caps = DEFAULT_CAPS
 ) -> ConceptClosure:
     """Close the model's atom meanings and diagonals under the three
-    generator operations. `n_vars` must be the language's varBound."""
-    lang = model.lang
-    n = lang.var_bound if n_vars is None else n_vars
-    if n != lang.var_bound:
-        raise LanguageError(
-            f"closure runs in the ambient fragment: n={n} != varBound={lang.var_bound}"
-        )
+    generator operations, over the language's varBound variables."""
     if model.size > caps.max_size:
         raise CapExceededError(f"model size {model.size} exceeds cap {caps.max_size}")
-    return ConceptClosure(model, n, _fixpoint([model], max_elements=max_elements))
+    traces = _fixpoint([model], max_elements=max_elements)
+    return ConceptClosure(model, model.lang.var_bound, traces)
 
 
 def closure_formula(closure: ConceptClosure, mask: int) -> Formula:

@@ -28,7 +28,6 @@ from .relations import (
     VERIFIED_EXACT,
     CertStatus,
     EdgeCertificate,
-    _trivial_translations,
     axiom_add_exists,
     verify_certificate,
 )
@@ -370,11 +369,16 @@ def directed_step_distance(net: ClusterNetwork, a: str, b: str) -> DistanceResul
 # ---------------------------------------------------------------------------
 # Building networks from theories and certificates
 
-_EQUIV_KINDS = {"logical": ("equiv",), "defeq": ("defeq", "equiv")}
-_STEP_KINDS = {
-    "axiom": ("axiom-add", "collapse"),
-    "concept": ("concept-add",),
-    "faithful": ("faithful",),
+# What a network declaration admits: the certificate kinds of its 0-edges
+# per :equiv and of its 1-edges per :step, the removal kind a directed
+# network adds to its steps, and the :mode values
+NETWORK_KINDS = {
+    "equiv": {"logical": ("equiv",), "defeq": ("defeq", "equiv")},
+    "step": {
+        "axiom": ("axiom-add", "collapse"), "concept": ("concept-add",), "faithful": ("faithful",)
+    },
+    "removal": {"axiom": ("theorem-remove",), "concept": ("concept-remove",)},
+    "mode": ("symmetric", "directed"),
 }
 
 
@@ -387,7 +391,6 @@ def build_network(
     mode: str = "symmetric",
     bound: int = DEFAULT_BOUND,
     caps: Caps = DEFAULT_CAPS,
-    auto_sentential: bool = True,
 ) -> ClusterNetwork:
     """Assemble a cluster network.
 
@@ -400,22 +403,17 @@ def build_network(
     labels of undecided certificates are kept, and no distance on the
     network is then better than bounded.
     """
-    if equiv not in _EQUIV_KINDS or step not in _STEP_KINDS:
-        raise LanguageError(f"unknown network declaration {equiv}/{step}")
-    step_kinds = set(_STEP_KINDS[step])
-    if mode == "directed":
-        if step == "concept":
-            step_kinds.add("concept-remove")
-        if step == "axiom":
-            step_kinds.add("theorem-remove")
-    equiv_kinds = set(_EQUIV_KINDS[equiv])
+    kinds = NETWORK_KINDS
+    if equiv not in kinds["equiv"] or step not in kinds["step"] or mode not in kinds["mode"]:
+        raise LanguageError(f"unknown network declaration {equiv}/{step}/{mode}")
+    steps = kinds["step"][step] + (kinds["removal"].get(step, ()) if mode == "directed" else ())
+    weights = {**dict.fromkeys(kinds["equiv"][equiv], 0), **dict.fromkeys(steps, 1)}
     nodes = tuple(theories)
     edges: list[NetEdge] = []
     undecided: list[str] = []
     for cert in certificates:
-        if cert.kind not in step_kinds and cert.kind not in equiv_kinds:
-            continue
-        if cert.source not in theories or cert.target not in theories:
+        weight = weights.get(cert.kind)
+        if weight is None or cert.source not in theories or cert.target not in theories:
             continue
         if cert.status.state == DECLARED:
             verify_certificate(cert, theories, bound, caps)
@@ -423,7 +421,6 @@ def build_network(
             if cert.status.state == UNDECIDED:
                 undecided.append(cert.label())
             continue
-        weight = 0 if cert.kind in equiv_kinds else 1
         edges.append(
             NetEdge(
                 cert.source,
@@ -435,34 +432,37 @@ def build_network(
                 directed=(mode == "directed" and weight == 1),
             )
         )
-    if auto_sentential:
-        names = list(nodes)
-        for i, u in enumerate(names):
-            for v in names[i + 1 :]:
-                tu, tv = theories[u], theories[v]
-                if not (tu.lang.is_sentential and tv.lang.is_sentential):
-                    continue
-                if not tu.lang.same_formulas(tv.lang):
-                    continue
-                su, sv = sat_assignments(tu), sat_assignments(tv)
-                if su == sv:
-                    edges.append(NetEdge(u, v, 0, "logical-equivalence"))
-                elif step == "axiom":
-                    # Sat(v) within Sat(u): v is u plus one axiom; and back
-                    down, up = not sv & ~su, not su & ~sv
-                    if mode == "symmetric":
-                        if down or up:
-                            edges.append(NetEdge(u, v, 1, "axiom-add"))
-                    else:
-                        if down:
-                            edges.append(NetEdge(u, v, 1, "axiom-add", directed=True))
-                        if up:
-                            edges.append(NetEdge(v, u, 1, "axiom-add", directed=True))
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            tu, tv = theories[u], theories[v]
+            # the same formulas and no variables: both sentential
+            if not (tu.lang.is_sentential and tu.lang.same_formulas(tv.lang)):
+                continue
+            su, sv = sat_assignments(tu), sat_assignments(tv)
+            if su == sv:
+                edges.append(NetEdge(u, v, 0, "logical-equivalence"))
+            elif step == "axiom":
+                # Sat(v) within Sat(u): v is u plus one axiom; and back
+                down, up = not sv & ~su, not su & ~sv
+                if mode == "symmetric":
+                    if down or up:
+                        edges.append(NetEdge(u, v, 1, "axiom-add"))
+                else:
+                    if down:
+                        edges.append(NetEdge(u, v, 1, "axiom-add", directed=True))
+                    if up:
+                        edges.append(NetEdge(v, u, 1, "axiom-add", directed=True))
     return ClusterNetwork(name, mode, nodes, tuple(edges), tuple(undecided))
 
 
 # ---------------------------------------------------------------------------
 # Axiomatic distance and the classification theorem
+
+def _endpoints(theories: Mapping[str, Theory], a: str, b: str) -> tuple[Theory, Theory]:
+    if a not in theories or b not in theories:
+        raise LanguageError(f"unknown node in distance query: {a!r} or {b!r}")
+    return theories[a], theories[b]
+
 
 def axiomatic_distance(
     theories: Mapping[str, Theory],
@@ -474,7 +474,7 @@ def axiomatic_distance(
 ) -> DistanceResult:
     """Step distance on (X, ≡, −). Theories on different languages are
     infinitely far apart: equivalence presupposes a common language."""
-    ta, tb = theories[a], theories[b]
+    ta, tb = _endpoints(theories, a, b)
     if not ta.lang.same_formulas(tb.lang):
         return DistanceResult(
             INFINITY, None, "exact", (), EXHAUSTED,
@@ -502,7 +502,7 @@ def classify_ad(
             "classification needs the amalgamation or co-amalgamation property "
             "established for the catalog (pass amalgamation='verified'|'asserted')"
         )
-    ta, tb = theories[a], theories[b]
+    ta, tb = _endpoints(theories, a, b)
     note = f"amalgamation property: {amalgamation}"
     if ta.lang.same_formulas(tb.lang):
         eq_res = logically_equivalent(ta, tb, bound, caps)
@@ -602,45 +602,30 @@ def check_amalgamation(
     arrow = _arrow_matrix(theories, certificates)
     undecided = tuple(p for p, v in arrow.items() if v is None)
 
-    def decide(premise, conclusion) -> tuple[str, tuple | None]:
-        # a premise pair that is merely undecided still needs its conclusion
-        # established, otherwise "holds" would be unsound
+    def decide(m) -> tuple[str, tuple | None]:
+        # amalgamation on the matrix m: t <- t1 and t <- t2 need a t' with
+        # t1 <- t' and t2 <- t'. A premise pair that is merely undecided
+        # still needs its conclusion established, otherwise "holds" would
+        # be unsound
         nontrivial = False
         for t in names:
             for t1 in names:
                 for t2 in names:
-                    if t1 == t2:
+                    if t1 == t2 or m[t, t1] is False or m[t, t2] is False:
                         continue
-                    p1, p2 = premise(t, t1), premise(t, t2)
-                    if p1 is False or p2 is False:
+                    decided = m[t, t1] is True and m[t, t2] is True
+                    nontrivial |= decided
+                    amalgams = [(m[t1, tp], m[t2, tp]) for tp in names]
+                    if (True, True) in amalgams:
                         continue
-                    decided = p1 is True and p2 is True
-                    if decided:
-                        nontrivial = True
-                    witnesses = [conclusion(t1, t2, tp) for tp in names]
-                    if any(w is True for w in witnesses):
-                        continue
-                    if not decided or any(w is None for w in witnesses):
+                    if not decided or any(None in pair for pair in amalgams):
                         return "undecidable", (t, t1, t2)
                     return "fails", (t, t1, t2)
         return ("holds", None) if nontrivial else ("holds-vacuously", None)
 
-    am, am_w = decide(
-        lambda t, ti: arrow[t, ti],
-        lambda t1, t2, tp: (
-            None
-            if arrow[t1, tp] is None or arrow[t2, tp] is None
-            else arrow[t1, tp] and arrow[t2, tp]
-        ),
-    )
-    co, co_w = decide(
-        lambda t, ti: arrow[ti, t],
-        lambda t1, t2, tp: (
-            None
-            if arrow[tp, t1] is None or arrow[tp, t2] is None
-            else arrow[tp, t1] and arrow[tp, t2]
-        ),
-    )
+    # co-amalgamation is amalgamation with every arrow reversed
+    am, am_w = decide(arrow)
+    co, co_w = decide({(v, u): x for (u, v), x in arrow.items()})
     vacuous = am == "holds-vacuously" and co == "holds-vacuously"
     return AmalgamationReport(
         "holds" if am.startswith("holds") else am,
@@ -676,15 +661,11 @@ def lower_bound_certificates(
     """
     if not (t1.lang.is_sentential and t2.lang.is_sentential):
         bound = min(bound, t1.lang.var_bound - 1, t2.lang.var_bound - 1)
-    table1: dict[int, int] = {}
-    table2: dict[int, int] = {}
+    best = LowerBoundEvidence("none", fin(0))
     for k in range(1, bound + 1):
         if not (enumeration_feasible(t1, k, caps) and enumeration_feasible(t2, k, caps)):
             break
-        table1[k] = spectrum(t1, k, caps)
-        table2[k] = spectrum(t2, k, caps)
-    for k in sorted(table1):
-        c1, c2 = table1[k], table2[k]
+        c1, c2 = spectrum(t1, k, caps), spectrum(t2, k, caps)
         if (c1 == 0) != (c2 == 0):
             return LowerBoundEvidence(
                 "spectrum-obstruction", INFINITY, size=k,
@@ -692,26 +673,22 @@ def lower_bound_certificates(
                 detail=f"I(T,{k})={c1} but I(T',{k})={c2}: finite distance "
                 "preserves which sizes have models",
             )
-    if rank_cap is None:
-        return LowerBoundEvidence("none", fin(0), detail="no rank cap, no growth bound")
-    best = LowerBoundEvidence("none", fin(0))
-    for k in sorted(table1):
-        c1, c2 = table1[k], table2[k]
-        if c1 == 0 or c2 == 0:
+        if rank_cap is None or c1 == 0:
             continue
         lo, hi = min(c1, c2), max(c1, c2)
-        factor = 1 << (k**rank_cap)
-        steps = 0
-        acc = lo
-        while acc < hi:
-            acc *= factor
-            steps += 1
-        if steps > (best.bound.value or 0):
+        # the least s with lo * factor^s >= hi: lo is `doublings` doublings
+        # short of hi, and one step, a factor of 2^(k^rank_cap), makes k^rank_cap
+        doublings = ((hi - 1) // lo).bit_length()
+        steps = -(-doublings // k**rank_cap)
+        if steps > best.bound.value:
+            factor = 1 << (k**rank_cap)
             best = LowerBoundEvidence(
                 "growth-certificate", fin(steps), size=k, factor=factor,
                 ratio=(hi, lo),
                 detail=f"one step multiplies I(.,{k}) by at most {factor}",
             )
+    if rank_cap is None:
+        return LowerBoundEvidence("none", fin(0), detail="no rank cap, no growth bound")
     return best
 
 
@@ -800,21 +777,10 @@ class SolveResult(NamedTuple):
         }
 
 
-def _reachable_cardinalities(start: int, steps: int) -> tuple[int, int]:
-    """Interval of |Sat| values reachable in `steps` one-concept moves:
-    each move multiplies the count by a factor in [1, 2] or divides it so."""
-    lo = start
-    for _ in range(steps):
-        lo = (lo + 1) // 2
-    return max(1, lo), start << steps
-
-
 def _ladder_theory(index: int, consts: int, sat: int) -> Theory:
     # zero-padded names keep the fresh constant last in alphabetical order,
     # the lowest bit of a row index
-    lang = Language.make(
-        f"cdsolve.L{consts}", {f"K{i + 1:03d}": 0 for i in range(consts)}, 0
-    )
+    lang = Language.make(f"cdsolve.L{consts}", {f"K{i + 1:03d}": 0 for i in range(consts)}, 0)
     return theory_from_sat(f"cdsolve.{index}", lang, sat_rows(lang, sat))
 
 
@@ -827,123 +793,78 @@ def sentential_cd_solve(
     The class of a consistent theory is its Sat-set cardinality (the
     empty-language theory sits apart: nothing translates into it), one
     concept step scales the cardinality by a factor in [1,2] up or down,
-    and BFS over reachable cardinalities meets the growth lower bound.
-    The returned chain materializes concrete ladder theories with verified
-    certificates.
+    so the distance is the least s with lo * 2^s >= hi, which meets the
+    growth lower bound. The returned chain materializes concrete ladder
+    theories with verified certificates.
     """
     for t in (t1, t2):
         if not t.lang.is_sentential:
             raise LanguageError("sentential_cd_solve needs sentential theories")
     s1, s2 = sat_assignments(t1).bit_count(), sat_assignments(t2).bit_count()
-    if s1 == 0 and s2 == 0:
-        tr12, tr21 = _trivial_translations(t1, t2)
-        cert = EdgeCertificate("defeq", t1.name, t2.name, tr12=tr12, tr21=tr21)
-        verify_certificate(cert, {t1.name: t1, t2.name: t2}, bound, caps)
-        witness = PathWitness(
-            (t1.name, t2.name),
-            (PathStep(t1.name, t2.name, 0, "defeq", cert.label(), cert.status.state),),
-        )
-        return SolveResult(fin(0), witness, (t1, t2), (cert,), None)
     if (s1 == 0) != (s2 == 0):
         evidence = LowerBoundEvidence(
             "spectrum-obstruction", INFINITY, size=1, ratio=(s1, s2),
             detail="an inconsistent theory is infinitely far from any consistent one",
         )
         return SolveResult(INFINITY, None, (), (), evidence)
-
-    empty1 = not t1.lang.constants
-    empty2 = not t2.lang.constants
+    empty1, empty2 = not t1.lang.constants, not t2.lang.constants
     if empty1 and empty2:
         # both are the empty theory on the empty language
         return SolveResult(fin(0), PathWitness((t1.name,), ()), (t1,), (), None)
 
-    lookup: dict[str, Theory] = {t1.name: t1, t2.name: t2}
-    certs: list[EdgeCertificate] = []
-
-    def add_cert(cert: EdgeCertificate) -> None:
-        verify_certificate(cert, lookup, bound, caps)
-        if not cert.status.verified:
-            raise AssertionError(f"solver certificate failed: {cert.status}")
-        certs.append(cert)
-
-    evidence = lower_bound_certificates(t1, t2, bound=1, rank_cap=0, caps=caps)
-    if s1 == s2 and not empty1 and not empty2:
-        cert = EdgeCertificate("defeq", t1.name, t2.name)
-        add_cert(cert)
-        witness = PathWitness(
-            (t1.name, t2.name),
-            (PathStep(t1.name, t2.name, 0, "defeq", cert.label(), cert.status.state),),
-        )
-        return SolveResult(fin(0), witness, (t1, t2), tuple(certs), evidence)
-
-    lo_th, hi_th = (t1, t2) if s1 <= s2 else (t2, t1)
-    lo_n, hi_n = min(s1, s2), max(s1, s2)
-    steps = 0
-    while not (
-        _reachable_cardinalities(lo_n, steps)[0]
-        <= hi_n
-        <= _reachable_cardinalities(lo_n, steps)[1]
-    ):
-        steps += 1
+    # the chain is a list of (kind, theory) rungs up from its lower end
     notes: tuple[str, ...] = ()
-    if (empty1 or empty2) and steps == 0:
-        steps = 1  # leaving the empty language costs one concept step
-        notes = ("empty-language endpoint: one step despite equal Sat size",)
+    if s1 == s2 and not (empty1 or empty2):
+        lo_th, steps, rungs = t1, 0, [("defeq", t2)]
+    else:
+        # on equal sizes the empty-language end is the lower one: nothing
+        # translates into the empty language
+        lo_th, hi_th = (t1, t2) if (s1, not empty1) <= (s2, not empty2) else (t2, t1)
+        lo_n, hi_n = min(s1, s2), max(s1, s2)
+        # one concept step at most doubles |Sat|
+        steps = ((hi_n - 1) // lo_n).bit_length()
+        if steps == 0:
+            steps = 1  # leaving the empty language costs one concept step
+            notes = ("empty-language endpoint: one step despite equal Sat size",)
+        rungs, current, base_consts = [], lo_th, 0
+        if lo_th.lang.constants:
+            base_consts = max(1, (lo_n - 1).bit_length())
+            current = _ladder_theory(0, base_consts, (1 << lo_n) - 1)
+            rungs.append(("defeq", current))
+        size_now = lo_n
+        for i in range(steps):
+            target = min(size_now * 2, hi_n)
+            # each row r gains the fresh constant false (row 2r); the first
+            # target - size_now rows also gain it true (row 2r + 1)
+            sat = 0
+            for idx, r in enumerate(_set_bits(sat_assignments(current))):
+                sat |= (3 if idx < target - size_now else 1) << 2 * r
+            current = _ladder_theory(i + 1, base_consts + i + 1, sat)
+            rungs.append(("concept-add", current))
+            size_now = target
+        rungs.append(("defeq", hi_th))
 
     chain: list[Theory] = [lo_th]
+    certs: list[EdgeCertificate] = []
     path_steps: list[PathStep] = []
-    if not lo_th.lang.constants:
-        base_consts = 0
-        current = lo_th
-    else:
-        base_consts = max(1, (lo_n - 1).bit_length())
-        ladder0 = _ladder_theory(0, base_consts, (1 << lo_n) - 1)
-        lookup[ladder0.name] = ladder0
-        cert0 = EdgeCertificate("defeq", lo_th.name, ladder0.name)
-        add_cert(cert0)
-        path_steps.append(
-            PathStep(lo_th.name, ladder0.name, 0, "defeq", cert0.label(), cert0.status.state)
-        )
-        chain.append(ladder0)
-        current = ladder0
-
-    size_now = lo_n
-    for i in range(steps):
-        target = min(size_now * 2, hi_n)
-        need = target - size_now
-        # each row r gains the fresh constant false (row 2r); the first
-        # `need` rows also gain it true (row 2r + 1)
-        sat = 0
-        for idx, r in enumerate(_set_bits(sat_assignments(current))):
-            sat |= (3 if idx < need else 1) << 2 * r
-        nxt = _ladder_theory(i + 1, base_consts + i + 1, sat)
-        lookup[nxt.name] = nxt
-        cert = EdgeCertificate("concept-add", current.name, nxt.name)
-        add_cert(cert)
-        path_steps.append(
-            PathStep(current.name, nxt.name, 1, "concept-add", cert.label(), cert.status.state)
-        )
+    for kind, nxt in rungs:
+        cur = chain[-1]
+        cert = EdgeCertificate(kind, cur.name, nxt.name)
+        verify_certificate(cert, {cur.name: cur, nxt.name: nxt}, bound, caps)
+        if not cert.status.verified:
+            raise AssertionError(f"solver certificate failed: {cert.status}")
+        bit = int(kind == "concept-add")
+        path_steps.append(PathStep(cur.name, nxt.name, bit, kind, cert.label(), cert.status.state))
+        certs.append(cert)
         chain.append(nxt)
-        current = nxt
-        size_now = target
-
-    if current is not hi_th:
-        certN = EdgeCertificate("defeq", current.name, hi_th.name)
-        add_cert(certN)
-        path_steps.append(
-            PathStep(current.name, hi_th.name, 0, "defeq", certN.label(), certN.status.state)
-        )
-        chain.append(hi_th)
-
     if lo_th is not t1:
         path_steps = [
             PathStep(s.target, s.source, s.bit, s.kind, s.edge_label, s.state)
             for s in reversed(path_steps)
         ]
         chain.reverse()
-    witness = PathWitness(
-        (chain[0].name, *(s.target for s in path_steps)), tuple(path_steps)
-    )
+    witness = PathWitness(tuple(t.name for t in chain), tuple(path_steps))
+    evidence = lower_bound_certificates(t1, t2, bound=1, rank_cap=0, caps=caps) if s1 else None
     return SolveResult(fin(steps), witness, tuple(chain), tuple(certs), evidence, notes)
 
 

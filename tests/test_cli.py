@@ -143,6 +143,14 @@ def test_classify_ad_builtin(capsys):
     assert json.loads(out)["distance"] == 1
 
 
+@pytest.mark.parametrize("node", ["Nope", "TStar0"])
+def test_classify_ad_unknown_node_is_an_input_error(capsys, node):
+    # TStar0 is a catalog theory, but not a node of BinAx
+    code, out, err = run(capsys, "classify-ad", "BinAx", "Posets", node)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"unknown node in distance query: 'Posets' or '{node}'"}
+
+
 def test_orbit_plan_cap_exit_code(tmp_path, capsys):
     # size 9 is inside this catalog's size cap, but its canonicity test
     # would take 9! permutations: refused before their maps are built

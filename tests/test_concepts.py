@@ -17,7 +17,7 @@ from thdist.concepts import (
     formula_battery,
     sentential_defeq_witness,
 )
-from thdist.errors import InconsistencyError, LanguageError, UnsupportedFragmentError
+from thdist.errors import InconsistencyError, UnsupportedFragmentError
 from thdist.semantics import (
     FiniteModel,
     Theory,
@@ -106,9 +106,9 @@ def test_closure_matches_formula_enumeration_oracle():
 
 
 def test_closure_fragment_precondition():
+    # the closure runs in the ambient fragment: over the language's varBound
     m = FiniteModel(LT2, 2, {"R": {(0, 1)}})
-    with pytest.raises(LanguageError):
-        concept_closure(m, n_vars=3)
+    assert concept_closure(m).n_vars == LT2.var_bound
 
 
 def test_closure_json_shape():

@@ -458,6 +458,70 @@ def test_amalgamation_single_node_and_complete_catalog():
     assert report.amalgamation == "holds"
 
 
+def _amalgamation_by_definition(nodes):
+    """check_amalgamation's report fields from the definitions, on nodes
+    given as (language, Sat-set): v is u plus one axiom iff the two share
+    a language and Sat(v) lies within Sat(u)."""
+    names = list(nodes)
+    lang = {n: m for n, (m, _) in nodes.items()}
+    sat = {n: s for n, (_, s) in nodes.items()}
+
+    def instances(premise):
+        return [
+            (t, t1, t2)
+            for t in names for t1 in names for t2 in names
+            if t1 != t2 and lang[t] == lang[t1] == lang[t2]
+            and premise(sat[t], sat[t1], sat[t2])
+        ]
+
+    # amalgamation: t1 and t2 each add an axiom to t; some t' adds one to both
+    am = instances(lambda s, s1, s2: s1 | s2 <= s)
+    am_fails = [
+        (t, t1, t2) for t, t1, t2 in am
+        if not any(lang[p] == lang[t] and sat[p] <= sat[t1] & sat[t2] for p in names)
+    ]
+    # co-amalgamation: t adds an axiom to t1 and to t2; both add one to some t'
+    co = instances(lambda s, s1, s2: s <= s1 & s2)
+    co_fails = [
+        (t, t1, t2) for t, t1, t2 in co
+        if not any(lang[p] == lang[t] and sat[t1] | sat[t2] <= sat[p] for p in names)
+    ]
+    return (
+        "fails" if am_fails else "holds", am_fails[0] if am_fails else None,
+        "fails" if co_fails else "holds", co_fails[0] if co_fails else None,
+        not am and not co,
+    )
+
+
+def test_amalgamation_matches_the_definition_on_random_sentential_catalogs():
+    langs = {m: Language.make(f"C{m}", {f"K{i}": 0 for i in range(m)}, 0) for m in (2, 3)}
+    rows = {m: list(itertools.product((False, True), repeat=m)) for m in (2, 3)}
+    rng = random.Random(1807)
+    seen = set()
+    for i in range(150):
+        nodes = {}
+        for j in range(rng.randint(1, 6)):
+            m = (2, 3)[i % 2] if i % 3 else rng.choice((2, 3))  # every third mixes
+            sat = frozenset(r for r in rows[m] if rng.random() < 0.5)
+            same = [s for mm, s in nodes.values() if mm == m]
+            if same and rng.random() < 0.5:  # a sub- or superset of an earlier node
+                other = rng.choice(same)
+                sat = sat & other if rng.random() < 0.5 else sat | other
+            nodes[f"n{j}"] = (m, sat)
+        theories = {n: theory_from_sat(n, langs[m], sat) for n, (m, sat) in nodes.items()}
+        report = check_amalgamation(theories)
+        got = (
+            report.amalgamation, report.amalgamation_witness,
+            report.co_amalgamation, report.co_amalgamation_witness, report.vacuous,
+        )
+        assert got == _amalgamation_by_definition(nodes), nodes
+        assert report.undecided_pairs == ()
+        seen.add((got[0], got[2], got[4]))
+    # the draws reach every verdict of both properties, and vacuous ones
+    assert {a for a, _, _ in seen} == {c for _, c, _ in seen} == {"holds", "fails"}
+    assert {v for _, _, v in seen} == {False, True}
+
+
 @pytest.mark.parametrize("mode", ["symmetric", "directed"])
 def test_auto_sentential_edges_follow_sat_inclusion(mode):
     # frozenset reference: v is u plus one axiom iff Sat(v) is within Sat(u)
@@ -559,6 +623,62 @@ def test_sentential_cd_solver_empty_language_endpoint():
     res = sentential_cd_solve(t0, single)
     assert res.distance == fin(1)  # no translation into the empty language
     assert res.notes
+
+
+@pytest.mark.parametrize("consts", [1, 2, 3])
+def test_sentential_cd_solver_empty_language_endpoint_in_either_order(consts):
+    # a one-model theory is as large as the empty-language theory; the
+    # chain leaves the empty language whichever end it is
+    t0 = Theory.make("t0", Language.make("L0", {}, 0), [])
+    lang = Language.make("Lk", {f"X{i}": 0 for i in range(consts)}, 0)
+    single = theory_from_sat("single", lang, [(False,) * consts])
+    fwd, bwd = sentential_cd_solve(t0, single), sentential_cd_solve(single, t0)
+    assert fwd.distance == bwd.distance == fin(1)
+    assert fwd.notes == bwd.notes and fwd.notes
+    assert bwd.witness.nodes == fwd.witness.nodes[::-1]
+    assert [t.name for t in bwd.chain] == [t.name for t in fwd.chain][::-1]
+    assert {c.status.state for c in fwd.certificates + bwd.certificates} == {"verified-exact"}
+
+
+def test_sentential_cd_solver_ignores_theory_names():
+    # each rung is verified on its own two theories, so two theories that
+    # share a name solve like two that do not
+    lang3 = Language.make("L3", {"A": 0, "B": 0, "C": 0}, 0)
+    rows = list(itertools.product((False, True), repeat=3))
+
+    def shape(res, rename):
+        steps = [
+            (rename.get(s.source, s.source), rename.get(s.target, s.target),
+             s.bit, s.kind, s.state)
+            for s in res.witness.steps
+        ]
+        chain = [rename.get(t.name, t.name) for t in res.chain]
+        states = [c.status.state for c in res.certificates]
+        return res.distance, steps, chain, states, res.lower_bound, res.notes
+
+    rng = random.Random(5)
+    pairs = [(rows[:1], rows[:4])] + [
+        (rng.sample(rows, rng.randint(1, 8)), rng.sample(rows, rng.randint(1, 8)))
+        for _ in range(20)
+    ]
+    for x, y in pairs + [(y, x) for x, y in pairs]:
+        same = sentential_cd_solve(theory_from_sat("t", lang3, x), theory_from_sat("t", lang3, y))
+        apart = sentential_cd_solve(theory_from_sat("a", lang3, x), theory_from_sat("b", lang3, y))
+        assert shape(same, {}) == shape(apart, {"a": "t", "b": "t"})
+    one, four = theory_from_sat("t", lang3, rows[:1]), theory_from_sat("t", lang3, rows[:4])
+    assert sentential_cd_solve(one, four).distance == fin(2)
+    assert sentential_cd_solve(four, one).distance == fin(2)
+
+
+def test_build_network_rejects_unknown_declarations():
+    theories = {"p": Theory.make("p", PQ, ["P"])}
+    for equiv, step, mode in [
+        ("Logical", "axiom", "symmetric"),
+        ("logical", "axioms", "symmetric"),
+        ("logical", "axiom", "Directed"),
+    ]:
+        with pytest.raises(LanguageError, match="unknown network declaration"):
+            build_network("n", theories, (), equiv, step, mode)
 
 
 def test_conceptual_distance_with_certificates():
