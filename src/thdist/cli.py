@@ -161,7 +161,9 @@ def cmd_classify_ad(args) -> int:
         flag = "asserted"
         amalgamation = None
     else:
-        report = check_amalgamation(theories, certificates)
+        report = check_amalgamation(
+            theories, certificates, catalog.policy.size_cap, catalog.policy.caps()
+        )
         amalgamation = report.to_json()
         if report.amalgamation != "holds" and report.co_amalgamation != "holds":
             _emit(args, {"error": "amalgamation not established", "report": amalgamation})

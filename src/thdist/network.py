@@ -28,6 +28,7 @@ from .relations import (
     VERIFIED_EXACT,
     CertStatus,
     EdgeCertificate,
+    _verify_between,
     axiom_add_exists,
     verify_certificate,
 )
@@ -543,22 +544,18 @@ class AmalgamationReport(NamedTuple):
 
 
 def _arrow_matrix(
-    theories: Mapping[str, Theory], certificates: Iterable[EdgeCertificate]
+    theories: Mapping[str, Theory], certificates: list[EdgeCertificate], bound: int, caps: Caps
 ) -> dict[tuple[str, str], bool | None]:
     """arrow[u, v] decides u <- v (v is u plus one axiom, up to logical
-    equivalence). Sentential same-language pairs are exact; elsewhere only
-    certificate-derived positives closed under facts (1)-(3) are known."""
+    equivalence) by axiom_add_exists: yes, no or unknown (None). Verified
+    certificates add positives, closed under facts (1)-(3)."""
     names = list(theories)
-    arrow: dict[tuple[str, str], bool | None] = {}
-    for u in names:
-        for v in names:
-            tu, tv = theories[u], theories[v]
-            if not tu.lang.same_formulas(tv.lang):
-                arrow[u, v] = False
-            elif tu.lang.is_sentential:
-                arrow[u, v] = not sat_assignments(tv) & ~sat_assignments(tu)
-            else:
-                arrow[u, v] = True if u == v else None
+    decided = {"yes": True, "no": False}  # unknown: None
+    arrow = {
+        (u, v): decided.get(axiom_add_exists(theories[u], theories[v], bound, caps).answer)
+        for u in names
+        for v in names
+    }
     for cert in certificates:
         if cert.kind in ("axiom-add", "collapse") and cert.status.verified:
             if cert.source in theories and cert.target in theories:
@@ -592,22 +589,26 @@ def _arrow_matrix(
 
 
 def check_amalgamation(
-    theories: Mapping[str, Theory], certificates: Iterable[EdgeCertificate] = ()
+    theories: Mapping[str, Theory],
+    certificates: Iterable[EdgeCertificate] = (),
+    bound: int = DEFAULT_BOUND,
+    caps: Caps = DEFAULT_CAPS,
 ) -> AmalgamationReport:
     """Exhaustively check the theory (co-)amalgamation property over the
-    catalog nodes. Reports the first counterexample triple, and errors on
-    pairs whose axiom-adding status is undecidable."""
+    catalog nodes. Reports the first counterexample triple, the pairs whose
+    axiom-adding status stays unknown at the bound, and "undecidable" where
+    such a pair leaves the verdict open."""
     names = list(theories)
     certificates = list(certificates)
-    arrow = _arrow_matrix(theories, certificates)
+    arrow = _arrow_matrix(theories, certificates, bound, caps)
     undecided = tuple(p for p, v in arrow.items() if v is None)
 
     def decide(m) -> tuple[str, tuple | None]:
-        # amalgamation on the matrix m: t <- t1 and t <- t2 need a t' with
-        # t1 <- t' and t2 <- t'. A premise pair that is merely undecided
-        # still needs its conclusion established, otherwise "holds" would
-        # be unsound
-        nontrivial = False
+        # amalgamation on the matrix m, read in Kleene's three-valued logic:
+        # t <- t1 and t <- t2 need a t' with t1 <- t' and t2 <- t'. The
+        # first triple whose instance is false fails; failing none, the
+        # first whose instance is unknown leaves the verdict undecidable
+        nontrivial, first_open = False, None
         for t in names:
             for t1 in names:
                 for t2 in names:
@@ -618,9 +619,11 @@ def check_amalgamation(
                     amalgams = [(m[t1, tp], m[t2, tp]) for tp in names]
                     if (True, True) in amalgams:
                         continue
-                    if not decided or any(None in pair for pair in amalgams):
-                        return "undecidable", (t, t1, t2)
-                    return "fails", (t, t1, t2)
+                    if decided and all(False in pair for pair in amalgams):
+                        return "fails", (t, t1, t2)
+                    first_open = first_open or (t, t1, t2)
+        if first_open:
+            return "undecidable", first_open
         return ("holds", None) if nontrivial else ("holds-vacuously", None)
 
     # co-amalgamation is amalgamation with every arrow reversed
@@ -850,7 +853,7 @@ def sentential_cd_solve(
     for kind, nxt in rungs:
         cur = chain[-1]
         cert = EdgeCertificate(kind, cur.name, nxt.name)
-        verify_certificate(cert, {cur.name: cur, nxt.name: nxt}, bound, caps)
+        _verify_between(cert, cur, nxt, bound, caps)
         if not cert.status.verified:
             raise AssertionError(f"solver certificate failed: {cert.status}")
         bit = int(kind == "concept-add")

@@ -24,8 +24,10 @@ from .semantics import (
     DEFAULT_BOUND,
     DEFAULT_CAPS,
     ConservativityResult,
+    EquivalenceResult,
     FiniteModel,
     Theory,
+    _set_bits,
     assignment_model,
     conservative_extension,
     enumerate_models,  # unused here; perfbench's self-test asserts this binding
@@ -148,9 +150,12 @@ def check_axiom_add(
             note="Sat(T) ∩ Sat(phi) differs from Sat(T')",
         )
     extended = Theory(f"{t.name}+axiom", t.lang, (*t.axioms, phi))
-    res = logically_equivalent(extended, t2, bound, caps)
-    if res.equivalent:
-        return CertStatus(VERIFIED_BOUNDED, bound=bound)
+    return _status_of_equivalence(logically_equivalent(extended, t2, bound, caps))
+
+
+def _status_of_equivalence(res: EquivalenceResult) -> CertStatus:
+    if res.equivalent:  # an exact answer has no bound
+        return CertStatus(VERIFIED_EXACT if res.exact else VERIFIED_BOUNDED, res.bound)
     return CertStatus(
         REFUTED,
         bound=None if res.exact else res.bound,
@@ -243,14 +248,12 @@ def check_concept_add(
     over T. Returns the status and the added symbol."""
     symbol = _language_diff(t, t2)
     res = conservative_extension(t, t2, bound, caps)
-    return _status_of_conservativity(res, bound), symbol
+    return _status_of_conservativity(res), symbol
 
 
-def _status_of_conservativity(res: ConservativityResult, bound: int) -> CertStatus:
-    if res.holds:
-        if res.exact:
-            return CertStatus(VERIFIED_EXACT)
-        return CertStatus(VERIFIED_BOUNDED, bound=res.bound)
+def _status_of_conservativity(res: ConservativityResult) -> CertStatus:
+    if res.holds:  # an exact answer has no bound
+        return CertStatus(VERIFIED_EXACT if res.exact else VERIFIED_BOUNDED, res.bound)
     if res.holds is None:
         return CertStatus(UNDECIDED, res.bound, res.witness_model, res.detail)
     return CertStatus(
@@ -269,6 +272,40 @@ class Removal(NamedTuple):
     added_assignment: tuple[bool, ...] | None
 
 
+def _removal_sats(
+    kind: str, t: Theory, phi: Formula
+) -> list[tuple[int, tuple[bool, ...] | None]]:
+    """(Sat mask, added row) of each removal of phi from T, kind being
+    concept-remove or theorem-remove."""
+    what = kind.split("-")[0]
+    if not t.lang.is_sentential:
+        raise UnsupportedFragmentError(
+            f"first-order {what} removal is not computed; assert the certificate"
+        )
+    sat = sat_assignments(t)
+    if not sat:
+        raise InconsistencyError(f"{t.name} is inconsistent")
+    falsifiers = ((1 << (1 << len(t.lang.constants))) - 1) ^ sat_of_formula(t.lang, phi)
+    if not falsifiers:
+        raise RemovalError("phi is a tautology; no consistent subtheory loses it")
+    overlap = sat & falsifiers
+    if overlap and what == "concept":
+        return [(overlap, None)]
+    if overlap:
+        raise RemovalError(f"{t.name} does not prove the formula")
+    keep = sat if what == "theorem" else 0  # a concept removal pins Sat to the row
+    rows = sat_rows(t.lang, falsifiers)
+    return [(keep | 1 << r, m) for r, m in zip(_set_bits(falsifiers), rows)]
+
+
+def _as_removals(t: Theory, stem: str, sats) -> list[Removal]:
+    return [
+        Removal(theory_from_sat(stem if m is None else f"{stem}-{i}", t.lang,
+                                sat_rows(t.lang, mask)), m)
+        for i, (mask, m) in enumerate(sats)
+    ]
+
+
 def concept_removals(t: Theory, phi: Formula) -> list[Removal]:
     """All concept-removals of phi from T per the maximal-subtheory reading.
 
@@ -278,48 +315,13 @@ def concept_removals(t: Theory, phi: Formula) -> list[Removal]:
     maximal subtheory and the single removal has Sat(T) ∩ Sat(¬phi).
     Tautologies admit no removal.
     """
-    if not t.lang.is_sentential:
-        raise UnsupportedFragmentError(
-            "first-order concept removal is not computed; assert the certificate"
-        )
-    sat = sat_assignments(t)
-    if not sat:
-        raise InconsistencyError(f"{t.name} is inconsistent")
-    full = (1 << (1 << len(t.lang.constants))) - 1
-    falsifiers = full ^ sat_of_formula(t.lang, phi)
-    if not falsifiers:
-        raise RemovalError("phi is a tautology; no consistent subtheory loses it")
-    overlap = sat & falsifiers
-    if overlap:
-        rows = sat_rows(t.lang, overlap)
-        return [Removal(theory_from_sat(f"{t.name}-minus", t.lang, rows), None)]
-    return [
-        Removal(theory_from_sat(f"{t.name}-minus-{i}", t.lang, [m]), m)
-        for i, m in enumerate(sat_rows(t.lang, falsifiers))
-    ]
+    return _as_removals(t, f"{t.name}-minus", _removal_sats("concept-remove", t, phi))
 
 
 def theorem_removals(t: Theory, phi: Formula) -> list[Removal]:
     """Maximal consistent subtheories of Cn(T) that do not prove phi:
     one per falsifying assignment m, with Sat = Sat(T) ∪ {m}."""
-    if not t.lang.is_sentential:
-        raise UnsupportedFragmentError(
-            "first-order theorem removal is not computed; assert the certificate"
-        )
-    sat = sat_assignments(t)
-    if not sat:
-        raise InconsistencyError(f"{t.name} is inconsistent")
-    full = (1 << (1 << len(t.lang.constants))) - 1
-    falsifiers = full ^ sat_of_formula(t.lang, phi)
-    if sat & falsifiers:
-        raise RemovalError(f"{t.name} does not prove the formula")
-    if not falsifiers:
-        raise RemovalError("phi is a tautology; no consistent subtheory loses it")
-    rows = list(sat_rows(t.lang, sat))
-    return [
-        Removal(theory_from_sat(f"{t.name}-unprove-{i}", t.lang, [*rows, m]), m)
-        for i, m in enumerate(sat_rows(t.lang, falsifiers))
-    ]
+    return _as_removals(t, f"{t.name}-unprove", _removal_sats("theorem-remove", t, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,108 @@ def _retry_bounded(fn: Callable[[int], CertStatus], bound: int) -> CertStatus:
     raise CapExceededError("verification infeasible even at size 1")
 
 
+def _settled(status: CertStatus) -> Callable[[int], CertStatus]:
+    return lambda b: status
+
+
+def _on_trust(cert: EdgeCertificate, note: str, error: Exception) -> Callable[[int], CertStatus]:
+    """An asserted certificate without its payload is taken on trust; a
+    declared one cannot be checked."""
+    if cert.status.state != ASSERTED:
+        raise error
+    return _settled(CertStatus(ASSERTED, note=note))
+
+
+def _concept_step(cert: EdgeCertificate, t1: Theory, t2: Theory, b: int, caps: Caps) -> CertStatus:
+    status, symbol = check_concept_add(t1, t2, b, caps)
+    if cert.symbol is not None and cert.symbol != symbol:
+        return CertStatus(REFUTED, note=f"added symbol is {symbol}, not {cert.symbol}")
+    cert.symbol = symbol
+    if status.usable:
+        # one concept step grows the spectrum by at most 2^(k^m)
+        rank = t2.lang.rank(symbol)
+        for size in range(1, min(b, 3) + 1):
+            grown = spectrum(t2, size, caps)
+            limit = (1 << (size**rank)) * spectrum(t1, size, caps)
+            if grown > limit:
+                return CertStatus(REFUTED, note=f"I(T',{size})={grown} exceeds "
+                                  f"2^({size}^{rank})*I(T,{size})={limit}")
+    return status
+
+
+def _check_at(
+    cert: EdgeCertificate, t1: Theory, t2: Theory, k: int, caps: Caps
+) -> Callable[[int], CertStatus]:
+    """The check of cert at a size bound b. What needs no bound (trust,
+    missing payload, the defeq witness, removals) is settled here, so a cap
+    it hits is reported as it stands and never backed off."""
+    kind, label = cert.kind, cert.label()
+    sentential = t1.lang.is_sentential and t2.lang.is_sentential
+    if kind == "equiv":
+        return lambda b: _status_of_equivalence(logically_equivalent(t1, t2, b, caps))
+    if kind == "axiom-add" and cert.axiom is None:
+        raise LanguageError(f"{label}: axiom-add needs :axiom")
+    if kind == "collapse" and (cert.phi is None or cert.psi is None):
+        raise LanguageError(f"{label}: collapse needs :phi and :psi")
+    if kind in ("axiom-add", "collapse"):
+        axiom = cert.axiom if kind == "axiom-add" else iff(cert.phi, cert.psi)
+        return lambda b: check_axiom_add(t1, t2, axiom, b, caps)
+    if kind == "concept-add":
+        return lambda b: _concept_step(cert, t1, t2, b, caps)
+    if kind == "defeq":
+        if cert.tr12 is None or cert.tr21 is None:
+            if cert.status.state == ASSERTED or not sentential:
+                return _on_trust(cert, "no translations supplied; taken on trust",
+                                 UnsupportedFragmentError(
+                                     f"{label}: first-order defeq needs translations"))
+            if not sat_assignments(t1) and not sat_assignments(t2):
+                pair = _trivial_translations(t1, t2)
+            else:
+                pair = sentential_defeq_witness(t1, t2, k)
+            if pair is None:
+                return _settled(CertStatus(REFUTED, note="no witness exists (Sat-set sizes "
+                                           "differ or one language has no formulas)"))
+            cert.tr12, cert.tr21 = pair
+        return lambda b: _status_of_report(
+            check_defeq(cert.tr12, cert.tr21, t1, t2, b, caps), "defeq")
+    if kind == "faithful":
+        if cert.tr is None:
+            return _on_trust(cert, "no translation supplied; taken on trust",
+                             LanguageError(f"{label}: faithful needs :tr"))
+        return lambda b: _status_of_report(
+            check_interpretation(cert.tr, t1, t2, b, caps), "faithful")
+    if kind not in ("concept-remove", "theorem-remove"):
+        raise LanguageError(f"unknown certificate kind {kind!r}")
+    if not sentential:
+        return _on_trust(cert, "first-order removal taken on trust", UnsupportedFragmentError(
+            f"{label}: first-order removals are only accepted asserted"))
+    if cert.formula is None:
+        return _on_trust(cert, "no removal data; taken on trust",
+                         LanguageError(f"{label}: removal needs :formula"))
+    if not t1.lang.same_formulas(t2.lang):
+        raise LanguageError(f"{label}: removal keeps the language fixed")
+    masks = [mask for mask, m in _removal_sats(kind, t1, cert.formula)
+             if cert.extra_assignment in (None, m)]
+    if sat_assignments(t2) in masks:
+        return _settled(CertStatus(VERIFIED_EXACT))
+    note = f"{t2.name} matches none of the {len(masks)} removals"
+    return _settled(CertStatus(REFUTED, note=note))
+
+
+def _verify_between(
+    cert: EdgeCertificate, t1: Theory, t2: Theory, bound: int, caps: Caps
+) -> CertStatus:
+    """Verify cert from t1 to t2, its kind's check under one retry, and
+    record the status on the certificate."""
+    k = cert.bound_override or bound
+    try:
+        status = _retry_bounded(_check_at(cert, t1, t2, k, caps), k)
+    except (InconsistencyError, RemovalError) as exc:
+        status = CertStatus(REFUTED, note=str(exc))
+    cert.status = status
+    return status
+
+
 def verify_certificate(
     cert: EdgeCertificate,
     lookup: Mapping[str, Theory],
@@ -372,139 +476,4 @@ def verify_certificate(
 ) -> CertStatus:
     """Verify one certificate to its strongest achievable status and
     record the result on the certificate."""
-    t1 = lookup[cert.source]
-    t2 = lookup[cert.target]
-    k = cert.bound_override or bound
-    sentential = t1.lang.is_sentential and t2.lang.is_sentential
-
-    def finish(status: CertStatus) -> CertStatus:
-        cert.status = status
-        return status
-
-    try:
-        if cert.kind == "equiv":
-            def run_eq(b: int) -> CertStatus:
-                res = logically_equivalent(t1, t2, b, caps)
-                if res.equivalent:
-                    state = VERIFIED_EXACT if res.exact else VERIFIED_BOUNDED
-                    return CertStatus(state, None if res.exact else res.bound)
-                return CertStatus(
-                    REFUTED,
-                    witness=res.witness_model or res.witness_formula,
-                    note=res.reason,
-                )
-
-            return finish(_retry_bounded(run_eq, k))
-
-        if cert.kind == "defeq":
-            if cert.tr12 is None or cert.tr21 is None:
-                if cert.status.state == ASSERTED:
-                    return finish(
-                        CertStatus(ASSERTED, note="no translations supplied; taken on trust")
-                    )
-                if not sentential:
-                    raise UnsupportedFragmentError(
-                        f"{cert.label()}: first-order defeq needs translations"
-                    )
-                if not sat_assignments(t1) and not sat_assignments(t2):
-                    cert.tr12, cert.tr21 = _trivial_translations(t1, t2)
-                else:
-                    pair = sentential_defeq_witness(t1, t2, k)
-                    if pair is None:
-                        return finish(
-                            CertStatus(
-                                REFUTED,
-                                note="no witness exists (Sat-set sizes differ or "
-                                "one language has no formulas)",
-                            )
-                        )
-                    cert.tr12, cert.tr21 = pair
-            return finish(_retry_bounded(lambda b: _status_of_report(
-                check_defeq(cert.tr12, cert.tr21, t1, t2, b, caps), "defeq"), k))
-
-        if cert.kind == "axiom-add":
-            if cert.axiom is None:
-                raise LanguageError(f"{cert.label()}: axiom-add needs :axiom")
-            return finish(
-                _retry_bounded(lambda b: check_axiom_add(t1, t2, cert.axiom, b, caps), k)
-            )
-
-        if cert.kind == "collapse":
-            if cert.phi is None or cert.psi is None:
-                raise LanguageError(f"{cert.label()}: collapse needs :phi and :psi")
-            phi_iff_psi = iff(cert.phi, cert.psi)
-            return finish(
-                _retry_bounded(lambda b: check_axiom_add(t1, t2, phi_iff_psi, b, caps), k)
-            )
-
-        if cert.kind == "concept-add":
-            def run(b: int) -> CertStatus:
-                status, symbol = check_concept_add(t1, t2, b, caps)
-                if cert.symbol is not None and cert.symbol != symbol:
-                    return CertStatus(
-                        REFUTED, note=f"added symbol is {symbol}, not {cert.symbol}"
-                    )
-                cert.symbol = symbol
-                if status.usable:
-                    # one concept step grows the spectrum by at most 2^(k^m)
-                    rank = t2.lang.rank(symbol)
-                    for size in range(1, min(b, 3) + 1):
-                        grown = spectrum(t2, size, caps)
-                        limit = (1 << (size**rank)) * spectrum(t1, size, caps)
-                        if grown > limit:
-                            return CertStatus(
-                                REFUTED,
-                                note=f"I(T',{size})={grown} exceeds "
-                                f"2^({size}^{rank})*I(T,{size})={limit}",
-                            )
-                return status
-
-            return finish(_retry_bounded(run, k))
-
-        if cert.kind in ("concept-remove", "theorem-remove"):
-            if not sentential:
-                if cert.status.state == ASSERTED:
-                    return finish(
-                        CertStatus(ASSERTED, note="first-order removal taken on trust")
-                    )
-                raise UnsupportedFragmentError(
-                    f"{cert.label()}: first-order removals are only accepted asserted"
-                )
-            if cert.formula is None:
-                if cert.status.state == ASSERTED:
-                    return finish(
-                        CertStatus(ASSERTED, note="no removal data; taken on trust")
-                    )
-                raise LanguageError(f"{cert.label()}: removal needs :formula")
-            if not t1.lang.same_formulas(t2.lang):
-                raise LanguageError(f"{cert.label()}: removal keeps the language fixed")
-            remover = concept_removals if cert.kind == "concept-remove" else theorem_removals
-            candidates = remover(t1, cert.formula)
-            if cert.extra_assignment is not None:
-                candidates = [
-                    r for r in candidates if r.added_assignment == cert.extra_assignment
-                ]
-            target_sat = sat_assignments(t2)
-            for r in candidates:
-                if sat_assignments(r.theory) == target_sat:
-                    return finish(CertStatus(VERIFIED_EXACT))
-            return finish(
-                CertStatus(
-                    REFUTED,
-                    note=f"{t2.name} matches none of the {len(candidates)} removals",
-                )
-            )
-
-        if cert.kind == "faithful":
-            if cert.tr is None:
-                if cert.status.state == ASSERTED:
-                    return finish(
-                        CertStatus(ASSERTED, note="no translation supplied; taken on trust")
-                    )
-                raise LanguageError(f"{cert.label()}: faithful needs :tr")
-            return finish(_retry_bounded(lambda b: _status_of_report(
-                check_interpretation(cert.tr, t1, t2, b, caps), "faithful"), k))
-
-        raise LanguageError(f"unknown certificate kind {cert.kind!r}")
-    except (InconsistencyError, RemovalError) as exc:
-        return finish(CertStatus(REFUTED, note=str(exc)))
+    return _verify_between(cert, lookup[cert.source], lookup[cert.target], bound, caps)

@@ -18,6 +18,7 @@ from thdist.catalog import (
     verify_all,
 )
 from thdist.errors import CatalogError, FormulaSyntaxError, ThdistError
+from thdist.relations import CERT_KINDS
 from thdist.network import (
     check_amalgamation,
     classify_ad,
@@ -361,13 +362,170 @@ def _network_answers() -> dict:
     return out
 
 
-# sha256 of json.dumps(_network_answers(), sort_keys=True), computed at
-# commit aac54c9, where check_amalgamation ran its decider on two mirrored
+# sha256 of json.dumps(_network_answers(), sort_keys=True). First computed
+# at commit aac54c9, where check_amalgamation ran its decider on two mirrored
 # lambda pairs, sentential_cd_solve searched step counts with a while loop
-# and lower_bound_certificates scanned two spectrum tables twice
-_PINNED_NETWORK_ANSWERS = "26cbe49961d2e8771ff97b9cf13443fab822ce3e6541667acfa316f6f75f3862"
+# and lower_bound_certificates scanned two spectrum tables twice. Recomputed
+# when the arrow matrix began to read axiom_add_exists: the only answer that
+# moved is "amalgamation BinAx", whose undecided_pairs went from seven
+# first-order pairs to [], each refuted by a countermodel of size 1 or 2
+_PINNED_NETWORK_ANSWERS = "5ab6fee6b71a3a781aad9f4640f53333dbe1624b9f1774a30d8ab070786e6137"
 
 
 def test_shipped_network_answers_pinned():
     text = json.dumps(_network_answers(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_NETWORK_ANSWERS
+
+
+
+def _certificate_statuses() -> dict:
+    """verify_all's JSON on the shipped catalog and on seeded catalogs that
+    draw every certificate kind, declared or asserted, with its payload
+    present or missing, keyed by catalog."""
+    rng = random.Random(1807_01501)
+    langs = {
+        "L2": ("A", "B"), "L3": ("A", "B", "C"), "M2": ("X", "Y"), "M3": ("X", "Y", "Z"),
+    }
+
+    def formula(consts, depth=2) -> str:
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(consts)
+        op = rng.choice(("not", "and", "or", "implies", "iff"))
+        if op == "not":
+            return f"(not {formula(consts, depth - 1)})"
+        return f"({op} {formula(consts, depth - 1)} {formula(consts, depth - 1)})"
+
+    def translation(src, dst) -> str:
+        return "(" + " ".join(f'({c} "{formula(langs[dst], 1)}")' for c in langs[src]) + ")"
+
+    def catalog(i: int) -> str:
+        lines = [f"(policy :size-cap {rng.randint(1, 4)} :rank-cap 3 :var-cap 6)"]
+        lines += [f"(language {n} {' '.join(f'({c} 0)' for c in cs)} :vars 0)"
+                  for n, cs in langs.items()]
+        theories: dict[str, tuple[str, str]] = {}  # name -> (language, one axiom)
+
+        def theory(name: str, lang: str, axiom: str) -> str:
+            theories[name] = (lang, axiom)
+            lines.append(f'(theory {name} :over {lang} :axioms "{axiom}")')
+            return name
+
+        for j in range(rng.randint(3, 6)):
+            lang = rng.choice(("L2", "L3", "M2", "M3") if i % 2 else ("L2", "L3"))
+            c = langs[lang][0]
+            axiom = formula(langs[lang]) if rng.random() < 0.8 else f"(or {c} (not {c}))"
+            theory(f"t{j}", lang, f"(and {c} (not {c}))" if rng.random() < 0.1 else axiom)
+        names = list(theories)
+        for j in range(rng.randint(4, 9)):
+            kind = rng.choice(CERT_KINDS)
+            src, dst = rng.choice(names), rng.choice(names)
+            lang, axiom = theories[src]
+            consts = langs[lang]
+            row = [rng.randint(0, 1) for _ in consts]
+            char = "(and " + " ".join(c if b else f"(not {c})" for c, b in zip(consts, row)) + ")"
+            phi = axiom if rng.random() < 0.4 else formula(consts)
+            if kind in ("axiom-add", "collapse", "concept-remove", "theorem-remove"):
+                dst = rng.choice([n for n in names if theories[n][0] == lang])
+            if kind.endswith("remove") and rng.random() < 0.5:
+                # a target shaped like one of the removals: Sat(T) plus a
+                # row, the row alone, or Sat(T) minus phi
+                shape = rng.choice((f"(or {axiom} {char})", char, f"(and {axiom} (not {phi}))"))
+                dst = theory(f"r{j}", lang, shape)
+            if kind == "concept-add" and lang[1] == "2" and rng.random() < 0.7:
+                grown = lang[0] + "3"  # the same axiom over one more constant
+                extra = rng.choice(("", langs[grown][2], f"(iff {langs[grown][2]} {consts[0]})"))
+                dst = theory(f"g{j}", grown, f"(and {axiom} {extra})" if extra else axiom)
+            parts = [f"(certificate :name k{j} :kind {kind} :from {src} :to {dst}"]
+            if rng.random() < 0.4:
+                parts.append(":status asserted")
+            if rng.random() < 0.3:
+                parts.append(f":bound {rng.randint(1, 4)}")
+            if rng.random() < 0.75:  # the payload each kind reads
+                if kind == "axiom-add":
+                    parts.append(f':axiom "{formula(consts)}"')
+                elif kind == "collapse":
+                    parts.append(f':phi "{formula(consts)}" :psi "{formula(consts)}"')
+                elif kind in ("concept-remove", "theorem-remove"):
+                    parts.append(f':formula "{phi}"')
+                    if rng.random() < 0.5:
+                        parts.append(f":extra-model ({' '.join(map(str, row))})")
+                elif kind == "defeq":
+                    parts.append(f":tr12 {translation(lang, theories[dst][0])}")
+                    parts.append(f":tr21 {translation(theories[dst][0], lang)}")
+                elif kind == "faithful":
+                    parts.append(f":tr {translation(lang, theories[dst][0])}")
+                elif kind == "concept-add":
+                    parts.append(f":symbol {rng.choice(('C', 'Z', 'A'))}")
+            lines.append(" ".join(parts) + ")")
+        return "\n".join(lines)
+
+    # a ternary symbol caps out at size 3, so bounded checks back off to 2;
+    # one variable tells no size apart, so conservativity stays undecided
+    tern = """
+(language Tern (T 3) :vars 3)
+(theory Diag :over Tern :axioms "(forall v0 (T v0 v0 v0))")
+(theory Diag2 :over Tern :axioms "(not (exists v0 (not (T v0 v0 v0))))")
+(theory TernFree :over Tern)
+(certificate :name tern-equiv :kind equiv :from Diag :to Diag2)
+(certificate :name tern-add :kind axiom-add :from TernFree :to Diag
+             :axiom "(forall v0 (T v0 v0 v0))")
+(certificate :name tern-defeq :kind defeq :from Diag :to Diag2 :tr12 () :tr21 ())
+(certificate :name tern-faithful :kind faithful :from Diag2 :to Diag :tr () :bound 3)
+(language Tern2 (T 3) (U 1) :vars 3)
+(theory DiagU :over Tern2 :axioms "(forall v0 (T v0 v0 v0))")
+(certificate :name tern-concept :kind concept-add :from Diag :to DiagU)
+(language U1 (U 1) :vars 1)
+(language UV1 (U 1) (V 1) :vars 1)
+(theory Ufree :over U1)
+(theory UVmeet :over UV1 :axioms "(exists v0 (and (U v0) (V v0)))")
+(certificate :name one-var-concept :kind concept-add :from Ufree :to UVmeet)
+"""
+    first_order = "\n".join([
+        shipped_catalog_text(),
+        tern,
+        *(
+            f"(certificate :name fo-{kind}-{a}-{b}-{status} :kind {kind} :from {a} :to {b}"
+            f" :status {status})"
+            for kind in CERT_KINDS
+            for a, b in (("Posets", "Eqrels"), ("BinEmpty", "Posets"), ("PosetsLeq", "PosetsLt"))
+            for status in ("declared", "asserted")
+            if kind not in ("axiom-add", "collapse") or a != "PosetsLeq"
+        ),
+    ])
+    # 22 constants: 2^22 truth-table rows exceed the default candidate cap
+    wide = " ".join(f"(C{i} 0)" for i in range(22))
+    payload = {"axiom-add": ':axiom "C1"', "collapse": ':phi "C1" :psi "C0"',
+               "concept-remove": ':formula "C1"', "theorem-remove": ':formula "C0"'}
+    capped = "\n".join([
+        f"(language Wide {wide} :vars 0)",
+        '(theory w1 :over Wide :axioms "C0")',
+        '(theory w2 :over Wide :axioms "(and C0 C1)")',
+        "(language Two (A 0) (B 0) :vars 0)",
+        '(theory s1 :over Two :axioms "A")',
+        # the defeq witness reaches the wide side's rows only once it runs
+        "(certificate :name wide-witness :kind defeq :from s1 :to w1)",
+        *(
+            f"(certificate :name wide-{kind} :kind {kind} :from w1 :to w2 "
+            f"{payload.get(kind, '')})"
+            for kind in CERT_KINDS
+        ),
+    ])
+    out = {
+        "shipped": verify_all(loads_catalog(shipped_catalog_text())).to_json(),
+        "first-order": verify_all(loads_catalog(first_order)).to_json(),
+        "capped": verify_all(loads_catalog(capped)).to_json(),
+    }
+    for i in range(160):
+        cat = loads_catalog(catalog(i))
+        out[f"seeded {i}"] = verify_all(cat, rng.choice((None, 1, 2))).to_json()
+    return out
+
+
+# sha256 of json.dumps(_certificate_statuses(), sort_keys=True), computed at
+# commit 0eda628, where verify_certificate ran a separate retry wrapper per
+# certificate kind and checked removals on DNF theories rebuilt per candidate
+_PINNED_CERTIFICATE_STATUSES = "72a6a9f2435daf24ee03aa7d050e45dd3b338814e9c71ca06f0782213d19ce45"
+
+
+def test_certificate_statuses_pinned():
+    text = json.dumps(_certificate_statuses(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_CERTIFICATE_STATUSES

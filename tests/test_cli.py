@@ -143,6 +143,21 @@ def test_classify_ad_builtin(capsys):
     assert json.loads(out)["distance"] == 1
 
 
+def test_classify_ad_first_order_amalgamation_report(capsys):
+    # every BinAx pair is decided: none is left in undecided_pairs
+    code, out, _ = run(capsys, "classify-ad", "BinAx", "Posets", "Eqrels")
+    data = json.loads(out)
+    assert code == 0 and data["distance"] == 2
+    assert data["amalgamation_report"] == {
+        "amalgamation": "holds",
+        "amalgamation_counterexample": None,
+        "co_amalgamation": "holds",
+        "co_amalgamation_counterexample": None,
+        "undecided_pairs": [],
+        "vacuous": False,
+    }
+
+
 @pytest.mark.parametrize("node", ["Nope", "TStar0"])
 def test_classify_ad_unknown_node_is_an_input_error(capsys, node):
     # TStar0 is a catalog theory, but not a node of BinAx

@@ -8,9 +8,11 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thdist.catalog import loads_catalog, shipped_catalog_text, verify_all
 from thdist.errors import LanguageError
 from thdist.network import (
     INFINITY,
+    _arrow_matrix,
     ClusterNetwork,
     NetEdge,
     PathStep,
@@ -31,9 +33,9 @@ from thdist.network import (
     sentential_cd_solve,
     step_distance,
 )
-from thdist.relations import CertStatus, EdgeCertificate
-from thdist.semantics import Theory, theory_from_sat
-from thdist.syntax import Language, parse_formula
+from thdist.relations import CertStatus, EdgeCertificate, axiom_add_exists, verify_certificate
+from thdist.semantics import DEFAULT_CAPS, FiniteModel, Theory, eval_formula, theory_from_sat
+from thdist.syntax import Language, big_and, parse_formula
 
 PQ = Language.make("PQ", {"P": 0, "Q": 0}, 0)
 PURE = Language.make("Pure", {}, 4)
@@ -522,6 +524,143 @@ def test_amalgamation_matches_the_definition_on_random_sentential_catalogs():
     assert {v for _, _, v in seen} == {False, True}
 
 
+def _verdicts_on_the_matrix(names, arrow):
+    """The (co-)amalgamation verdicts, counterexample triples and vacuity
+    that the definitions give on a three-valued arrow matrix (True, False,
+    None = unknown), in Kleene's logic: a triple whose instance is false
+    fails, else one whose instance is unknown leaves the verdict open."""
+
+    def conj(a, b):
+        return False if False in (a, b) else a and b
+
+    def decide(m):
+        fails, open_, nontrivial = [], [], False
+        for t, t1, t2 in itertools.product(names, repeat=3):
+            premise = conj(m[t, t1], m[t, t2])
+            if t1 == t2 or premise is False:
+                continue
+            nontrivial |= premise is True
+            amalgam = [conj(m[t1, p], m[t2, p]) for p in names]
+            if True not in amalgam:
+                (fails if premise and None not in amalgam else open_).append((t, t1, t2))
+        if fails or open_:
+            return ("fails", fails[0]) if fails else ("undecidable", open_[0]), False
+        return ("holds", None), nontrivial
+
+    (am, am_w), am_used = decide(arrow)
+    (co, co_w), co_used = decide({(v, u): x for (u, v), x in arrow.items()})
+    vacuous = am == co == "holds" and not am_used and not co_used
+    return am, am_w, co, co_w, vacuous
+
+
+def test_amalgamation_matches_the_definition_on_random_first_order_catalogs():
+    # one unary symbol, sizes up to 3: every structure is enumerated here
+    # and every axiom checked with eval_formula, apart from the library;
+    # axiom-add, collapse and equiv certificates feed the closure
+    lang = Language.make("U1", {"P": 1}, 2)
+    pool = [parse_formula(f, lang) for f in (
+        "(forall v0 (P v0))",
+        "(exists v0 (P v0))",
+        "(exists v0 (not (P v0)))",
+        "(forall v0 (not (P v0)))",
+        "(exists v0 (exists v1 (not (= v0 v1))))",
+        "(forall v0 (forall v1 (= v0 v1)))",
+        "(exists v0 (exists v1 (and (P v0) (and (P v1) (not (= v0 v1))))))",
+        "(forall v0 (forall v1 (implies (and (P v0) (P v1)) (= v0 v1))))",
+    )]
+    structures = {
+        k: [FiniteModel(lang, k, {"P": [(a,) for a in range(k) if bits >> a & 1]})
+            for bits in range(1 << k)]
+        for k in (1, 2, 3)
+    }
+
+    def holds(m, phi):
+        return all(eval_formula(m, a, phi) for a in itertools.product(range(m.size), repeat=2))
+
+    rng = random.Random(1807)
+    seen = set()
+    for i in range(100):
+        bound = 1 + i % 3
+        theories = {
+            f"n{j}": Theory(f"n{j}", lang, tuple(rng.sample(pool, rng.randint(i % 2, 3))))
+            for j in range(rng.randint(2, 5))
+        }
+        names = list(theories)
+        certs = []
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.choice(names), rng.choice(names)
+            kind = rng.choice(("axiom-add", "collapse", "equiv"))
+            phi, psi = rng.choice(pool), rng.choice(pool)
+            if rng.random() < 0.5:  # v's own axioms: verified wherever u <- v is open
+                phi = big_and(lang, list(theories[v].axioms))
+            cert = EdgeCertificate(kind, u, v, axiom=phi, phi=phi, psi=psi)
+            verify_certificate(cert, theories, bound)
+            certs.append(cert)
+        arrow = _arrow_matrix(theories, certs, bound, DEFAULT_CAPS)
+        models = {
+            n: {m for k in range(1, bound + 1) for m in structures[k]
+                if all(holds(m, a) for a in t.axioms)}
+            for n, t in theories.items()
+        }
+        # True arrows: u's axioms within v's, verified certificates (an
+        # equivalence both ways), closed under composition
+        closure = {
+            (u, v) for u in names for v in names
+            if set(theories[u].axioms) <= set(theories[v].axioms)
+        }
+        for c in certs:
+            if c.status.verified:
+                closure |= {(c.source, c.target)}
+                if c.kind == "equiv":
+                    closure |= {(c.target, c.source)}
+        while True:
+            grown = closure | {(u, w) for u, v in closure for x, w in closure if v == x}
+            if grown == closure:
+                break
+            closure = grown
+        for (u, v), x in arrow.items():
+            # False: a structure of size <= bound models v and fails u
+            expected = True if (u, v) in closure else (None if models[v] <= models[u] else False)
+            assert x is expected, (u, v, theories, certs)
+        report = check_amalgamation(theories, certs, bound)
+        got = (
+            report.amalgamation, report.amalgamation_witness,
+            report.co_amalgamation, report.co_amalgamation_witness, report.vacuous,
+        )
+        assert got == _verdicts_on_the_matrix(names, arrow), (theories, certs)
+        assert report.undecided_pairs == tuple(p for p, x in arrow.items() if x is None)
+        seen.add((got[0], got[2]))
+    # the draws reach every verdict of both properties
+    verdicts = {"holds", "fails", "undecidable"}
+    assert {a for a, _ in seen} == {c for _, c in seen} == verdicts
+
+
+def test_shipped_first_order_amalgamation_leaves_no_pair_undecided():
+    # certificates alone leave seven BinAx pairs open; axiom_add_exists
+    # refutes each with a structure of size 1 or 2 that models v and fails
+    # an axiom of u
+    cat = loads_catalog(shipped_catalog_text())
+    theories = {n: cat.theory(n) for n in cat.network_decl("BinAx").nodes}
+    certs = [c for c in cat.certificates if c.source in theories and c.target in theories]
+    verify_all(cat)
+    report = check_amalgamation(theories, certs, cat.policy.size_cap, cat.policy.caps())
+    assert report.undecided_pairs == ()
+    assert (report.amalgamation, report.co_amalgamation, report.vacuous) == ("holds", "holds", False)
+    arrow = _arrow_matrix(theories, certs, cat.policy.size_cap, cat.policy.caps())
+    opened = [("Posets", "BinEmpty"), ("Posets", "Eqrels"), ("Eqrels", "BinEmpty"),
+              ("Eqrels", "Posets"), ("BinBot", "BinEmpty"), ("BinBot", "Posets"),
+              ("BinBot", "Eqrels")]
+    for u, v in opened:
+        m = axiom_add_exists(theories[u], theories[v]).countermodel
+        assert arrow[u, v] is False and m.size <= 2
+
+        def holds(phi):
+            return all(eval_formula(m, a, phi) for a in itertools.product(range(m.size), repeat=3))
+
+        assert all(holds(a) for a in theories[v].axioms)
+        assert not all(holds(a) for a in theories[u].axioms)
+
+
 @pytest.mark.parametrize("mode", ["symmetric", "directed"])
 def test_auto_sentential_edges_follow_sat_inclusion(mode):
     # frozenset reference: v is u plus one axiom iff Sat(v) is within Sat(u)
@@ -668,6 +807,28 @@ def test_sentential_cd_solver_ignores_theory_names():
     one, four = theory_from_sat("t", lang3, rows[:1]), theory_from_sat("t", lang3, rows[:4])
     assert sentential_cd_solve(one, four).distance == fin(2)
     assert sentential_cd_solve(four, one).distance == fin(2)
+
+
+def test_sentential_cd_solver_rungs_translate_between_their_own_theories():
+    # a theory named like the first ladder theory, and a direct defeq rung
+    # between two theories named alike: each certificate's translations run
+    # between the two theories of its own rung
+    lang3 = Language.make("L3", {"A": 0, "B": 0, "C": 0}, 0)
+    lang2 = Language.make("L2", {"P": 0, "Q": 0}, 0)
+    rows3 = list(itertools.product((False, True), repeat=3))
+    rows2 = list(itertools.product((False, True), repeat=2))
+    first = theory_from_sat("cdsolve.0", lang3, rows3[:1])
+    res = sentential_cd_solve(first, theory_from_sat("four", lang2, rows2))
+    assert res.distance == fin(2)
+    tr12, tr21 = res.certificates[0].tr12, res.certificates[0].tr21
+    assert (tr12.source.name, tr12.target.name) == ("L3", "cdsolve.L1")
+    assert (tr21.source.name, tr21.target.name) == ("cdsolve.L1", "L3")
+    t1, t2 = theory_from_sat("t", lang3, rows3[:2]), theory_from_sat("t", lang2, rows2[:2])
+    res = sentential_cd_solve(t1, t2)
+    (cert,) = res.certificates
+    assert res.distance == fin(0) and cert.status.state == "verified-exact"
+    assert (cert.tr12.source, cert.tr12.target) == (lang3, lang2)
+    assert (cert.tr21.source, cert.tr21.target) == (lang2, lang3)
 
 
 def test_build_network_rejects_unknown_declarations():
