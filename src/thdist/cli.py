@@ -25,7 +25,7 @@ from .catalog import (
     verify_all,
 )
 from .concepts import closure_to_json, concept_closure, cz_lower_bound, cz_sentential
-from .errors import CapExceededError, CatalogError, FormulaSyntaxError, ThdistError
+from .errors import CapExceededError, ThdistError
 from .network import check_amalgamation, classify_ad, export_dot, export_json
 from .semantics import (
     enumerate_models,
@@ -281,18 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     activate_cache()
     try:
         return args.fn(args)
-    except (CatalogError, FormulaSyntaxError) as exc:
+    except (ThdistError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceededError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_CAP
-    except ThdistError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

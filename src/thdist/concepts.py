@@ -27,13 +27,13 @@ from .semantics import (
     DEFAULT_CAPS,
     FiniteModel,
     Theory,
+    _fibres,
     _sat_pullback,
     _set_bits,
     assignment_model,
     assignment_set,
     bounded_consequence,
     enumerate_models,
-    exists_groups,
     sat_assignments,
     sat_rows,
 )
@@ -82,11 +82,15 @@ def cz_sentential(theory: Theory) -> CzValue:
 
 Trace = tuple
 
+# The most relations concept_closure builds. Each new relation is met with
+# every known one, so the work grows with the square of the count.
+CLOSURE_CAP = 4096
+
 
 def _fixpoint(
     models: Sequence[FiniteModel],
     depth: int | None = None,
-    max_elements: int | None = None,
+    cap: int | None = None,
 ) -> dict[int, Trace]:
     """Close the diagonals and atom meanings over a non-empty tuple of
     models of one language under complement, intersection and
@@ -95,14 +99,19 @@ def _fixpoint(
     A relation is the concatenation of one assignment mask per model, each
     model in its own bit range, so one integer operation acts on every
     model at once. Returns each relation with its first generator; `depth`
-    limits the generation rounds and `max_elements` caps the count.
+    limits the generation rounds and `cap` the count.
     """
     lang = models[0].lang
     n = lang.var_bound
     offsets = list(itertools.accumulate((m.size**n for m in models), initial=0))
     full = (1 << offsets[-1]) - 1
+    # per coordinate i: the groups of assignments agreeing off i
     groups = [
-        [g << off for m, off in zip(models, offsets) for g in exists_groups(m.size, n, i)]
+        [
+            sum(1 << (off + a) for a in g)
+            for m, off in zip(models, offsets)
+            for g in zip(*_fibres(m.size, n, i))
+        ]
         for i in range(n)
     ]
 
@@ -120,8 +129,8 @@ def _fixpoint(
 
     def add(mask: int, trace: Trace, frontier: list[int]) -> None:
         if mask not in traces:
-            if max_elements is not None and len(traces) >= max_elements:
-                raise CapExceededError(f"closure exceeded {max_elements} elements")
+            if cap is not None and len(traces) >= cap:
+                raise CapExceededError(f"closure exceeded {cap} elements")
             traces[mask] = trace
             frontier.append(mask)
 
@@ -170,48 +179,46 @@ class ConceptClosure:
         return self.model.size**self.n_vars
 
 
-def concept_closure(
-    model: FiniteModel, max_elements: int = 1 << 16, caps: Caps = DEFAULT_CAPS
-) -> ConceptClosure:
+def concept_closure(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> ConceptClosure:
     """Close the model's atom meanings and diagonals under the three
-    generator operations, over the language's varBound variables."""
+    generator operations, over the language's varBound variables; a
+    closure of more than CLOSURE_CAP relations raises CapExceededError."""
     if model.size > caps.max_size:
         raise CapExceededError(f"model size {model.size} exceeds cap {caps.max_size}")
-    traces = _fixpoint([model], max_elements=max_elements)
+    traces = _fixpoint([model], cap=CLOSURE_CAP)
     return ConceptClosure(model, model.lang.var_bound, traces)
 
 
 def closure_formula(closure: ConceptClosure, mask: int) -> Formula:
     """Recover a defining formula from the generation trace."""
-    memo: dict[int, Formula] = {}
+    return _trace_formula(closure.traces, mask, {})
 
-    def go(m: int) -> Formula:
-        if m in memo:
-            return memo[m]
-        trace = closure.traces[m]
+
+def _trace_formula(traces: dict[int, Trace], mask: int, memo: dict[int, Formula]) -> Formula:
+    if mask not in memo:
+        trace = traces[mask]
         op = trace[0]
         if op == "diag":
             out = eq(trace[1], trace[2])
         elif op == "atom":
             out = atom(trace[1], trace[2])
         elif op == "not":
-            out = not_(go(trace[1]))
+            out = not_(_trace_formula(traces, trace[1], memo))
         elif op == "and":
-            out = and_(go(trace[1]), go(trace[2]))
+            out = and_(
+                _trace_formula(traces, trace[1], memo), _trace_formula(traces, trace[2], memo)
+            )
         else:
-            out = exists(trace[1], go(trace[2]))
-        memo[m] = out
-        return out
-
-    return go(mask)
+            out = exists(trace[1], _trace_formula(traces, trace[2], memo))
+        memo[mask] = out
+    return memo[mask]
 
 
 def closure_to_json(closure: ConceptClosure) -> dict:
     """Bitset dump in lexicographic assignment order, with traces."""
-    bits_of = lambda m: "".join(
-        "1" if m >> i & 1 else "0" for i in range(closure.universe_bits)
-    )
-    order = sorted(closure.traces, key=bits_of)
+    width = closure.universe_bits
+    bits = {m: format(m, f"0{width}b")[::-1] for m in closure.traces}
+    order = sorted(closure.traces, key=bits.__getitem__)
     index = {m: i for i, m in enumerate(order)}
 
     def show(trace: Trace):
@@ -228,9 +235,7 @@ def closure_to_json(closure: ConceptClosure) -> dict:
         "size": closure.model.size,
         "vars": closure.n_vars,
         "count": len(closure),
-        "elements": [
-            {"bits": bits_of(m), "trace": show(closure.traces[m])} for m in order
-        ],
+        "elements": [{"bits": bits[m], "trace": show(closure.traces[m])} for m in order],
     }
 
 

@@ -42,7 +42,6 @@ from .semantics import (
 from .syntax import (
     Formula,
     big_and,
-    dnf_of_assignments,
     false_formula,
     iff,
     print_formula,
@@ -178,23 +177,24 @@ def axiom_add_exists(
 ) -> AxiomAddAnswer:
     """Is there any phi with T + phi equivalent to t2 (T <- T')?
 
-    Sentential: exactly when Sat(t2) is included in Sat(t); the canonical
-    DNF of Sat(t2) then witnesses. First-order: model inclusion refutable
-    by countermodel up to the bound; provable only when t's axioms already
-    sit inside t2's, otherwise unknown-bounded with the candidate axiom.
+    The candidate is the conjunction of t2's axioms: T + it is equivalent
+    to t2 exactly when every model of t2 is a model of T. Sentential: Sat
+    inclusion decides. First-order: model inclusion refutable by
+    countermodel up to the bound; provable only when t's axioms already sit
+    inside t2's, otherwise unknown-bounded with the candidate.
     """
     if not t.lang.same_formulas(t2.lang):
         return AxiomAddAnswer("no", exact=True, note="language mismatch")
+    candidate = big_and(t.lang, list(t2.axioms))
     if t.lang.is_sentential:
         s1, s2 = sat_assignments(t), sat_assignments(t2)
         if not s2 & ~s1:
-            return AxiomAddAnswer("yes", dnf_of_assignments(t.lang, sat_rows(t.lang, s2)))
+            return AxiomAddAnswer("yes", candidate)
         row = next(sat_rows(t.lang, s2 & ~s1))
         return AxiomAddAnswer(
             "no", countermodel=assignment_model(t.lang, row),
             note="a model of T' is no model of T",
         )
-    candidate = big_and(t.lang, list(t2.axioms))
     if set(t.axioms) <= set(t2.axioms):
         return AxiomAddAnswer("yes", candidate, note="axioms of T are axioms of T'")
     for k in range(1, bound + 1):

@@ -215,20 +215,6 @@ def eval_formula(model: FiniteModel, assignment: Sequence[int], phi: Formula) ->
 # ---------------------------------------------------------------------------
 # Assignment sets: the table evaluator on one lane
 
-@functools.lru_cache(maxsize=None)
-def exists_groups(k: int, n: int, var: int) -> list[int]:
-    """Masks of assignment groups agreeing everywhere but coordinate `var`."""
-    return [sum(1 << i for i in g) for g in zip(*_fibres(k, n, var))]
-
-
-def cylindrify(mask: int, k: int, n: int, var: int) -> int:
-    out = 0
-    for g in exists_groups(k, n, var):
-        if g & mask:
-            out |= g
-    return out
-
-
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -663,7 +649,6 @@ def clear_memory_caches() -> None:
     _sat_memo.clear()
     _restriction.cache_clear()
     _fibres.cache_clear()
-    exists_groups.cache_clear()
     _space.cache_clear()
 
 

@@ -104,6 +104,103 @@ def test_bad_axiom_reports_position():
         loads_catalog('(language L (P 0) :vars 0)\n(theory T :over L :axioms "(and P")')
 
 
+# the form under test sits on line 4, after two theories over two constants
+PREFIX = '(language L (P 0) (Q 0) :vars 0)\n(theory A :over L)\n(theory B :over L :axioms "P")\n'
+
+
+@pytest.mark.parametrize(
+    "form, message, column",
+    [
+        # declarations, names and keywords
+        ("(language)", "language needs a name", 1),
+        ("(theory)", "theory needs a name", 1),
+        ("(network)", "network needs a name", 1),
+        ('("theory" C :over L)', "expected a declaration keyword", 1),
+        ("(axiom P)", "unknown declaration 'axiom'", 1),
+        ("(language (M))", "expected a name", 11),
+        ("(theory C L)", "expected a :keyword", 11),
+        ("(theory C)", "missing :over", 1),
+        ("(theory C :over L :over L)", "duplicate :over", 1),
+        ("(theory C :over L :axioms P)", "expected a quoted string", 27),
+        # languages
+        ("(language M :vars)", ":vars needs a number", 13),
+        ("(language M :vars two)", "expected an integer", 19),
+        ("(language M (R))", "expected (SYMBOL RANK) or :vars N", 13),
+        ("(language M (R 1) (R 2) :vars 2)", "duplicate symbol R", 19),
+        ("(language M (R 1))", "rankBound 2 exceeds varBound+1 = 1", 1),
+        ("(language L :vars 1)", "duplicate language L", 1),
+        # theories and networks
+        ("(theory A :over L)", "duplicate theory A", 1),
+        (
+            "(network N :equiv logical :step axiom) (network N :equiv logical :step axiom)",
+            "duplicate network N",
+            40,
+        ),
+        # certificates
+        ("(certificate :kind teleport :from A :to B)", "unknown certificate kind 'teleport'", 1),
+        ("(certificate :kind axiom-add :from A :to Nope)", "unknown theory 'Nope'", 1),
+        (
+            "(certificate :kind axiom-add :from A :to B :status proven)",
+            "status is declared or asserted",
+            52,
+        ),
+        (
+            '(certificate :kind axiom-add :from A :to B :axiom "(and P")',
+            "bad :axiom: missing ')' (at 1:1)",
+            51,
+        ),
+        (
+            "(language M (P 0) :vars 0) (theory C :over M)"
+            " (certificate :kind collapse :from A :to C)",
+            "collapse keeps the language fixed",
+            47,
+        ),
+        (
+            '(certificate :kind concept-remove :from B :to A :formula "P" :extra-model 1)',
+            ":extra-model is a list of 0/1 bits",
+            75,
+        ),
+        (
+            '(certificate :kind concept-remove :from B :to A :formula "P" :extra-model (1))',
+            "expected 2 bits for L's constants",
+            75,
+        ),
+        # translation specs
+        (
+            "(certificate :kind defeq :from A :to B :tr12 P)",
+            'translation spec is ((SYM "formula") ...)',
+            46,
+        ),
+        (
+            "(certificate :kind faithful :from A :to B :tr ((P)))",
+            'translation entry is (SYM "formula")',
+            48,
+        ),
+        (
+            '(certificate :kind faithful :from A :to B :tr ((P "(and")))',
+            "bad image: missing ')' (at 1:1)",
+            48,
+        ),
+        (
+            '(certificate :kind faithful :from A :to B :tr ((Z "P")))',
+            "images for symbols not in L: ['Z']",
+            47,
+        ),
+    ],
+)
+def test_malformed_catalog_names_the_offending_form(form, message, column):
+    with pytest.raises(CatalogError) as err:
+        loads_catalog(PREFIX + form)
+    assert (err.value.line, err.value.column) == (4, column)
+    assert str(err.value) == f"{message} (at 4:{column})"
+
+
+def test_unknown_network_named():
+    with pytest.raises(CatalogError) as err:
+        loads_catalog(PREFIX).network_decl("N")
+    assert str(err.value) == "unknown network 'N' in <string>"
+
+
 def test_deliberately_wrong_axiom_add_refuted():
     text = (
         '(language L (P 0) (Q 0) :vars 0)\n'

@@ -218,3 +218,97 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
     run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_cz_first_order_lower_bound(capsys):
+    code, out, _ = run(capsys, "cz", "Posets", "--max-size", "2", "--depth", "1")
+    assert code == 0
+    assert json.loads(out) == {
+        "theory": "Posets",
+        "value": 39,
+        "method": "enumeration-lower-bound",
+        "lower_bound": True,
+        "depth": 1,
+        "detail": "models up to size 2",
+    }
+    code, out, _ = run(capsys, "cz", "Posets", "--max-size", "2", "--depth", "1", "--human")
+    assert code == 0 and out == "Cz(Posets) >= 39 [enumeration-lower-bound]\n"
+
+
+def test_classify_ad_assumed_amalgamation_is_not_checked(capsys):
+    code, out, _ = run(
+        capsys, "classify-ad", "BinAx", "Posets", "Eqrels", "--assume-amalgamation"
+    )
+    data = json.loads(out)
+    assert code == 0 and data["distance"] == 2
+    assert "amalgamation_report" not in data
+    assert data["notes"] == ["amalgamation property: asserted"]
+
+
+# AB's sub-theories A and B share no model and no inconsistent node sits
+# below both, so amalgamation fails; A lies in AB and C, and no node holds
+# both, so co-amalgamation fails too
+NO_AMALGAMATION_CAT = (
+    "(language L (P 0) (Q 0) :vars 0)\n"
+    '(theory A :over L :axioms "(and P Q)")\n'
+    '(theory B :over L :axioms "(and P (not Q))")\n'
+    '(theory AB :over L :axioms "P")\n'
+    '(theory C :over L :axioms "Q")\n'
+    "(network N :equiv logical :step axiom :nodes A B AB C)\n"
+)
+
+
+def test_classify_ad_without_amalgamation_exits_2(tmp_path, capsys):
+    path = tmp_path / "split.cat"
+    path.write_text(NO_AMALGAMATION_CAT)
+    code, out, err = run(capsys, "classify-ad", f"{path}:N", "B", "C")
+    assert code == 2 and err == ""
+    data = json.loads(out)
+    assert data["error"] == "amalgamation not established"
+    assert data["report"] == {
+        "amalgamation": "fails",
+        "amalgamation_counterexample": ["AB", "A", "B"],
+        "co_amalgamation": "fails",
+        "co_amalgamation_counterexample": ["A", "AB", "C"],
+        "undecided_pairs": [],
+        "vacuous": False,
+    }
+
+
+def test_paper_suite_command(monkeypatch, capsys):
+    from thdist import paper_suite
+
+    monkeypatch.setattr(paper_suite, "ALL_CRITERIA", [paper_suite.a4])
+    code, out, _ = run(capsys, "paper-suite")
+    data = json.loads(out)
+    assert code == 0 and data["passed"] is True
+    assert [(c["id"], c["passed"]) for c in data["criteria"]] == [("A4", True)]
+    code, out, _ = run(capsys, "paper-suite", "--human")
+    lines = out.splitlines()
+    assert code == 0 and lines[0].startswith("PASS A4: ") and lines[1] == "all passed"
+
+    failing = paper_suite._criterion("X1", "always fails")(lambda: (False, {"why": "test"}))
+    monkeypatch.setattr(paper_suite, "ALL_CRITERIA", [paper_suite.a4, failing])
+    code, out, _ = run(capsys, "paper-suite")
+    data = json.loads(out)
+    assert code == 1 and data["passed"] is False
+    assert data["criteria"][1]["details"] == {"why": "test"}
+    code, out, _ = run(capsys, "paper-suite", "--human")
+    assert code == 1 and out.splitlines()[-1] == "FAILURES present"
+
+
+def test_unreadable_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cat"
+    code, out, err = run(capsys, "check", str(missing))
+    assert code == 2 and out == ""
+    assert str(missing) in json.loads(err)["error"]
+
+
+def test_closure_cap_exit_code(tmp_path, capsys):
+    # the rigid 4-chain has 2^16 definable relations, far past the cap
+    chain = [[a, b] for a in range(4) for b in range(4) if a <= b]
+    model = tmp_path / "chain.json"
+    model.write_text(json.dumps({"size": 4, "interp": {"R": chain}}))
+    code, out, err = run(capsys, "closure", str(model), "--vars", "2")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "closure exceeded 4096 elements"}

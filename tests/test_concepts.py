@@ -18,15 +18,11 @@ from thdist.concepts import (
     sentential_defeq_witness,
 )
 from thdist.errors import InconsistencyError, UnsupportedFragmentError
-from thdist.semantics import (
-    FiniteModel,
-    Theory,
-    assignment_set,
-    cylindrify,
-    enumerate_models,
-)
+from thdist.semantics import FiniteModel, Theory, assignment_set, enumerate_models
 from thdist.syntax import Language, and_, atom, eq, exists, not_
 from thdist.translation import Translation, identity_translation
+
+from cylindrification import cylindrify
 
 PQ = Language.make("PQ", {"P": 0, "Q": 0}, 0)
 LT2 = Language.make("LT2", {"R": 2}, 2)
@@ -187,6 +183,30 @@ def test_cz_lower_bound_matches_tuple_vector_reference(examples_catalog, name):
 
 def test_cz_lower_bound_posets_pinned(examples_catalog):
     assert cz_lower_bound(examples_catalog.theory("Posets"), bound=4, depth=3).value == 2715
+
+
+def test_check_interpretation_first_order_preserved_not_reflected():
+    # Full proves (R v0 v1) under its universal closure and Free does not;
+    # the identity preserves Free's theorems but does not reflect this one
+    free = Theory.make("Free", LT2, [])
+    full = Theory.make("Full", LT2, ["(forall v0 (forall v1 (R v0 v1)))"])
+    rep = check_interpretation(identity_translation(LT2, LT2), free, full, bound=3)
+    assert (rep.verdict, rep.exact, rep.bound) == ("interpretation", False, 3)
+    assert rep.witness_formula == atom("R", (0, 1))
+    assert rep.witness_model == FiniteModel(LT2, 1, {"R": set()})
+    assert rep.note == "theoremhood preserved but not reflected on the battery"
+
+
+def test_check_defeq_first_order_round_trip_refuted():
+    # R -> not R one way and the identity back sends (R v0 v1) to its
+    # negation, false in every model
+    free = Theory.make("Free", LT2, [])
+    negate = Translation.make(LT2, LT2, {"R": not_(atom("R", (0, 1)))})
+    rep = check_defeq(negate, identity_translation(LT2, LT2), free, free)
+    assert (rep.verdict, rep.exact, rep.bound) == ("refuted", True, 1)
+    assert rep.witness_formula == atom("R", (0, 1))
+    assert rep.witness_model == FiniteModel(LT2, 1, {"R": set()})
+    assert rep.note == "round trip fails over Free"
 
 
 def test_check_interpretation_identity_faithful_on_conservative_pair():

@@ -445,6 +445,18 @@ def test_classify_requires_amalgamation_flag():
         classify_ad({"p": t1}, "p", "p", amalgamation=None)
 
 
+def test_classify_unconnected_pair_is_infinite():
+    # neither Sat-set holds the other, and no third node links them
+    theories = {
+        "b": Theory.make("b", PQ, ["(and P (not Q))"]),
+        "c": Theory.make("c", PQ, ["Q"]),
+    }
+    res = classify_ad(theories, "b", "c", amalgamation="asserted")
+    assert (res.value, res.status, res.witness) == (INFINITY, "exact", None)
+    assert res.lower_bound.kind == "exhausted-search"
+    assert res.notes == ("amalgamation property: asserted",)
+
+
 def test_amalgamation_single_node_and_complete_catalog():
     t = theory_from_sat("one", PQ, [(True, True)])
     report = check_amalgamation({"one": t})
@@ -852,6 +864,25 @@ def test_conceptual_distance_with_certificates():
     res = conceptual_distance(theories, "t0", "t1", [cert], rank_cap=0)
     assert res.value == fin(1) and res.status == "exact"
     assert res.lower_bound.bound == fin(1)
+
+
+def test_spectrum_obstruction_against_a_catalog_path_is_noted():
+    # One has no size-2 model and Set has one; three variables tell size 2
+    # apart, so the asserted defeq joining them must be wrong
+    eq3 = Language.make("Eq3", {}, 3)
+    theories = {
+        "Set": Theory.make("Set", eq3, []),
+        "One": Theory.make("One", eq3, ["(forall v0 (forall v1 (= v0 v1)))"]),
+    }
+    cert = EdgeCertificate("defeq", "Set", "One", name="trusted", status=CertStatus("asserted"))
+    res = conceptual_distance(theories, "Set", "One", [cert])
+    assert (res.value, res.status, res.asserted_used) == (fin(0), "conditional", ("trusted",))
+    evidence = res.lower_bound
+    assert (evidence.kind, evidence.size, evidence.ratio) == ("spectrum-obstruction", 2, (1, 0))
+    assert res.notes == (
+        "spectrum obstruction contradicts the catalog path; "
+        "an asserted or bounded certificate must be wrong",
+    )
 
 
 def test_faithful_distance_empty_relation_infinite():

@@ -50,6 +50,8 @@ from thdist.syntax import (
     print_formula,
 )
 
+from cylindrification import cylindrify, exists_groups
+
 BIN = Language.make("Bin", {"R": 2}, 3)
 PQ = Language.make("PQ", {"P": 0, "Q": 0}, 0)
 PURE = Language.make("Pure", {}, 4)
@@ -411,14 +413,14 @@ def test_clear_memory_caches_empties_every_table():
         return (
             [model_to_json(x) for x in enumerate_models(posets, 3)],
             assignment_set(m, phi),
-            semantics.cylindrify(assignment_set(m, phi), 3, 3, 2),
+            cylindrify(assignment_set(m, phi), 3, 3, 2),
             sat_assignments(sent),
             canonical_form(m),
             bounded_consequence(posets, parse_formula("(R v0 v0)", BIN), 3),
         )
 
     before = run()
-    cached = (semantics._space, semantics._restriction, semantics._fibres, semantics.exists_groups)
+    cached = (semantics._space, semantics._restriction, semantics._fibres)
     assert all(f.cache_info().currsize for f in cached)
     # bounded_consequence keeps lane masks beside the model lists it checked
     assert all(semantics._model_memo[posets.key, k][1] is not None for k in (1, 2, 3))
@@ -798,7 +800,7 @@ def test_exists_groups_match_bucket_definition():
             for idx, tau in enumerate(taus):
                 rest = tau[:var] + tau[var + 1 :]
                 buckets[rest] = buckets.get(rest, 0) | 1 << idx
-            assert semantics.exists_groups(k, n, var) == list(buckets.values())
+            assert exists_groups(k, n, var) == list(buckets.values())
 
 
 def _check_sweep(lang, k, axioms):
