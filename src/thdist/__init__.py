@@ -31,7 +31,6 @@ from .semantics import (
     is_true,
     logically_equivalent,
     sat_assignments,
-    semantic_profile,
     spectrum,
 )
 from .concepts import (

@@ -24,9 +24,8 @@ FORMAT = "ascending-canonical-codes"
 
 
 class DiskProfileStore:
-    def __init__(self, root: str | Path, version: str = __version__):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.version = version
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str, k: int) -> Path:
@@ -38,7 +37,7 @@ class DiskProfileStore:
             data = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if not isinstance(data, dict) or data.get("version") != self.version \
+        if not isinstance(data, dict) or data.get("version") != __version__ \
                 or data.get("format") != FORMAT:
             return None
         return data
@@ -46,7 +45,7 @@ class DiskProfileStore:
     def put(self, key: str, k: int, payload: dict) -> None:
         path = self._path(key, k)
         path.parent.mkdir(parents=True, exist_ok=True)
-        record = dict(payload, version=self.version, format=FORMAT)
+        record = dict(payload, version=__version__, format=FORMAT)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
@@ -59,19 +58,11 @@ class DiskProfileStore:
                 pass
 
 
-def cache_dir_from_env() -> Path | None:
-    value = os.environ.get(ENV_VAR)
-    if value:
-        return Path(value)
-    return None
-
-
-def activate_cache(root: str | Path | None = None) -> DiskProfileStore | None:
-    """Install the disk cache; with no argument, honor the environment
-    variable and otherwise stay memory-only."""
-    if root is None:
-        root = cache_dir_from_env()
-    if root is None:
+def activate_cache() -> DiskProfileStore | None:
+    """Install the disk cache at the directory the environment variable
+    names; without one, stay memory-only."""
+    root = os.environ.get(ENV_VAR)
+    if not root:
         return None
     store = DiskProfileStore(root)
     set_profile_store(store)

@@ -428,9 +428,7 @@ def verify_all(catalog: Catalog, bound: int | None = None) -> VerificationReport
     return report
 
 
-def catalog_network(
-    catalog: Catalog, name: str, directed: bool = False, bound: int | None = None
-) -> ClusterNetwork:
+def catalog_network(catalog: Catalog, name: str, directed: bool = False) -> ClusterNetwork:
     decl = catalog.network_decl(name)
     mode = "directed" if (directed or decl.mode == "directed") else "symmetric"
     theories = {n: catalog.theories[n] for n in decl.nodes}
@@ -441,7 +439,7 @@ def catalog_network(
         decl.equiv,
         decl.step,
         mode,
-        bound or catalog.policy.size_cap,
+        catalog.policy.size_cap,
         catalog.policy.caps(),
     )
 
@@ -452,20 +450,18 @@ def catalog_distance(
     a: str,
     b: str,
     directed: bool = False,
-    bound: int | None = None,
 ) -> DistanceResult:
     """Distance query on a declared network; concept networks attach the
     spectrum lower bounds of conceptual distance."""
     decl = catalog.network_decl(net_name)
-    k = bound or catalog.policy.size_cap
     mode = "directed" if (directed or decl.mode == "directed") else "symmetric"
     if decl.step == "concept" and mode == "symmetric":
         theories = {n: catalog.theories[n] for n in decl.nodes}
         return conceptual_distance(
-            theories, a, b, catalog.certificates, k,
+            theories, a, b, catalog.certificates, catalog.policy.size_cap,
             catalog.policy.rank_cap, catalog.policy.caps(),
         )
-    net = catalog_network(catalog, net_name, directed=directed, bound=bound)
+    net = catalog_network(catalog, net_name, directed=directed)
     if mode == "directed":
         return directed_step_distance(net, a, b)
     return step_distance(net, a, b)

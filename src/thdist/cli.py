@@ -32,7 +32,7 @@ from .semantics import (
     model_lang_from_json,
     model_to_dict,
     model_to_json,
-    semantic_profile,
+    spectrum,
 )
 
 EXIT_OK = 0
@@ -94,14 +94,15 @@ def cmd_models(args) -> int:
 def cmd_spectrum(args) -> int:
     catalog, name = _load_ref(args.theory)
     theory = catalog.theory(name)
-    profile = semantic_profile(theory, args.max_size, catalog.policy.caps())
+    caps = catalog.policy.caps()
+    counts = {k: spectrum(theory, k, caps) for k in range(1, args.max_size + 1)}
     payload = {
         "theory": name,
-        "spectrum": {str(k): v for k, v in profile.spectrum.items()},
-        "exact": profile.exact,
-        "has_models_at_every_size_up_to_bound": profile.unbounded_models_up_to,
+        "spectrum": {str(k): v for k, v in counts.items()},
+        "exact": theory.lang.is_sentential,
+        "has_models_at_every_size_up_to_bound": all(counts.values()),
     }
-    human = "\n".join(f"I({name},{k}) = {v}" for k, v in profile.spectrum.items())
+    human = "\n".join(f"I({name},{k}) = {v}" for k, v in counts.items())
     _emit(args, payload, human)
     return EXIT_OK
 

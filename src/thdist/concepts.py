@@ -179,14 +179,20 @@ class ConceptClosure:
         return self.model.size**self.n_vars
 
 
-def concept_closure(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> ConceptClosure:
+def concept_closure(model: FiniteModel) -> ConceptClosure:
     """Close the model's atom meanings and diagonals under the three
     generator operations, over the language's varBound variables; a
     closure of more than CLOSURE_CAP relations raises CapExceededError."""
-    if model.size > caps.max_size:
-        raise CapExceededError(f"model size {model.size} exceeds cap {caps.max_size}")
-    traces = _fixpoint([model], cap=CLOSURE_CAP)
-    return ConceptClosure(model, model.lang.var_bound, traces)
+    k, n = model.size, model.lang.var_bound
+    if k > DEFAULT_CAPS.max_size:
+        raise CapExceededError(f"model size {k} exceeds cap {DEFAULT_CAPS.max_size}")
+    # More than CLOSURE_CAP assignments at k <= 6 forces n >= 5 and k >= 2.
+    # Then the equality patterns with at most two classes are 2^(n-1) >= 16
+    # non-empty atoms of the closure, so it has at least 2^16 relations:
+    # refuse before building a single one.
+    if k**n > CLOSURE_CAP:
+        raise CapExceededError(f"closure exceeded {CLOSURE_CAP} elements")
+    return ConceptClosure(model, n, _fixpoint([model], cap=CLOSURE_CAP))
 
 
 def closure_formula(closure: ConceptClosure, mask: int) -> Formula:
@@ -239,9 +245,9 @@ def closure_to_json(closure: ConceptClosure) -> dict:
     }
 
 
-def cz_of_model(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> CzValue:
+def cz_of_model(model: FiniteModel) -> CzValue:
     """Exact fragment-relative conceptual size of Th(model)."""
-    closure = concept_closure(model, caps=caps)
+    closure = concept_closure(model)
     return CzValue(len(closure), "closure-exact", detail=f"size-{model.size} model")
 
 
@@ -451,9 +457,7 @@ def check_defeq(
     return CheckReport("defeq", False, bound)
 
 
-def sentential_defeq_witness(
-    t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND
-) -> tuple[Translation, Translation] | None:
+def sentential_defeq_witness(t1: Theory, t2: Theory) -> tuple[Translation, Translation] | None:
     """Construct and verify a definitional-equivalence witness between
     consistent sentential theories of equal Sat-set size, if possible.
 
@@ -484,7 +488,7 @@ def sentential_defeq_witness(
 
     tr12 = along(t1.lang, t2.lang, rows1, rows2)
     tr21 = along(t2.lang, t1.lang, rows2, rows1)
-    report = check_defeq(tr12, tr21, t1, t2, bound)
+    report = check_defeq(tr12, tr21, t1, t2)
     if report.verdict != "defeq":
         raise AssertionError(f"constructed witness failed verification: {report}")
     return tr12, tr21

@@ -521,6 +521,9 @@ def classify_ad(
     connected = axiomatic_distance(theories, a, b, certificates, bound, caps)
     if not connected.value.is_finite:
         return DistanceResult(INFINITY, None, "exact", (), EXHAUSTED, notes=(note,))
+    if amalgamation == "asserted":  # a distance of 2 rests on the property
+        return DistanceResult(fin(2), connected.witness, "conditional",
+                              connected.asserted_used, notes=(note,))
     return DistanceResult(fin(2), connected.witness, connected.status, notes=(note,))
 
 
@@ -787,9 +790,7 @@ def _ladder_theory(index: int, consts: int, sat: int) -> Theory:
     return theory_from_sat(f"cdsolve.{index}", lang, sat_rows(lang, sat))
 
 
-def sentential_cd_solve(
-    t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND, caps: Caps = DEFAULT_CAPS
-) -> SolveResult:
+def sentential_cd_solve(t1: Theory, t2: Theory) -> SolveResult:
     """Exact conceptual distance between sentential theories, searched over
     the space quotiented by definitional-equivalence class.
 
@@ -798,7 +799,7 @@ def sentential_cd_solve(
     concept step scales the cardinality by a factor in [1,2] up or down,
     so the distance is the least s with lo * 2^s >= hi, which meets the
     growth lower bound. The returned chain materializes concrete ladder
-    theories with verified certificates.
+    theories with certificates, each sentential and so verified exactly.
     """
     for t in (t1, t2):
         if not t.lang.is_sentential:
@@ -853,7 +854,7 @@ def sentential_cd_solve(
     for kind, nxt in rungs:
         cur = chain[-1]
         cert = EdgeCertificate(kind, cur.name, nxt.name)
-        _verify_between(cert, cur, nxt, bound, caps)
+        _verify_between(cert, cur, nxt, DEFAULT_BOUND, DEFAULT_CAPS)
         if not cert.status.verified:
             raise AssertionError(f"solver certificate failed: {cert.status}")
         bit = int(kind == "concept-add")
@@ -867,7 +868,7 @@ def sentential_cd_solve(
         ]
         chain.reverse()
     witness = PathWitness(tuple(t.name for t in chain), tuple(path_steps))
-    evidence = lower_bound_certificates(t1, t2, bound=1, rank_cap=0, caps=caps) if s1 else None
+    evidence = lower_bound_certificates(t1, t2, bound=1, rank_cap=0) if s1 else None
     return SolveResult(fin(steps), witness, tuple(chain), tuple(certs), evidence, notes)
 
 

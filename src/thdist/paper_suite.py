@@ -526,9 +526,6 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def table(self) -> str:
-        return "\n".join(r.line() for r in self.results)
-
     def to_json(self) -> dict:
         return {
             "passed": self.passed,

@@ -36,7 +36,6 @@ from .semantics import (
     sat_assignments,
     sat_of_formula,
     sat_rows,
-    spectrum,
     theory_from_sat,
 )
 from .syntax import (
@@ -383,20 +382,11 @@ def _concept_step(cert: EdgeCertificate, t1: Theory, t2: Theory, b: int, caps: C
     if cert.symbol is not None and cert.symbol != symbol:
         return CertStatus(REFUTED, note=f"added symbol is {symbol}, not {cert.symbol}")
     cert.symbol = symbol
-    if status.usable:
-        # one concept step grows the spectrum by at most 2^(k^m)
-        rank = t2.lang.rank(symbol)
-        for size in range(1, min(b, 3) + 1):
-            grown = spectrum(t2, size, caps)
-            limit = (1 << (size**rank)) * spectrum(t1, size, caps)
-            if grown > limit:
-                return CertStatus(REFUTED, note=f"I(T',{size})={grown} exceeds "
-                                  f"2^({size}^{rank})*I(T,{size})={limit}")
     return status
 
 
 def _check_at(
-    cert: EdgeCertificate, t1: Theory, t2: Theory, k: int, caps: Caps
+    cert: EdgeCertificate, t1: Theory, t2: Theory, caps: Caps
 ) -> Callable[[int], CertStatus]:
     """The check of cert at a size bound b. What needs no bound (trust,
     missing payload, the defeq witness, removals) is settled here, so a cap
@@ -423,7 +413,7 @@ def _check_at(
             if not sat_assignments(t1) and not sat_assignments(t2):
                 pair = _trivial_translations(t1, t2)
             else:
-                pair = sentential_defeq_witness(t1, t2, k)
+                pair = sentential_defeq_witness(t1, t2)
             if pair is None:
                 return _settled(CertStatus(REFUTED, note="no witness exists (Sat-set sizes "
                                            "differ or one language has no formulas)"))
@@ -461,7 +451,7 @@ def _verify_between(
     record the status on the certificate."""
     k = cert.bound_override or bound
     try:
-        status = _retry_bounded(_check_at(cert, t1, t2, k, caps), k)
+        status = _retry_bounded(_check_at(cert, t1, t2, caps), k)
     except (InconsistencyError, RemovalError) as exc:
         status = CertStatus(REFUTED, note=str(exc))
     cert.status = status

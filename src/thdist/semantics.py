@@ -55,14 +55,14 @@ from .syntax import (
 
 
 class Caps(NamedTuple):
-    """Desk-scale guards for enumeration and canonicalization."""
+    """Desk-scale guard on model sizes, which a catalog's policy sets."""
 
     max_size: int = 6
-    max_candidates: int = 1 << 21
-    max_perm_size: int = 8
 
 
 DEFAULT_CAPS = Caps()
+MAX_CANDIDATES = 1 << 21  # most codes (or truth-table rows) one enumeration sweeps
+MAX_PERM_SIZE = 8  # largest size whose k! permutations canonical forms try
 DEFAULT_BOUND = 4  # default K for bounded first-order checks
 
 
@@ -312,10 +312,8 @@ def _sat_mask(lang: Language, formulas: Sequence[Formula]) -> int:
     first constant is the code's highest bit), so the satisfying codes
     are the mask's bits."""
     rows = 1 << len(lang.constants)
-    if rows > DEFAULT_CAPS.max_candidates:
-        raise CapExceededError(
-            f"{rows} truth-table rows exceed cap {DEFAULT_CAPS.max_candidates}"
-        )
+    if rows > MAX_CANDIDATES:
+        raise CapExceededError(f"{rows} truth-table rows exceed cap {MAX_CANDIDATES}")
     mask = 0
     for base, alive, _ in _satisfying_blocks(_space(lang.symbols[::-1], 1), formulas, {}):
         mask |= alive << base
@@ -609,29 +607,29 @@ def _holds(
     return alive
 
 
-def canonical_form(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
+def canonical_form(model: FiniteModel) -> tuple[int, int]:
     """Complete isomorphism invariant: the size and the least packed code
     over all universe permutations. Equal forms iff isomorphic (within
     one signature)."""
     k = model.size
-    if k > caps.max_perm_size:
-        raise CapExceededError(f"canonical form capped at size {caps.max_perm_size}")
+    if k > MAX_PERM_SIZE:
+        raise CapExceededError(f"canonical form capped at size {MAX_PERM_SIZE}")
     return (k, min(_space(model.lang.symbols, k).images(model.code)))
 
 
-def canonical_model(model: FiniteModel, caps: Caps = DEFAULT_CAPS) -> FiniteModel:
-    k, code = canonical_form(model, caps)
+def canonical_model(model: FiniteModel) -> FiniteModel:
+    k, code = canonical_form(model)
     return FiniteModel._of_code(model.lang, k, code)
 
 
-def isomorphic(a: FiniteModel, b: FiniteModel, caps: Caps = DEFAULT_CAPS) -> bool:
+def isomorphic(a: FiniteModel, b: FiniteModel) -> bool:
     if a.size != b.size or a.lang.symbols != b.lang.symbols:
         return False
-    return canonical_form(a, caps) == canonical_form(b, caps)
+    return canonical_form(a) == canonical_form(b)
 
 
 # ---------------------------------------------------------------------------
-# Enumeration up to isomorphism, spectra, profiles
+# Enumeration up to isomorphism, spectra
 
 _model_memo: dict[tuple[str, int], list] = {}  # -> [models, lane masks or None]
 _store = None  # optional persistent cache registered by the workbench
@@ -657,9 +655,9 @@ def enumeration_feasible(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> b
     lets callers skip a doomed size without paying for one side first."""
     if k < 1 or k > caps.max_size:
         return False
-    if k > caps.max_perm_size and not theory.lang.is_sentential:
+    if k > MAX_PERM_SIZE and not theory.lang.is_sentential:
         return False  # _least_codes refuses it
-    return 1 << _space(theory.lang.symbols, k).width <= caps.max_candidates
+    return 1 << _space(theory.lang.symbols, k).width <= MAX_CANDIDATES
 
 
 def enumerate_models(
@@ -687,7 +685,7 @@ def enumerate_models(
         if _store is not None:
             codes = _stored_codes(_store.get(theory.key, k), space.width)
         if codes is None:
-            codes = _least_codes(theory, space, caps)
+            codes = _least_codes(theory, space)
             if _store is not None:
                 _store.put(theory.key, k, {"count": len(codes), "codes": codes})
     models = [FiniteModel._of_code(lang, k, c) for c in codes]
@@ -715,7 +713,7 @@ def first_countermodel(
     return models[(bad & -bad).bit_length() - 1] if bad else None
 
 
-def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
+def _least_codes(theory: Theory, space: _Space) -> list[int]:
     """Ascending least codes of the orbits of the theory's models in the
     space. The models are closed under isomorphism, so these are the
     satisfying codes c that no permutation maps below c.
@@ -726,13 +724,13 @@ def _least_codes(theory: Theory, space: _Space, caps: Caps) -> list[int]:
     codes whose image agrees with them above j, and those of eq whose bit
     j is 1 while bit m[j] is 0 map below themselves. The maps hold k!
     permutations, so k is held to the cap `canonical_form` keeps."""
-    if space.k > caps.max_perm_size:
-        raise CapExceededError(f"canonical form capped at size {caps.max_perm_size}")
+    if space.k > MAX_PERM_SIZE:
+        raise CapExceededError(f"canonical form capped at size {MAX_PERM_SIZE}")
     candidates = 1 << space.width
-    if candidates > caps.max_candidates:
+    if candidates > MAX_CANDIDATES:
         raise CapExceededError(
             f"{candidates} interpretation candidates at size {space.k} "
-            f"exceed cap {caps.max_candidates}"
+            f"exceed cap {MAX_CANDIDATES}"
         )
     moves = [
         [(j, m[j]) for j in range(space.width - 1, -1, -1) if m[j] != j]
@@ -771,41 +769,6 @@ def _stored_codes(record, width: int) -> list[int] | None:
 def spectrum(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> int:
     """I(T, k): number of size-k models up to isomorphism."""
     return len(enumerate_models(theory, k, caps))
-
-
-class SemanticProfile:
-    """Cached semantic data for one theory up to a size bound."""
-
-    __slots__ = ("theory", "max_size", "spectrum", "models", "sat", "exact",
-                 "unbounded_models_up_to")
-
-    def __init__(
-        self,
-        theory: Theory,
-        max_size: int,
-        spectrum: dict[int, int],
-        models: dict[int, list[FiniteModel]],
-        sat: int | None,  # the Sat mask of a sentential theory
-        exact: bool,  # sentential profiles are exact; first-order are bounded
-        unbounded_models_up_to: bool,  # nonzero spectrum at every size <= max_size
-    ) -> None:
-        self.theory, self.max_size, self.spectrum, self.models = theory, max_size, spectrum, models
-        self.sat, self.exact, self.unbounded_models_up_to = sat, exact, unbounded_models_up_to
-
-
-def semantic_profile(theory: Theory, max_size: int, caps: Caps = DEFAULT_CAPS) -> SemanticProfile:
-    models = {k: enumerate_models(theory, k, caps) for k in range(1, max_size + 1)}
-    spec = {k: len(v) for k, v in models.items()}
-    sent = theory.lang.is_sentential
-    return SemanticProfile(
-        theory=theory,
-        max_size=max_size,
-        spectrum=spec,
-        models=models,
-        sat=sat_assignments(theory) if sent else None,
-        exact=sent,
-        unbounded_models_up_to=all(v > 0 for v in spec.values()),
-    )
 
 
 # ---------------------------------------------------------------------------

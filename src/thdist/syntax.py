@@ -88,10 +88,10 @@ class Language(NamedTuple):
             max(self.rank_bound, rank + 1),
         )
 
-    def without_symbols(self, names: Iterable[str], name: str | None = None) -> "Language":
+    def without_symbols(self, names: Iterable[str]) -> "Language":
         drop = set(names)
         kept = {s: r for s, r in self.symbols if s not in drop}
-        return Language.make(name or self.name, kept, self.var_bound)
+        return Language.make(self.name, kept, self.var_bound)
 
     def same_formulas(self, other: "Language") -> bool:
         """Same symbol map and variable bound, hence the same formula set."""
@@ -351,13 +351,7 @@ def _build(node, lang: Language) -> Formula:
             raise FormulaSyntaxError("= takes two variables", node.line, node.column)
         return eq(_var_index(rest[0], lang), _var_index(rest[1], lang))
     if op in ("and", "or"):
-        parts = [_build(n, lang) for n in rest]
-        if not parts:
-            return true_formula(lang) if op == "and" else false_formula(lang)
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = and_(acc, p) if op == "and" else or_(acc, p)
-        return acc
+        return (big_and if op == "and" else big_or)(lang, [_build(n, lang) for n in rest])
     if op == "not":
         if len(rest) != 1:
             raise FormulaSyntaxError("not takes one formula", node.line, node.column)

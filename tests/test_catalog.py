@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from thdist import cache
 from thdist.cache import DiskProfileStore
 from thdist.catalog import (
     catalog_distance,
@@ -260,11 +261,13 @@ def test_cache_transparency(tmp_path):
     assert list(tmp_path.rglob("*.json"))
 
 
-def test_stale_cache_version_ignored(tmp_path):
-    store = DiskProfileStore(tmp_path, version="old")
+def test_stale_cache_version_ignored(tmp_path, monkeypatch):
+    store = DiskProfileStore(tmp_path)
+    monkeypatch.setattr(cache, "__version__", "old")
     store.put("a" * 64, 2, {"count": 1, "models": []})
-    fresh = DiskProfileStore(tmp_path, version="new")
-    assert fresh.get("a" * 64, 2) is None
+    monkeypatch.setattr(cache, "__version__", "new")
+    assert store.get("a" * 64, 2) is None
+    monkeypatch.setattr(cache, "__version__", "old")
     assert store.get("a" * 64, 2) is not None
     # a record of the current version in another model-list format (or in
     # none, as older releases wrote) is stale too

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -63,8 +64,13 @@ def test_models_and_spectrum_builtin(capsys):
     data = json.loads(out)
     assert data["count"] == 2
     code, out, _ = run(capsys, "spectrum", "Posets", "--max-size", "3")
-    assert code == 0
-    assert json.loads(out)["spectrum"] == {"1": 1, "2": 2, "3": 5}
+    data = json.loads(out)
+    assert code == 0 and data["spectrum"] == {"1": 1, "2": 2, "3": 5}
+    assert data["exact"] is False and data["has_models_at_every_size_up_to_bound"] is True
+    code, out, _ = run(capsys, "spectrum", "PureTwo", "--max-size", "3")
+    assert code == 0 and json.loads(out)["has_models_at_every_size_up_to_bound"] is False
+    code, out, _ = run(capsys, "spectrum", "SentP")
+    assert code == 0 and json.loads(out)["exact"] is True
 
 
 def test_cap_exit_code(capsys):
@@ -258,6 +264,17 @@ NO_AMALGAMATION_CAT = (
 )
 
 
+def test_classify_ad_on_asserted_amalgamation_is_conditional(tmp_path, capsys):
+    # both properties fail here, so the asserted one is all a distance of
+    # 2 rests on: no "exact" for it
+    path = tmp_path / "split.cat"
+    path.write_text(NO_AMALGAMATION_CAT)
+    code, out, _ = run(capsys, "classify-ad", f"{path}:N", "B", "C", "--assume-amalgamation")
+    data = json.loads(out)
+    assert code == 0 and data["distance"] == 2 and data["status"] == "conditional"
+    assert [(s["from"], s["to"]) for s in data["witness"]] == [("B", "AB"), ("AB", "A"), ("A", "C")]
+
+
 def test_classify_ad_without_amalgamation_exits_2(tmp_path, capsys):
     path = tmp_path / "split.cat"
     path.write_text(NO_AMALGAMATION_CAT)
@@ -310,5 +327,29 @@ def test_closure_cap_exit_code(tmp_path, capsys):
     model = tmp_path / "chain.json"
     model.write_text(json.dumps({"size": 4, "interp": {"R": chain}}))
     code, out, err = run(capsys, "closure", str(model), "--vars", "2")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "closure exceeded 4096 elements"}
+
+
+def test_wide_closure_is_refused_before_it_is_built(tmp_path, capsys):
+    # 3^11 assignments: the closure would need far more than 4096 relations
+    model = tmp_path / "m3.json"
+    model.write_text('{"size": 3, "interp": {"R": [[0, 1], [1, 2]]}}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "closure", str(model), "--vars", "11")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "closure exceeded 4096 elements"}
+
+
+def test_closure_cap_at_the_smallest_wide_instance(tmp_path, capsys):
+    # over two points the equality patterns alone give 2^(n-1) atoms, so
+    # 2^(2^(n-1)) relations: 16, 256, then 2^16 past the cap at n = 5
+    model = tmp_path / "m2.json"
+    model.write_text('{"size": 2, "interp": {"R": []}, "ranks": {"R": 2}}')
+    for n, count in (("3", 16), ("4", 256)):
+        code, out, _ = run(capsys, "closure", str(model), "--vars", n)
+        assert code == 0 and json.loads(out)["count"] == count
+    code, out, err = run(capsys, "closure", str(model), "--vars", "5")
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": "closure exceeded 4096 elements"}

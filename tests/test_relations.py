@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from thdist import relations
 from thdist.errors import CapExceededError, RemovalError, UnsupportedFragmentError
 from thdist.relations import (
     CertStatus,
@@ -148,21 +147,6 @@ def test_concept_add_spectrum_growth_bound():
     rank = ext_lang.rank(symbol)
     for k in (1, 2, 3):
         assert spectrum(ext, k) <= (1 << (k**rank)) * spectrum(base, k)
-
-
-def test_concept_step_refutes_growth_past_one_symbol(monkeypatch):
-    # A verified concept-add has T's models as its reducts, and then the
-    # bound holds, so only a wrong conservativity verdict reaches the
-    # refutation: a stub stands in for one. I(free,2) = 3 against
-    # 2^(2^1) * I(one,2) = 0, while size 1 (2 <= 2 * 1) passes.
-    one = Theory.make("one", Language.make("Eq", {}, 2), ["(forall v0 (forall v1 (= v0 v1)))"])
-    free = Theory.make("free", Language.make("U", {"P": 1}, 2), [])
-    verified = lambda t, t2, b, caps: (CertStatus("verified-bounded", b), "P")
-    monkeypatch.setattr(relations, "check_concept_add", verified)
-    cert = EdgeCertificate("concept-add", "one", "free")
-    status = verify_certificate(cert, {"one": one, "free": free}, 2)
-    assert (status.state, status.witness, cert.symbol) == ("refuted", None, "P")
-    assert status.note == "I(T',2)=3 exceeds 2^(2^1)*I(T,2)=0"
 
 
 def test_concept_removals_theorem_case():

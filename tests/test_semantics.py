@@ -33,7 +33,6 @@ from thdist.semantics import (
     sat_assignments,
     sat_of_formula,
     sat_rows,
-    semantic_profile,
     spectrum,
 )
 from thdist.syntax import (
@@ -382,16 +381,6 @@ def test_sentential_truth_ignores_universe_size():
         assert len(values) == 1
 
 
-def test_profile_and_flags():
-    t = Theory.make("posets", BIN, POSET_AXIOMS)
-    profile = semantic_profile(t, 3)
-    assert profile.spectrum == {1: 1, 2: 2, 3: 5}
-    assert not profile.exact and profile.unbounded_models_up_to
-    sent = Theory.make("p", PQ, ["P"])
-    sprof = semantic_profile(sent, 2)
-    assert sprof.exact and sprof.sat == sat_assignments(sent)
-
-
 def test_caps_raise():
     big = Language.make("big", {"R": 2, "S": 2}, 3)
     with pytest.raises(CapExceededError):
@@ -718,8 +707,9 @@ def test_kept_codes_are_the_orbit_minima(lang, k):
     assert kept == {c for c in range(1 << len(brute.slots)) if brute.orbit_min(c) == c}
 
 
-def test_perm_cap_bounds_feasible_sizes():
-    caps = Caps(max_size=4, max_perm_size=3)
+def test_perm_cap_bounds_feasible_sizes(monkeypatch):
+    monkeypatch.setattr(semantics, "MAX_PERM_SIZE", 3)
+    caps = Caps(max_size=4)
     # 5 variables: spectrum evidence counts up to size 4, so the perm cap
     # is what stops it at 3
     s1 = Theory.make("S1", Language.make("A", {"A": 1}, 5), [])
