@@ -106,12 +106,16 @@ def _name_of(node) -> str:
     return node.text
 
 
-def _keywords(items, node) -> dict[str, list]:
+def _keywords(items, allowed: tuple[str, ...]) -> dict[str, list]:
+    """The values after each :keyword; a keyword outside `allowed` is an
+    error at its own position, never silently dropped."""
     out: dict[str, list] = {}
     key = None
     for item in items:
         if isinstance(item, SAtom) and item.text.startswith(":"):
             key = item.text[1:]
+            if key not in allowed:
+                raise _err(item, f"unknown keyword {item.text}")
             out.setdefault(key, [])
         elif key is None:
             raise _err(item, "expected a :keyword")
@@ -170,6 +174,8 @@ def _parse_language(form: SList, catalog: Catalog) -> None:
             symbols[sym] = rank
             i += 1
             continue
+        if isinstance(node, SAtom) and node.text.startswith(":"):
+            raise _err(node, f"unknown keyword {node.text}")
         raise _err(node, "expected (SYMBOL RANK) or :vars N")
     policy = catalog.policy
     if var_bound > policy.var_cap:
@@ -190,7 +196,7 @@ def _parse_theory(form: SList, catalog: Catalog) -> None:
     if len(form) < 2:
         raise _err(form, "theory needs a name")
     name = _name_of(form[1])
-    kw = _keywords(form.items[2:], form)
+    kw = _keywords(form.items[2:], ("over", "axioms"))
     lang_node = _one(kw, "over", form)
     lang_name = _name_of(lang_node)
     if lang_name not in catalog.languages:
@@ -226,8 +232,14 @@ def _parse_translation_spec(node, source: Language, target: Language) -> Transla
         raise _err(node, str(exc))
 
 
+_CERTIFICATE_KEYWORDS = (
+    "kind", "from", "to", "status", "name", "bound",
+    "axiom", "phi", "psi", "formula", "symbol", "extra-model", "tr12", "tr21", "tr",
+)
+
+
 def _parse_certificate(form: SList, catalog: Catalog, index: int) -> None:
-    kw = _keywords(form.items[1:], form)
+    kw = _keywords(form.items[1:], _CERTIFICATE_KEYWORDS)
     kind = _name_of(_one(kw, "kind", form))
     if kind not in CERT_KINDS:
         raise _err(form, f"unknown certificate kind {kind!r}")
@@ -299,7 +311,7 @@ def _parse_network(form: SList, catalog: Catalog) -> None:
     if len(form) < 2:
         raise _err(form, "network needs a name")
     name = _name_of(form[1])
-    kw = _keywords(form.items[2:], form)
+    kw = _keywords(form.items[2:], ("equiv", "step", "mode", "nodes"))
     equiv = _name_of(_one(kw, "equiv", form))
     step = _name_of(_one(kw, "step", form))
     mode_node = _one(kw, "mode", form, required=False)
@@ -320,7 +332,7 @@ def _parse_network(form: SList, catalog: Catalog) -> None:
 
 
 def _parse_policy(form: SList, catalog: Catalog) -> None:
-    kw = _keywords(form.items[1:], form)
+    kw = _keywords(form.items[1:], ("size-cap", "rank-cap", "var-cap"))
     def get(key: str, default: int) -> int:
         node = _one(kw, key, form, required=False)
         return _int(node) if node is not None else default

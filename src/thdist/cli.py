@@ -150,14 +150,8 @@ def cmd_dist(args) -> int:
 
 def cmd_classify_ad(args) -> int:
     catalog, name = _load_ref(args.network)
-    decl = catalog.network_decl(name)
-    theories = {n: catalog.theory(n) for n in decl.nodes}
-    # only certificates between network nodes bear on the classification
-    certificates = [
-        c for c in catalog.certificates if c.source in theories and c.target in theories
-    ]
-    verify_all(Catalog(catalog.source, catalog.policy, catalog.languages, catalog.theories,
-                       certificates, catalog.networks))
+    theories = {n: catalog.theory(n) for n in catalog.network_decl(name).nodes}
+    certificates = catalog.certificates  # each reader keeps those between nodes
     if args.assume_amalgamation:
         flag = "asserted"
         amalgamation = None
@@ -203,6 +197,17 @@ def cmd_paper_suite(args) -> int:
     return EXIT_OK if suite.passed else EXIT_REFUTED
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`, so a bad size
+    is an input error (exit 2) before any command runs."""
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thdist",
@@ -220,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("check", help="load a catalog and verify every certificate")
     p.add_argument("catalog")
-    p.add_argument("--cap", type=int, default=None, help="override the size bound K")
+    p.add_argument("--cap", type=_at_least(1), default=None, help="override the size bound K")
     p.add_argument(
         "--allow-refuted-prune",
         action="store_true",
@@ -230,18 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("models", help="canonical size-k models of a theory")
     p.add_argument("theory", help="CATALOG:NAME (bare name: built-in catalog)")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_at_least(1), required=True)
     p.set_defaults(fn=cmd_models)
 
     p = add_parser("spectrum", help="I(T,k) for k = 1..K")
     p.add_argument("theory")
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--max-size", type=_at_least(1), default=4)
     p.set_defaults(fn=cmd_spectrum)
 
     p = add_parser("cz", help="conceptual size (exact or lower bound)")
     p.add_argument("theory")
-    p.add_argument("--max-size", type=int, default=4)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--max-size", type=_at_least(1), default=4)
+    p.add_argument("--depth", type=_at_least(0), default=4)
     p.set_defaults(fn=cmd_cz)
 
     p = add_parser("closure", help="definable-relation closure of a model JSON")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property, total_ordering
-from typing import Iterable, Mapping, NamedTuple
+from typing import Container, Iterable, Mapping, NamedTuple
 
 from .errors import LanguageError
 from .relations import (
@@ -38,7 +38,7 @@ from .semantics import (
     DEFAULT_CAPS,
     Theory,
     _set_bits,
-    enumeration_feasible,
+    feasible_bound,
     logically_equivalent,
     sat_assignments,
     sat_rows,
@@ -383,6 +383,20 @@ NETWORK_KINDS = {
 }
 
 
+def _node_certificates(
+    theories: Mapping[str, Theory], certificates: Iterable[EdgeCertificate],
+    kinds: Container[str], bound: int, caps: Caps,
+) -> list[EdgeCertificate]:
+    """The certificates of the given kinds between nodes, each verified
+    first if still declared, so no answer depends on the caller verifying."""
+    out = [c for c in certificates
+           if c.kind in kinds and c.source in theories and c.target in theories]
+    for cert in out:
+        if cert.status.state == DECLARED:
+            verify_certificate(cert, theories, bound, caps)
+    return out
+
+
 def build_network(
     name: str,
     theories: Mapping[str, Theory],
@@ -412,16 +426,12 @@ def build_network(
     nodes = tuple(theories)
     edges: list[NetEdge] = []
     undecided: list[str] = []
-    for cert in certificates:
-        weight = weights.get(cert.kind)
-        if weight is None or cert.source not in theories or cert.target not in theories:
-            continue
-        if cert.status.state == DECLARED:
-            verify_certificate(cert, theories, bound, caps)
+    for cert in _node_certificates(theories, certificates, weights, bound, caps):
         if not cert.status.usable:
             if cert.status.state == UNDECIDED:
                 undecided.append(cert.label())
             continue
+        weight = weights[cert.kind]
         edges.append(
             NetEdge(
                 cert.source,
@@ -547,12 +557,14 @@ class AmalgamationReport(NamedTuple):
 
 
 def _arrow_matrix(
-    theories: Mapping[str, Theory], certificates: list[EdgeCertificate], bound: int, caps: Caps
+    theories: Mapping[str, Theory], certificates: Iterable[EdgeCertificate], bound: int, caps: Caps
 ) -> dict[tuple[str, str], bool | None]:
     """arrow[u, v] decides u <- v (v is u plus one axiom, up to logical
     equivalence) by axiom_add_exists: yes, no or unknown (None). Verified
     certificates add positives, closed under facts (1)-(3)."""
     names = list(theories)
+    certificates = _node_certificates(theories, certificates, ("axiom-add", "collapse", "equiv"),
+                                      bound, caps)
     decided = {"yes": True, "no": False}  # unknown: None
     arrow = {
         (u, v): decided.get(axiom_add_exists(theories[u], theories[v], bound, caps).answer)
@@ -560,14 +572,10 @@ def _arrow_matrix(
         for v in names
     }
     for cert in certificates:
-        if cert.kind in ("axiom-add", "collapse") and cert.status.verified:
-            if cert.source in theories and cert.target in theories:
-                arrow[cert.source, cert.target] = True
+        if cert.kind != "equiv" and cert.status.verified:
+            arrow[cert.source, cert.target] = True
     equiv_pairs = [
-        (c.source, c.target)
-        for c in certificates
-        if c.kind == "equiv" and c.status.verified
-        and c.source in theories and c.target in theories
+        (c.source, c.target) for c in certificates if c.kind == "equiv" and c.status.verified
     ]
     changed = True
     while changed:
@@ -602,7 +610,6 @@ def check_amalgamation(
     axiom-adding status stays unknown at the bound, and "undecidable" where
     such a pair leaves the verdict open."""
     names = list(theories)
-    certificates = list(certificates)
     arrow = _arrow_matrix(theories, certificates, bound, caps)
     undecided = tuple(p for p, v in arrow.items() if v is None)
 
@@ -668,9 +675,7 @@ def lower_bound_certificates(
     if not (t1.lang.is_sentential and t2.lang.is_sentential):
         bound = min(bound, t1.lang.var_bound - 1, t2.lang.var_bound - 1)
     best = LowerBoundEvidence("none", fin(0))
-    for k in range(1, bound + 1):
-        if not (enumeration_feasible(t1, k, caps) and enumeration_feasible(t2, k, caps)):
-            break
+    for k in range(1, feasible_bound(bound, (t1, t2), caps) + 1):
         c1, c2 = spectrum(t1, k, caps), spectrum(t2, k, caps)
         if (c1 == 0) != (c2 == 0):
             return LowerBoundEvidence(

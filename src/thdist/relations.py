@@ -31,6 +31,7 @@ from .semantics import (
     assignment_model,
     conservative_extension,
     enumerate_models,  # unused here; perfbench's self-test asserts this binding
+    feasible_bound,
     first_countermodel,
     logically_equivalent,
     sat_assignments,
@@ -196,19 +197,19 @@ def axiom_add_exists(
         )
     if set(t.axioms) <= set(t2.axioms):
         return AxiomAddAnswer("yes", candidate, note="axioms of T are axioms of T'")
-    for k in range(1, bound + 1):
-        try:
-            m = first_countermodel(t2, k, t.axioms, caps)
-        except CapExceededError:
-            return AxiomAddAnswer(
-                "unknown", candidate, exact=False, bound=k - 1,
-                note=f"cap reached before size {k}",
-            )
+    top = feasible_bound(bound, (t2,), caps)  # only t2's models are enumerated
+    for k in range(1, top + 1):
+        m = first_countermodel(t2, k, t.axioms, caps)
         if m is not None:
             return AxiomAddAnswer(
                 "no", countermodel=m,
                 note=f"size-{k} model of {t2.name} violates {t.name}",
             )
+    if top < bound:
+        return AxiomAddAnswer(
+            "unknown", candidate, exact=False, bound=top,
+            note=f"cap reached before size {top + 1}",
+        )
     return AxiomAddAnswer(
         "unknown", candidate, exact=False, bound=bound,
         note="model inclusion holds up to the bound but is not proved",
@@ -350,31 +351,12 @@ def _status_of_report(rep: CheckReport, verdict: str) -> CertStatus:
     )
 
 
-def _retry_bounded(fn: Callable[[int], CertStatus], bound: int) -> CertStatus:
-    """Verify at the strongest achievable bound: back off when the
-    enumeration caps out, recording where we stopped."""
-    for b in range(bound, 0, -1):
-        try:
-            status = fn(b)
-        except CapExceededError:
-            continue
-        if b < bound and status.state == VERIFIED_BOUNDED:
-            note = (status.note + f" (cap stopped at {b})").strip()
-            return CertStatus(status.state, status.bound, status.witness, note)
-        return status
-    raise CapExceededError("verification infeasible even at size 1")
-
-
-def _settled(status: CertStatus) -> Callable[[int], CertStatus]:
-    return lambda b: status
-
-
-def _on_trust(cert: EdgeCertificate, note: str, error: Exception) -> Callable[[int], CertStatus]:
+def _on_trust(cert: EdgeCertificate, note: str, error: Exception) -> CertStatus:
     """An asserted certificate without its payload is taken on trust; a
     declared one cannot be checked."""
     if cert.status.state != ASSERTED:
         raise error
-    return _settled(CertStatus(ASSERTED, note=note))
+    return CertStatus(ASSERTED, note=note)
 
 
 def _concept_step(cert: EdgeCertificate, t1: Theory, t2: Theory, b: int, caps: Caps) -> CertStatus:
@@ -387,10 +369,10 @@ def _concept_step(cert: EdgeCertificate, t1: Theory, t2: Theory, b: int, caps: C
 
 def _check_at(
     cert: EdgeCertificate, t1: Theory, t2: Theory, caps: Caps
-) -> Callable[[int], CertStatus]:
-    """The check of cert at a size bound b. What needs no bound (trust,
-    missing payload, the defeq witness, removals) is settled here, so a cap
-    it hits is reported as it stands and never backed off."""
+) -> CertStatus | Callable[[int], CertStatus]:
+    """The status of cert where it needs no size bound (trust, a missing
+    payload, the defeq witness, removals), else its check at a bound b.
+    Language errors are raised here, before any bound is decided."""
     kind, label = cert.kind, cert.label()
     sentential = t1.lang.is_sentential and t2.lang.is_sentential
     if kind == "equiv":
@@ -403,6 +385,7 @@ def _check_at(
         axiom = cert.axiom if kind == "axiom-add" else iff(cert.phi, cert.psi)
         return lambda b: check_axiom_add(t1, t2, axiom, b, caps)
     if kind == "concept-add":
+        _language_diff(t1, t2)
         return lambda b: _concept_step(cert, t1, t2, b, caps)
     if kind == "defeq":
         if cert.tr12 is None or cert.tr21 is None:
@@ -415,8 +398,8 @@ def _check_at(
             else:
                 pair = sentential_defeq_witness(t1, t2)
             if pair is None:
-                return _settled(CertStatus(REFUTED, note="no witness exists (Sat-set sizes "
-                                           "differ or one language has no formulas)"))
+                return CertStatus(REFUTED, note="no witness exists (Sat-set sizes "
+                                  "differ or one language has no formulas)")
             cert.tr12, cert.tr21 = pair
         return lambda b: _status_of_report(
             check_defeq(cert.tr12, cert.tr21, t1, t2, b, caps), "defeq")
@@ -439,19 +422,25 @@ def _check_at(
     masks = [mask for mask, m in _removal_sats(kind, t1, cert.formula)
              if cert.extra_assignment in (None, m)]
     if sat_assignments(t2) in masks:
-        return _settled(CertStatus(VERIFIED_EXACT))
-    note = f"{t2.name} matches none of the {len(masks)} removals"
-    return _settled(CertStatus(REFUTED, note=note))
+        return CertStatus(VERIFIED_EXACT)
+    return CertStatus(REFUTED, note=f"{t2.name} matches none of the {len(masks)} removals")
 
 
 def _verify_between(
     cert: EdgeCertificate, t1: Theory, t2: Theory, bound: int, caps: Caps
 ) -> CertStatus:
-    """Verify cert from t1 to t2, its kind's check under one retry, and
-    record the status on the certificate."""
+    """Verify cert from t1 to t2 and record the status on the certificate.
+    A check runs once, at the largest bound up to K whose enumerations
+    stay inside the caps; a bounded success below K notes where it stopped."""
     k = cert.bound_override or bound
     try:
-        status = _retry_bounded(_check_at(cert, t1, t2, caps), k)
+        check = _check_at(cert, t1, t2, caps)
+        b = k if isinstance(check, CertStatus) else feasible_bound(k, (t1, t2), caps)
+        if b < 1:
+            raise CapExceededError("verification infeasible even at size 1")
+        status = check if isinstance(check, CertStatus) else check(b)
+        if b < k and status.state == VERIFIED_BOUNDED:
+            status = status._replace(note=f"{status.note} (cap stopped at {b})".strip())
     except (InconsistencyError, RemovalError) as exc:
         status = CertStatus(REFUTED, note=str(exc))
     cert.status = status

@@ -651,13 +651,24 @@ def clear_memory_caches() -> None:
 
 
 def enumeration_feasible(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Would enumerate_models stay inside the caps? Cheap pre-check that
-    lets callers skip a doomed size without paying for one side first."""
+    """Would enumerate_models stay inside the caps? The code width is read
+    off the signature (one bit per constant for a sentential theory,
+    whatever k), so nothing is built."""
     if k < 1 or k > caps.max_size:
         return False
     if k > MAX_PERM_SIZE and not theory.lang.is_sentential:
         return False  # _least_codes refuses it
-    return 1 << _space(theory.lang.symbols, k).width <= MAX_CANDIDATES
+    return 1 << sum(k**rank for _, rank in theory.lang.symbols) <= MAX_CANDIDATES
+
+
+def feasible_bound(bound: int, theories: Sequence[Theory], caps: Caps = DEFAULT_CAPS) -> int:
+    """The largest k <= bound such that every theory's enumeration stays
+    inside the caps at each size up to k; 0 when size 1 already fails.
+    Checks clamp their bound here before they enumerate anything."""
+    k = 0
+    while k < bound and all(enumeration_feasible(t, k + 1, caps) for t in theories):
+        k += 1
+    return k
 
 
 def enumerate_models(
@@ -905,11 +916,6 @@ def conservative_extension(
 
     n, undecided = t1.lang.var_bound, None
     for k in range(1, bound + 1):
-        if not (enumeration_feasible(t1, k, caps) and enumeration_feasible(t2, k, caps)):
-            raise CapExceededError(
-                f"conservativity check infeasible at size {k} "
-                f"({t1.name} vs {t2.name})"
-            )
         # enumerated models are least codes, hence already canonical
         own = {m.code for m in enumerate_models(t1, k, caps)}
         expansions = enumerate_models(t2, k, caps)

@@ -136,6 +136,43 @@ def test_cz_builtin(capsys):
     assert code == 0 and json.loads(out)["value"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "Posets", "--max-size", "0"),
+    ("spectrum", "Posets", "--max-size", "-2"),
+    ("cz", "Posets", "--max-size", "0"),
+    ("cz", "Posets", "--depth", "-1"),
+    ("models", "Posets", "--size", "0"),
+    ("models", "Posets", "--size", "two"),
+    ("check", "catalog.cat", "--cap", "0"),
+])
+def test_sizes_are_checked_before_a_command_runs(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "expected an integer" in out.err
+
+
+def test_cz_at_depth_zero_runs(capsys):
+    code, out, _ = run(capsys, "cz", "Posets", "--max-size", "2", "--depth", "0")
+    assert code == 0 and json.loads(out)["depth"] == 0
+
+
+@pytest.mark.parametrize("model, message", [
+    ('{"size": 0, "interp": {"R": []}, "ranks": {"R": 2}}', "models have non-empty universes"),
+    ('{"size": 2, "interp": {"R": [[0, 2]]}}', "tuple (0, 2) out of bounds for R/2"),
+    ('{"size": 2, "interp": {"R": [[0, 1], [1]]}}', "tuple (1,) out of bounds for R/2"),
+    ('{"size": 2, "interp": {"R": []}}', "empty relation R needs an entry in 'ranks'"),
+    ('{"size": 2, "interp": {"r!": true}}', "bad symbol name 'r!'"),
+])
+def test_closure_refuses_a_malformed_model(tmp_path, capsys, model, message):
+    path = tmp_path / "m.json"
+    path.write_text(model)
+    code, out, err = run(capsys, "closure", str(path), "--vars", "2")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message}
+
+
 def test_closure_command(tmp_path, capsys):
     model = tmp_path / "m.json"
     model.write_text('{"size": 2, "interp": {"R": [[0, 1]]}}')

@@ -673,6 +673,20 @@ def test_shipped_first_order_amalgamation_leaves_no_pair_undecided():
         assert not all(holds(a) for a in theories[u].axioms)
 
 
+def test_check_amalgamation_verifies_the_declared_certificates_it_reads():
+    # unverified, the bot-from-* certificates would leave Posets <- BinBot
+    # and Eqrels <- BinBot unknown and the verdict undecidable
+    cat = loads_catalog(shipped_catalog_text())
+    theories = {n: cat.theory(n) for n in cat.network_decl("BinAx").nodes}
+    report = check_amalgamation(theories, cat.certificates, cat.policy.size_cap, cat.policy.caps())
+    assert (report.amalgamation, report.co_amalgamation, report.undecided_pairs) == (
+        "holds", "holds", ())
+    inside = [c for c in cat.certificates if c.source in theories and c.target in theories]
+    assert len(inside) == 5 and all(c.status.verified for c in inside)
+    assert all(c.status.state in ("declared", "asserted")
+               for c in cat.certificates if c not in inside)
+
+
 @pytest.mark.parametrize("mode", ["symmetric", "directed"])
 def test_auto_sentential_edges_follow_sat_inclusion(mode):
     # frozenset reference: v is u plus one axiom iff Sat(v) is within Sat(u)

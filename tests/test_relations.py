@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
+from thdist import relations
+from thdist.concepts import CheckReport
 from thdist.errors import CapExceededError, RemovalError, UnsupportedFragmentError
 from thdist.relations import (
+    AxiomAddAnswer,
     CertStatus,
     EdgeCertificate,
-    _retry_bounded,
     axiom_add_exists,
     check_axiom_add,
     check_concept_add,
@@ -25,7 +27,8 @@ from thdist.semantics import (
     spectrum,
     theory_from_sat,
 )
-from thdist.syntax import Language, parse_formula
+from thdist.syntax import Language, big_and, parse_formula
+from thdist.translation import Translation
 
 PQ = Language.make("PQ", {"P": 0, "Q": 0}, 0)
 BIN = Language.make("Bin", {"R": 2}, 3)
@@ -281,21 +284,78 @@ def test_cert_status_values_built_apart_are_equal():
     assert CertStatus("declared") == CertStatus("declared", None, None, "")
 
 
+# a ternary symbol needs 27 code bits at size 3, past the candidate cap
+TERN = Language.make("Tern", {"T": 3}, 3)
+DIAG = Theory.make("diag", TERN, ["(forall v0 (T v0 v0 v0))"])
+DIAG_VIA_EQ = Theory.make(
+    "diag-eq", TERN, ["(forall v0 (forall v1 (implies (= v0 v1) (T v0 v1 v1))))"])
+
+
 @pytest.mark.parametrize("note, expected", [
     ("", "(cap stopped at 2)"),
     ("bounded", "bounded (cap stopped at 2)"),
 ])
-def test_retry_bounded_notes_where_the_cap_stopped(note, expected):
-    witness = object()
+def test_verify_certificate_runs_once_at_the_clamp_and_notes_it(monkeypatch, note, expected):
+    bounds = []
 
-    def attempt(b):
-        if b > 2:
-            raise CapExceededError("too many candidates")
-        return CertStatus("verified-bounded", b, witness, note)
+    def check(tr, t1, t2, bound, caps):
+        bounds.append(bound)
+        return CheckReport("faithful", False, bound, note=note)
 
-    status = _retry_bounded(attempt, 4)
-    assert status == CertStatus("verified-bounded", 2, witness, expected)
-    assert _retry_bounded(attempt, 2) == CertStatus("verified-bounded", 2, witness, note)
-    refuted = _retry_bounded(lambda b: CertStatus("refuted", b, note=note) if b < 3
-                             else attempt(b), 4)
-    assert refuted == CertStatus("refuted", 2, note=note)  # only bounded successes are noted
+    monkeypatch.setattr(relations, "check_interpretation", check)
+    lookup = {"diag": DIAG}
+    cert = EdgeCertificate("faithful", "diag", "diag", tr=Translation.make(TERN, TERN, {}))
+    assert verify_certificate(cert, lookup, 4) == CertStatus("verified-bounded", 2, None, expected)
+    assert cert.status.note == expected
+    # at a bound the caps allow there is nothing to note
+    assert verify_certificate(cert, lookup, 2) == CertStatus("verified-bounded", 2, None, note)
+    assert bounds == [2, 2]
+
+
+def test_verify_certificate_clamps_real_checks_only():
+    free = Theory.make("free", TERN, [])
+    lookup = {"diag": DIAG, "diag-eq": DIAG_VIA_EQ, "free": free}
+    equiv = EdgeCertificate("equiv", "diag", "diag-eq")
+    assert verify_certificate(equiv, lookup, 4) == CertStatus(
+        "verified-bounded", 2, note="(cap stopped at 2)")
+    # a refutation below the clamp keeps its own bound and note
+    wrong = EdgeCertificate("axiom-add", "free", "diag", axiom=parse_formula(
+        "(forall v0 (forall v1 (forall v2 (T v0 v1 v2))))", TERN))
+    status = verify_certificate(wrong, lookup, 4)
+    assert status.state == "refuted" and status.bound is None
+    assert status.note == "diag does not prove an axiom of free+axiom"
+    # 22 unary symbols need 22 code bits at size 1: no size is feasible, so
+    # the check is refused even though axiom-free theories need no model;
+    # a certificate asserted without its payload still stays asserted
+    wide = Language.make("Wide", {f"U{i}": 1 for i in range(22)}, 1)
+    lookup = {"w": Theory.make("w", wide, [])}
+    with pytest.raises(CapExceededError, match="verification infeasible even at size 1"):
+        verify_certificate(EdgeCertificate("equiv", "w", "w"), lookup, 4)
+    trusted = EdgeCertificate("faithful", "w", "w", status=CertStatus("asserted"))
+    assert verify_certificate(trusted, lookup, 4) == CertStatus(
+        "asserted", note="no translation supplied; taken on trust")
+    # a bound below 1 is infeasible for every kind
+    with pytest.raises(CapExceededError, match="verification infeasible even at size 1"):
+        verify_certificate(trusted, lookup, 0)
+
+
+def test_axiom_add_exists_stops_at_the_cap():
+    # only the target's models are enumerated, and size 3 is past the cap
+    res = axiom_add_exists(DIAG, DIAG_VIA_EQ, 4)
+    assert res == AxiomAddAnswer(
+        "unknown", big_and(TERN, list(DIAG_VIA_EQ.axioms)), None, False, 2,
+        "cap reached before size 3",
+    )
+    res = axiom_add_exists(DIAG, DIAG_VIA_EQ, 2)
+    assert (res.answer, res.bound, res.note) == (
+        "unknown", 2, "model inclusion holds up to the bound but is not proved")
+
+
+def test_concept_add_unclamped_past_the_caps_raises_the_enumeration_cap():
+    # the verifier clamps; a library call at a bound past the caps reaches
+    # enumerate_models, whose own message names the size that failed
+    grown = Theory.make("diag-u", Language.make("TernU", {"T": 3, "U": 1}, 3),
+                        ["(forall v0 (T v0 v0 v0))"])
+    assert check_concept_add(DIAG, grown, 2)[0] == CertStatus("verified-bounded", 2)
+    with pytest.raises(CapExceededError, match="candidates at size 3 exceed cap"):
+        check_concept_add(DIAG, grown, 3)

@@ -79,6 +79,20 @@ def test_is_true_examples():
     assert is_true(one, parse_formula("(forall v0 (forall v1 (= v0 v1)))", PURE))
 
 
+@pytest.mark.parametrize("size, interp, message", [
+    (0, {"R": set()}, "models have non-empty universes"),
+    (2, {}, "symbol R not interpreted"),
+    (2, {"R": {(0, 2)}}, "tuple (0, 2) out of bounds for R/2"),
+    (2, {"R": set(), "S": set()}, "interpretation of unknown symbols: ['S']"),
+])
+def test_finite_model_refuses_a_bad_interpretation(size, interp, message):
+    # the closure CLI infers its language from the interpretation, so the
+    # missing and unknown symbols are reachable only from the library
+    with pytest.raises(LanguageError) as err:
+        FiniteModel(BIN, size, interp)
+    assert str(err.value) == message
+
+
 def test_sat_of_formula_needs_constants_only():
     with pytest.raises(LanguageError):
         sat_of_formula(BIN, atom("R", (0, 1)))

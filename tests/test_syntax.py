@@ -74,6 +74,49 @@ def test_arity_mismatch_and_unknown_symbol():
     assert err.value.line == 1
 
 
+# R binary, P a constant, variables v0..v2
+MIXED = Language.make("Mixed", {"R": 2, "P": 0}, 3)
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ('"R"', "strings are not formulas", 1),
+    ("v0", "bare variable is not a formula", 1),
+    ("exists", "misplaced keyword 'exists'", 1),
+    ("S", "unknown symbol 'S'", 1),
+    ("R", "arity mismatch: R has rank 2", 1),
+    ("()", "empty form", 1),
+    ("((R v0 v1))", "expected an operator or symbol", 1),
+    ("(= v0)", "= takes two variables", 1),
+    ("(not P P)", "not takes one formula", 1),
+    ("(iff P)", "iff takes two formulas", 1),
+    ("(exists v0)", "exists takes a variable and a formula", 1),
+    ("(false)", "false is written bare", 1),
+    ("(S v0)", "unknown symbol 'S'", 2),
+    ("(P v0)", "rank-0 atom P is written bare", 1),
+    ("(R v0 v1 v2)", "arity mismatch: R has rank 2, got 3 arguments", 1),
+    ("(= (v0) v1)", "expected a variable", 4),
+    ("(forall x P)", "expected a variable, got 'x'", 9),
+    ("(R v0 v3)", "variable v3 exceeds varBound 3", 7),
+])
+def test_formula_syntax_errors_name_the_node(text, message, column):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text, MIXED)
+    assert str(err.value) == f"{message} (at 1:{column})"
+
+
+@pytest.mark.parametrize("phi, message", [
+    (atom("S", (0,)), "unknown symbol 'S' in language Mixed"),
+    (atom("R", (0,)), "arity mismatch: R has rank 2, got 1 arguments"),
+    (atom("R", (0, 3)), "variable index >= varBound 3"),
+    (not_(eq(3, 0)), "variable index >= varBound 3"),
+    (exists(4, atom("P")), "variable index >= varBound 3"),
+])
+def test_validate_formula_refuses_what_the_language_lacks(phi, message):
+    with pytest.raises(LanguageError) as err:
+        validate_formula(phi, MIXED)
+    assert str(err.value) == message
+
+
 def test_bare_rank0_atoms():
     assert parse_formula("P", PQ) is atom("P")
     with pytest.raises(FormulaSyntaxError):
