@@ -256,12 +256,15 @@ def _parse_certificate(form: SList, catalog: Catalog, index: int) -> None:
         raise _err(status_node, "status is declared or asserted")
     name_node = _one(kw, "name", form, required=False)
     bound_node = _one(kw, "bound", form, required=False)
+    bound = None if bound_node is None else _int(bound_node)
+    if bound is not None and bound < 1:  # a bound of 0 would answer vacuously
+        raise _err(bound_node, f"a certificate bound is at least 1, got {bound}")
     cert = EdgeCertificate(
         kind,
         src_name,
         dst_name,
         name=_name_of(name_node) if name_node else f"c{index}",
-        bound_override=_int(bound_node) if bound_node else None,
+        bound_override=bound,
         status=CertStatus(status),
     )
 
@@ -429,7 +432,7 @@ class VerificationReport:
 def verify_all(catalog: Catalog, bound: int | None = None) -> VerificationReport:
     """Verify every certificate to its strongest achievable status."""
     report = VerificationReport()
-    k = bound or catalog.policy.size_cap
+    k = catalog.policy.size_cap if bound is None else bound
     caps = catalog.policy.caps()
     for cert in catalog.certificates:
         try:

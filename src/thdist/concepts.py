@@ -27,13 +27,19 @@ from .semantics import (
     DEFAULT_CAPS,
     FiniteModel,
     Theory,
+    _Tables,
     _fibres,
+    _lane_codes,
+    _lanes,
+    _least_codes_of,
     _sat_pullback,
     _set_bits,
+    _space,
     assignment_model,
-    assignment_set,
     bounded_consequence,
     enumerate_models,
+    eval_formula,
+    model_lanes,
     sat_assignments,
     sat_rows,
 )
@@ -46,12 +52,12 @@ from .syntax import (
     dnf_of_assignments,
     eq,
     exists,
-    iff,
     make_psi_n,
     not_,
+    print_formula,
     subformulas,
 )
-from .translation import Translation, apply_translation, compose
+from .translation import Translation, apply_translation
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +121,23 @@ def _fixpoint(
         for i in range(n)
     ]
 
+    # per run of models of one size: its first offset, its length and the
+    # tables over its lanes, so one table per formula serves the whole run
+    runs, free = [], {}
+    for k, run in itertools.groupby(zip(models, offsets), key=lambda mo: mo[0].size):
+        run = list(run)
+        space = _space(lang.symbols, k)
+        bits = _lanes([m.code for m, _ in run], space.width)
+        runs.append((run[0][1], len(run), _Tables(space, bits, (1 << len(run)) - 1, free)))
+
     def meaning(phi: Formula) -> int:
-        return sum(assignment_set(m, phi) << off for m, off in zip(models, offsets))
+        """Bit j * k^n + a of a run's part is bit j of the table's entry a:
+        the table transposed, lane j (model j of the run) from the top."""
+        out = 0
+        for off, count, tables in runs:
+            rows = [f"{x:0{count}b}" for x in reversed(tables.lift(phi, tuple(range(n))))]
+            out |= int("".join(map("".join, zip(*rows))), 2) << off
+        return out
 
     def cylindrify(x: int, i: int) -> int:
         out = 0
@@ -281,16 +302,12 @@ def cz_lower_bound(
 # Interpretation and definitional equivalence checking
 
 class CheckReport(NamedTuple):
-    verdict: str  # faithful | interpretation | defeq | refuted
+    verdict: str  # faithful | interpretation | defeq | refuted | undecided
     exact: bool
     bound: int | None
     witness_formula: Formula | None = None
     witness_model: FiniteModel | None = None
     note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict != "refuted"
 
 
 def formula_battery(theory: Theory, bound: int) -> list[Formula]:
@@ -326,6 +343,37 @@ def _row(lang: Language, r: int) -> tuple[bool, ...]:
     return next(sat_rows(lang, 1 << r))
 
 
+def _induced(tr: Translation, k: int, bits: Sequence[int], full: int, free: dict) -> list[int] | str:
+    """The lanes of tr*(M) for the lanes M of `bits`, size-k structures of
+    tr.target: each source symbol's image tabled over v0..v_{rank-1}, in
+    block order. An image whose table varies along a free variable past
+    the rank in some lane defines no relation; its symbol is returned."""
+    tables = _Tables(_space(tr.target.symbols, k), bits, full, free)
+    out: list[int] = []
+    for sym, rank in tr.source.symbols:
+        image = tr.image(sym)
+        vs = tuple(sorted({*range(rank), *tables.fv(image)}))
+        table, step = tables.lift(image, vs), k ** (len(vs) - rank)  # extras vary fastest
+        if any(table[j::step] != table[::step] for j in range(1, step)):
+            return sym
+        out += table[::step]
+    return out
+
+
+def _failing_lanes(tables: _Tables, phi: Formula) -> int:
+    """The lanes in which phi fails under some assignment."""
+    alive = tables.full
+    for x in tables.table(phi):
+        alive &= x
+    return tables.full ^ alive
+
+
+def _extension(model: FiniteModel, phi: Formula) -> list[bool]:
+    """phi under every assignment, by `eval_formula`, to re-check a refutation."""
+    n = model.lang.var_bound
+    return [eval_formula(model, a, phi) for a in itertools.product(range(model.size), repeat=n)]
+
+
 def check_interpretation(
     tr: Translation,
     t1: Theory,
@@ -334,8 +382,10 @@ def check_interpretation(
     caps: Caps = DEFAULT_CAPS,
 ) -> CheckReport:
     """Does tr map theorems of t1 to theorems of t2, and does it reflect
-    them back? Sentential case exact; otherwise checked over the battery
-    up to the bound."""
+    them back? Sentential case exact; otherwise checked on the structures
+    tr*(M) that tr's images define in the models M of t2 up to the bound
+    (M satisfies tr(phi) iff tr*(M) satisfies phi), with witnesses from
+    the battery."""
     if not (tr.source.same_formulas(t1.lang) and tr.target.same_formulas(t2.lang)):
         raise LanguageError("translation endpoints do not match the theories")
     if t1.lang.is_sentential and t2.lang.is_sentential:
@@ -361,13 +411,68 @@ def check_interpretation(
                 note="translation holds but does not reflect this formula",
             )
         return CheckReport("faithful", True, None)
+    return _first_order_interpretation(tr, t1, t2, bound, caps, {}, True)
 
-    forward_witness = None
-    reflect_witness = None
+
+def _first_order_interpretation(
+    tr: Translation, t1: Theory, t2: Theory, bound: int, caps: Caps, free: dict, reflect: bool
+) -> CheckReport:
+    """Forward: every tr*(M) satisfies t1's axioms, so it satisfies every
+    phi that t1 proves up to the bound; the first failing axiom refutes
+    exactly. Reflect (skipped when not asked): every model of t1 is
+    isomorphic to some tr*(M); otherwise the battery is searched for a
+    formula whose translation t2 proves and t1 does not."""
+    sizes = []
+    for k in range(1, bound + 1):
+        models, bits = model_lanes(t2, k, caps)
+        full = (1 << len(models)) - 1
+        ind = _induced(tr, k, bits, full, free)
+        if isinstance(ind, str):
+            return _battery_interpretation(tr, t1, t2, bound, caps, ind)
+        sizes.append((models, ind, _Tables(_space(t1.lang.symbols, k), ind, full, free)))
+    for phi in t1.axioms:  # the head of the battery, each a theorem of t1
+        for k, (models, ind, tab) in enumerate(sizes, 1):
+            bad = _failing_lanes(tab, phi)
+            if bad:
+                i = (bad & -bad).bit_length() - 1
+                induced = FiniteModel._of_code(t1.lang, k, _lane_codes(ind, i + 1)[i])
+                if all(_extension(induced, phi)):
+                    raise AssertionError(f"{phi!r} holds in the induced structure")
+                return CheckReport("refuted", True, bound, phi, models[i],
+                                   note="theoremhood not preserved")
+    if not reflect:
+        return CheckReport("interpretation", False, bound)
+    for k, (models, ind, _) in enumerate(sizes, 1):
+        own = {m.code for m in enumerate_models(t1, k, caps)}
+        if not own <= _least_codes_of(_space(t1.lang.symbols, k), _lane_codes(ind, len(models)), own):
+            break
+    else:
+        return CheckReport("faithful", False, bound)
+    for phi in formula_battery(t1, bound):
+        if not any(_failing_lanes(tab, phi) for *_, tab in sizes):
+            r1 = bounded_consequence(t1, phi, bound, caps)
+            if not r1.holds:
+                return CheckReport(
+                    "interpretation", False, bound, phi, r1.countermodel,
+                    note="theoremhood preserved but not reflected on the battery",
+                )
+    return CheckReport("faithful", False, bound)
+
+
+def _battery_interpretation(
+    tr: Translation, t1: Theory, t2: Theory, bound: int, caps: Caps, sym: str
+) -> CheckReport:
+    """check_interpretation formula by formula over the battery, for a
+    translation whose image of `sym` defines no relation: each formula is
+    translated and both sides checked. A formula whose translation runs
+    out of variables leaves the check undecided unless another refutes."""
+    forward_witness = reflect_witness = None
+    untranslated = []
     for phi in formula_battery(t1, bound):
         try:
             psi = apply_translation(tr, phi)
         except VariableBudgetError:
+            untranslated.append(phi)
             continue
         r1 = bounded_consequence(t1, phi, bound, caps)
         r2 = bounded_consequence(t2, psi, bound, caps)
@@ -386,6 +491,13 @@ def check_interpretation(
             f"theoremhood not preserved, bounded: {t1.name} proves the formula "
             f"only up to size {bound}",
         )
+    if untranslated:
+        return CheckReport(
+            "undecided", False, bound, untranslated[0],
+            note=f"{print_formula(untranslated[0])} has no translation within "
+            f"{tr.target.var_bound} variables, and the image of {sym} varies along "
+            "a variable past its rank",
+        )
     if reflect_witness is not None:
         phi, cm = reflect_witness
         return CheckReport(
@@ -393,6 +505,47 @@ def check_interpretation(
             note="theoremhood preserved but not reflected on the battery",
         )
     return CheckReport("faithful", False, bound)
+
+
+def _round_trip(
+    theory: Theory, outer: Translation, inner: Translation, bound: int, caps: Caps, free: dict
+) -> CheckReport | None:
+    """Does inner*(outer*(M)) = M for every model M of the theory up to
+    the bound? Then the round trip of every formula holds, not only the
+    battery's. Otherwise the first battery formula whose extensions
+    differ refutes, at the least size where they do; an image that is no
+    cylinder leaves the sizes from there undecided."""
+    sizes, stopped = [], None  # per size where some M moves: k, models, lanes and tables
+    for k in range(1, bound + 1):
+        models, bits = model_lanes(theory, k, caps)
+        full = (1 << len(models)) - 1
+        there = _induced(outer, k, bits, full, free)
+        back = there if isinstance(there, str) else _induced(inner, k, there, full, free)
+        if isinstance(back, str):
+            stopped = CheckReport(
+                "undecided", False, k,
+                note=f"round trip over {theory.name} undecided: the image of {back} "
+                f"varies along a variable past its rank in a size-{k} model",
+            )
+            break
+        if back != bits:
+            space = _space(theory.lang.symbols, k)
+            sizes.append((k, models, back, [_Tables(space, x, full, free) for x in (bits, back)]))
+    if not sizes:
+        return stopped
+    for phi in formula_battery(theory, bound):
+        for k, models, back, (here, trip) in sizes:
+            differ = 0
+            for x, y in zip(here.table(phi), trip.table(phi)):
+                differ |= x ^ y
+            if differ:
+                i = (differ & -differ).bit_length() - 1
+                moved = FiniteModel._of_code(theory.lang, k, _lane_codes(back, i + 1)[i])
+                if _extension(models[i], phi) == _extension(moved, phi):
+                    raise AssertionError(f"{phi!r} survives the round trip")
+                return CheckReport("refuted", True, k, phi, models[i],
+                                   note=f"round trip fails over {theory.name}")
+    raise AssertionError("the structures differ, yet no canonical atom does")
 
 
 def check_defeq(
@@ -404,7 +557,9 @@ def check_defeq(
     caps: Caps = DEFAULT_CAPS,
 ) -> CheckReport:
     """Verify a definitional-equivalence witness pair: both directions are
-    interpretations and both round trips are provable biconditionals."""
+    interpretations and both round trips are provable biconditionals.
+    First-order round trips compare each model with its image through
+    both translations' induced structures."""
     if not (tr12.source.same_formulas(t1.lang) and tr12.target.same_formulas(t2.lang)):
         raise LanguageError("tr12 endpoints do not match the theories")
     if not (tr21.source.same_formulas(t2.lang) and tr21.target.same_formulas(t1.lang)):
@@ -435,26 +590,20 @@ def check_defeq(
                     )
         return CheckReport("defeq", True, None)
 
+    free: dict = {}  # one free-variable memo for every table of the check
+    undecided = None
     for theory, outer, inner in ((t1, tr21, tr12), (t2, tr12, tr21)):
-        for phi in formula_battery(theory, bound):
-            try:
-                trip = iff(compose(outer, inner, phi), phi)
-            except VariableBudgetError:
-                continue
-            r = bounded_consequence(theory, trip, bound, caps)
-            if not r.holds:
-                return CheckReport(
-                    "refuted", r.exact, r.bound, phi, r.countermodel,
-                    note=f"round trip fails over {theory.name}",
-                )
+        rep = _round_trip(theory, outer, inner, bound, caps, free)
+        if rep is not None and rep.verdict == "refuted":
+            return rep
+        undecided = undecided or rep
     for tr, a, b, label in ((tr12, t1, t2, "tr12"), (tr21, t2, t1, "tr21")):
-        rep = check_interpretation(tr, a, b, bound, caps)
-        if not rep.ok:
-            return CheckReport(
-                "refuted", rep.exact, rep.bound, rep.witness_formula,
-                rep.witness_model, note=f"{label} is not an interpretation: {rep.note}",
-            )
-    return CheckReport("defeq", False, bound)
+        rep = _first_order_interpretation(tr, a, b, bound, caps, free, False)
+        if rep.verdict == "refuted":
+            return rep._replace(note=f"{label} is not an interpretation: {rep.note}")
+        if rep.verdict == "undecided" and undecided is None:
+            undecided = rep._replace(note=f"{label}: {rep.note}")
+    return undecided or CheckReport("defeq", False, bound)
 
 
 def sentential_defeq_witness(t1: Theory, t2: Theory) -> tuple[Translation, Translation] | None:

@@ -345,7 +345,7 @@ def _status_of_report(rep: CheckReport, verdict: str) -> CertStatus:
         state = VERIFIED_EXACT if rep.exact else VERIFIED_BOUNDED
         return CertStatus(state, rep.bound, note=rep.note)
     return CertStatus(
-        REFUTED, rep.bound,
+        UNDECIDED if rep.verdict == "undecided" else REFUTED, rep.bound,
         witness=rep.witness_model or rep.witness_formula,
         note=rep.note or f"verdict {rep.verdict}",
     )
@@ -432,7 +432,7 @@ def _verify_between(
     """Verify cert from t1 to t2 and record the status on the certificate.
     A check runs once, at the largest bound up to K whose enumerations
     stay inside the caps; a bounded success below K notes where it stopped."""
-    k = cert.bound_override or bound
+    k = bound if cert.bound_override is None else cert.bound_override
     try:
         check = _check_at(cert, t1, t2, caps)
         b = k if isinstance(check, CertStatus) else feasible_bound(k, (t1, t2), caps)

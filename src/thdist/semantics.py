@@ -7,8 +7,9 @@ sideways, one bit (lane) per packed structure, each subformula a table of
 lane masks over its free variables: enumeration sweeps blocks of codes with
 it and bounded checks a theory's model list. `assignment_set` and `is_true`
 are its one-lane case; `assignment_set` packs the table into an integer
-bitmask over the k^n assignments in lexicographic order, and concept
-closures run on these masks. The test suite checks both forms agree.
+bitmask over the k^n assignments in lexicographic order; concept
+closures run on masks of that layout, read off multi-lane tables. The
+test suite checks both forms agree.
 
 The sweep splits axioms at their top-level ands and evaluates each
 conjunct at most once per block of codes of a signature and size: the
@@ -617,6 +618,17 @@ def canonical_form(model: FiniteModel) -> tuple[int, int]:
     return (k, min(_space(model.lang.symbols, k).images(model.code)))
 
 
+def _least_codes_of(space: _Space, codes: Iterable[int], known: set[int]) -> set[int]:
+    """The least codes of the orbits of the codes in the space; a code in
+    `known`, a set of least codes, is already its orbit's least."""
+    out: set[int] = set()
+    for code in codes:
+        if code not in known and code not in out:
+            code = min(space.images(code))
+        out.add(code)
+    return out
+
+
 def canonical_model(model: FiniteModel) -> FiniteModel:
     k, code = canonical_form(model)
     return FiniteModel._of_code(model.lang, k, code)
@@ -704,23 +716,46 @@ def enumerate_models(
     return models
 
 
+def model_lanes(
+    theory: Theory, k: int, caps: Caps = DEFAULT_CAPS
+) -> tuple[list[FiniteModel], list[int]]:
+    """The theory's size-k models (`enumerate_models`) and their lane
+    masks, one per code bit: bit i of mask j is bit j of the i-th model's
+    code. Built once per theory and size, beside the model list."""
+    models = enumerate_models(theory, k, caps)
+    entry = _model_memo[theory.key, k]
+    if entry[1] is None:
+        entry[1] = _lanes([m.code for m in models], _space(theory.lang.symbols, k).width)
+    return models, entry[1]
+
+
+def _lanes(codes: Sequence[int], width: int) -> list[int]:
+    """Per code bit j < width, the mask of the codes (by position) with bit
+    j set, read off one binary string of the codes padded to n bytes each."""
+    n, packed = width // 8 + 1, bytearray()
+    for code in codes:
+        packed += code.to_bytes(n, "little")
+    bits = f"{int.from_bytes(packed, 'little'):0{8 * len(packed)}b}"
+    return [int(bits[8 * n - 1 - j :: 8 * n] or "0", 2) for j in range(width)]
+
+
+def _lane_codes(bits: Sequence[int], lanes: int) -> list[int]:
+    """The codes of the first `lanes` lanes of the masks: `_lanes` inverted."""
+    if not bits or not lanes:
+        return [0] * lanes
+    rows = zip(*(f"{b:0{lanes}b}"[-lanes:] for b in reversed(bits)))
+    return [int("".join(row), 2) for row in rows][::-1]
+
+
 def first_countermodel(
     theory: Theory, k: int, formulas: Sequence[Formula], caps: Caps = DEFAULT_CAPS
 ) -> FiniteModel | None:
     """The first of the theory's size-k models (in `enumerate_models`
     order) in which some formula is not true, or None. One `_holds` pass
-    checks them all: bit i of lane mask j is bit j of the i-th model's
-    code, read off one binary string of the codes padded to n bytes each."""
-    models = enumerate_models(theory, k, caps)
-    entry, space = _model_memo[theory.key, k], _space(theory.lang.symbols, k)
-    if entry[1] is None:
-        n, packed = space.width // 8 + 1, bytearray()
-        for m in models:
-            packed += m.code.to_bytes(n, "little")
-        bits = f"{int.from_bytes(packed, 'little'):0{8 * len(packed)}b}"
-        entry[1] = [int(bits[8 * n - 1 - j :: 8 * n] or "0", 2) for j in range(space.width)]
+    over `model_lanes` checks them all."""
+    models, bits = model_lanes(theory, k, caps)
     full = (1 << len(models)) - 1
-    bad = full ^ _holds(space, entry[1], full, formulas, {})
+    bad = full ^ _holds(_space(theory.lang.symbols, k), bits, full, formulas, {})
     return models[(bad & -bad).bit_length() - 1] if bad else None
 
 
@@ -848,6 +883,12 @@ def logically_equivalent(
             False, True, None, witness, assignment_model(t1.lang, row),
             reason="satisfying assignments differ",
         )
+    # one signature, so both enumerations stay inside the caps up to the same k
+    for k in range(1, bound + 1):
+        if enumerate_models(t1, k, caps) != enumerate_models(t2, k, caps):
+            break
+    else:
+        return EquivalenceResult(True, False, bound)
     for a, b in ((t1, t2), (t2, t1)):
         for phi in b.axioms:
             r = bounded_consequence(a, phi, bound, caps)
@@ -856,7 +897,7 @@ def logically_equivalent(
                     False, r.exact, r.bound, phi, r.countermodel,
                     reason=f"{a.name} does not prove an axiom of {b.name}",
                 )
-    return EquivalenceResult(True, False, bound)
+    raise AssertionError(f"size-{k} models of {t1.name} and {t2.name} differ, yet no axiom fails")
 
 
 class ConservativityResult(NamedTuple):
@@ -921,15 +962,13 @@ def conservative_extension(
         expansions = enumerate_models(t2, k, caps)
         space = _space(t1.lang.symbols, k)
         runs = space.runs_in(_space(t2.lang.symbols, k))
-        reducts: set[int] = set()
+        codes = []
         for m in expansions:
             code = 0
             for src, mask, dst in runs:
                 code |= (m.code >> src & mask) << dst
-            # a code already in own or reducts is the least of its orbit
-            if code not in own and code not in reducts:
-                code = min(space.images(code))
-            reducts.add(code)
+            codes.append(code)
+        reducts = _least_codes_of(space, codes, own)
         if own == reducts:
             continue
         decisive = own ^ reducts if k < n else reducts - own

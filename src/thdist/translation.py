@@ -143,11 +143,6 @@ def apply_translation(tr: Translation, phi: Formula) -> Formula:
     return result
 
 
-def compose(tr_outer: Translation, tr_inner: Translation, phi: Formula) -> Formula:
-    """tr_outer(tr_inner(phi)); the round-trip shape used by defeq checks."""
-    return apply_translation(tr_outer, apply_translation(tr_inner, phi))
-
-
 class Pairing(NamedTuple):
     """One symbol coding two: the combined formula and both translations."""
 

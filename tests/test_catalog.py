@@ -176,6 +176,9 @@ PREFIX = '(language L (P 0) (Q 0) :vars 0)\n(theory A :over L)\n(theory B :over 
             "expected 2 bits for L's constants",
             75,
         ),
+        # a bound below 1 would answer vacuously or not at all
+        ("(certificate :kind equiv :from A :to B :bound 0)", "a certificate bound is at least 1, got 0", 47),
+        ("(certificate :kind equiv :from A :to B :bound -1)", "a certificate bound is at least 1, got -1", 47),
         # translation specs
         (
             "(certificate :kind defeq :from A :to B :tr12 P)",
@@ -224,6 +227,13 @@ def test_deliberately_wrong_axiom_add_refuted():
     assert len(report.refuted) == 1
     status = report.entries[0][1]
     assert status.state == "refuted" and status.witness is not None
+
+
+def test_verify_all_at_bound_zero_verifies_nothing():
+    # a library bound of 0 is not read as "the catalog's size cap"
+    report = verify_all(loads_catalog(PREFIX + "(certificate :kind equiv :from A :to A)"), 0)
+    assert report.entries == []
+    assert [msg for _, msg in report.errors] == ["verification infeasible even at size 1"]
 
 
 def test_verify_all_leaves_no_closure_cycles():

@@ -58,6 +58,15 @@ def test_check_input_error_exit_code(tmp_path, capsys):
     assert code == 2 and "Missing" in err
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_check_certificate_bound_below_one_exit_code(tmp_path, capsys, bound):
+    path = tmp_path / "bound.cat"
+    path.write_text(GOOD_CAT.replace(':axiom "Q"', f':axiom "Q" :bound {bound}'))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"a certificate bound is at least 1, got {bound} (at 4:62)"
+
+
 def test_models_and_spectrum_builtin(capsys):
     code, out, _ = run(capsys, "models", "TStar1", "--size", "1")
     assert code == 0

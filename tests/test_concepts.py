@@ -4,8 +4,11 @@ import itertools
 import operator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thdist.catalog import loads_catalog, shipped_catalog_text
 from thdist.concepts import (
+    _induced,
     check_defeq,
     check_interpretation,
     closure_formula,
@@ -17,10 +20,11 @@ from thdist.concepts import (
     formula_battery,
     sentential_defeq_witness,
 )
-from thdist.errors import InconsistencyError, UnsupportedFragmentError
-from thdist.semantics import FiniteModel, Theory, assignment_set, enumerate_models
-from thdist.syntax import Language, and_, atom, eq, exists, not_
-from thdist.translation import Translation, identity_translation
+from thdist.errors import InconsistencyError, UnsupportedFragmentError, VariableBudgetError
+from thdist.relations import EdgeCertificate, verify_certificate
+from thdist.semantics import FiniteModel, Theory, assignment_set, enumerate_models, eval_formula
+from thdist.syntax import Language, and_, atom, eq, exists, not_, print_formula
+from thdist.translation import Translation, apply_translation, identity_translation
 
 from cylindrification import cylindrify
 
@@ -226,19 +230,18 @@ def test_check_interpretation_refuted():
     assert rep.verdict == "refuted" and rep.exact
 
 
-def test_check_interpretation_first_order_refutation_through_a_non_axiom_is_bounded():
-    # the axiom's atom (R v1 v0) needs a substitution chain past v1, so the
-    # axiom itself is skipped; its conjunct (P v0) held in t1's models only
-    # up to the bound, so failing it in t2 refutes only up to that bound
+def test_check_interpretation_first_order_refutation_through_an_untranslatable_axiom_is_exact():
+    # the axiom's atom (R v1 v0) has no substitution chain within two
+    # variables, yet the check evaluates the axiom itself on the induced
+    # structures, so it refutes exactly through the axiom
     lang = Language.make("RP", {"P": 1, "R": 2}, 2)
     t1 = Theory.make("t1", lang, ["(and (R v1 v0) (forall v0 (P v0)))"])
     t2 = Theory.make("t2", lang, [])
     rep = check_interpretation(identity_translation(lang, lang), t1, t2, 2)
-    assert (rep.verdict, rep.exact, rep.bound) == ("refuted", False, 2)
-    assert rep.witness_formula == atom("P", (0,))
-    assert rep.note == (
-        "theoremhood not preserved, bounded: t1 proves the formula only up to size 2"
-    )
+    assert (rep.verdict, rep.exact, rep.bound) == ("refuted", True, 2)
+    assert rep.witness_formula == t1.axioms[0]
+    assert rep.witness_model == FiniteModel(lang, 1, {"P": set(), "R": set()})
+    assert rep.note == "theoremhood not preserved"
 
 
 def test_check_interpretation_not_faithful():
@@ -321,3 +324,131 @@ def test_battery_contents():
     # psi(1) and psi(2) fit inside three variables, psi(3) does not
     names = [f for f in battery]
     assert len(names) == len(set(f.uid for f in names))
+
+
+def _induced_by_eval(tr: Translation, model: FiniteModel) -> FiniteModel:
+    """tr*(M) clause by clause: each source symbol gets the extension of
+    its image in M, whose free variables lie within the symbol's rank."""
+    pad = model.lang.var_bound
+    interp = {}
+    for sym, rank in tr.source.symbols:
+        tuples = {
+            t for t in itertools.product(range(model.size), repeat=rank)
+            if eval_formula(model, t + (0,) * (pad - rank), tr.image(sym))
+        }
+        interp[sym] = bool(tuples) if rank == 0 else tuples
+    return FiniteModel(tr.source, model.size, interp)
+
+
+# the shipped strict-defeq with each image negated instead of made strict
+# or reflexive: both round trips hold, but tr12 is no interpretation
+_WRONG_PAIR = (
+    (':tr12 ((leq "(or (lt v0 v1) (= v0 v1))"))', ':tr12 ((leq "(not (lt v0 v1))"))'),
+    (':tr21 ((lt "(and (leq v0 v1) (not (= v0 v1)))"))', ':tr21 ((lt "(not (leq v0 v1))"))'),
+)
+
+
+def _wrong_strict_defeq_catalog() -> str:
+    text = shipped_catalog_text()
+    for old, new in _WRONG_PAIR:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def test_wrong_strict_defeq_pair_is_refuted_with_a_rechecked_witness():
+    # antisymmetry's atom (leq v1 v0) has no substitution chain within
+    # three variables; the check evaluates antisymmetry itself on tr12*(M)
+    cat = loads_catalog(_wrong_strict_defeq_catalog())
+    cert = next(c for c in cat.certificates if c.name == "strict-defeq")
+    assert verify_certificate(cert, cat.theories, 4, cat.policy.caps()).state == "refuted"
+    leq, lt = cat.theory("PosetsLeq"), cat.theory("PosetsLt")
+    rep = check_defeq(cert.tr12, cert.tr21, leq, lt, 4, cat.policy.caps())
+    assert (rep.verdict, rep.exact, rep.bound) == ("refuted", True, 4)
+    assert rep.note == "tr12 is not an interpretation: theoremhood not preserved"
+    assert rep.witness_formula == leq.axioms[1]  # antisymmetry
+    antichain = FiniteModel(lt.lang, 2, {"lt": set()})
+    assert rep.witness_model == antichain
+    every = list(itertools.product(range(2), repeat=3))
+    assert all(eval_formula(antichain, a, ax) for ax in lt.axioms for a in every)
+    induced = _induced_by_eval(cert.tr12, antichain)
+    assert not all(eval_formula(induced, a, rep.witness_formula) for a in every)
+
+
+def test_check_interpretation_undecided_where_an_image_is_no_cylinder():
+    # P's image has a free v1 and varies along it on reflexive relations of
+    # size 2, so the battery decides; the axiom's atom (P v1) has no
+    # substitution chain within two variables, and nothing else refutes
+    lp = Language.make("LP", {"P": 1}, 2)
+    t1 = Theory.make("taut", lp, ["(or (P v1) (not (P v1)))"])
+    t2 = Theory.make("refl", LT2, ["(R v0 v0)"])
+    tr = Translation.make(lp, LT2, {"P": atom("R", (0, 1))})
+    rep = check_interpretation(tr, t1, t2, 2)
+    assert (rep.verdict, rep.exact, rep.bound) == ("undecided", False, 2)
+    assert rep.witness_formula == t1.axioms[0]
+    assert rep.note == (
+        f"{print_formula(t1.axioms[0])} has no translation within 2 variables, "
+        "and the image of P varies along a variable past its rank"
+    )
+    cert = EdgeCertificate("faithful", "taut", "refl", tr=tr)
+    status = verify_certificate(cert, {"taut": t1, "refl": t2}, 2)
+    assert (status.state, status.bound) == ("undecided", 2)
+
+
+_SIGNATURES = ({"R": 2}, {"P": 1, "Q": 1})
+
+
+def _formulas(lang: Language, depth: int, variables, quantifiers: bool = True):
+    vs = st.sampled_from(variables)
+    leaf = st.one_of(
+        st.builds(eq, vs, vs),
+        *(st.tuples(*[vs] * rank).map(lambda args, s=sym: atom(s, args))
+          for sym, rank in lang.symbols),
+    )
+    if depth == 0:
+        return leaf
+    sub = _formulas(lang, depth - 1, variables, quantifiers)
+    steps = [st.builds(and_, sub, sub), st.builds(not_, sub)]
+    if quantifiers:
+        steps.append(st.builds(exists, st.sampled_from(range(lang.var_bound)), sub))
+    return st.one_of(leaf, *steps)
+
+
+def _image(target: Language, rank: int):
+    """Quantifier-free, or one quantifier over a quantifier-free body;
+    free variables within v0..v_{rank-1} either way."""
+    own = tuple(range(rank))
+    bodies = st.sampled_from(range(target.var_bound)).flatmap(
+        lambda j: _formulas(target, 2, sorted({*own, j}), False).map(lambda f: exists(j, f))
+    )
+    return st.one_of(_formulas(target, 2, own, False), bodies, bodies.map(not_))
+
+
+@st.composite
+def _reduction_cases(draw):
+    source = Language.make("Src", draw(st.sampled_from(_SIGNATURES)), 3)
+    # five target variables leave room for every substitution chain
+    target = Language.make("Tgt", draw(st.sampled_from(_SIGNATURES)), draw(st.sampled_from((3, 5))))
+    tr = Translation.make(source, target, {s: draw(_image(target, r)) for s, r in source.symbols})
+    k = draw(st.integers(1, 3))
+    width = sum(k**rank for _, rank in target.symbols)
+    model = FiniteModel._of_code(target, k, draw(st.integers(0, (1 << width) - 1)))
+    return tr, draw(_formulas(source, 3, range(3))), model
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_reduction_cases())
+def test_reduction_theorem_on_induced_structures(case):
+    # M satisfies tr(phi) iff tr*(M) satisfies phi, under every assignment
+    tr, phi, model = case
+    induced = _induced_by_eval(tr, model)
+    width = sum(model.size**rank for _, rank in model.lang.symbols)
+    lanes = _induced(tr, model.size, [model.code >> j & 1 for j in range(width)], 1, {})
+    assert lanes == [induced.code >> j & 1 for j in range(len(lanes))]
+    try:
+        psi = apply_translation(tr, phi)
+    except VariableBudgetError:
+        return
+    pad = (0,) * (model.lang.var_bound - 3)
+    for a in itertools.product(range(model.size), repeat=3):
+        assert eval_formula(induced, a, phi) == eval_formula(model, a + pad, psi)

@@ -9,10 +9,11 @@ interpretations of the two original relations.
 
 from __future__ import annotations
 
+import thdist.concepts as concepts
 from thdist.concepts import check_defeq, check_interpretation
 from thdist.semantics import Theory, spectrum
 from thdist.syntax import Language
-from thdist.translation import make_pairing
+from thdist.translation import apply_translation, make_pairing
 
 RS6 = Language.make("RS6", {"R": 1, "S": 1}, 6)
 PAIRING = make_pairing(RS6, "R", "S", "B")
@@ -58,3 +59,36 @@ def test_size_one_failure_is_reported_not_masked():
     report = check_defeq(PAIRING.tr_from_b, PAIRING.tr_to_b, free_b, free_rs, bound=2)
     assert report.verdict == "refuted"
     assert report.witness_model is not None and report.witness_model.size == 1
+
+
+def _translations_made(monkeypatch) -> list:
+    made = []
+
+    def spy(tr, phi):
+        made.append(phi)
+        return apply_translation(tr, phi)
+
+    monkeypatch.setattr(concepts, "apply_translation", spy)
+    return made
+
+
+def test_pairing_checks_over_t_b_take_the_induced_path(monkeypatch):
+    # fiber uniformity makes both recovery images cylinders along v1, so
+    # no formula is translated
+    made = _translations_made(monkeypatch)
+    assert check_defeq(PAIRING.tr_from_b, PAIRING.tr_to_b, T_B, T_RS, bound=2).verdict == "defeq"
+    assert check_interpretation(PAIRING.tr_to_b, T_RS, T_B, bound=2).verdict == "faithful"
+    assert made == []
+
+
+def test_pairing_recovery_over_free_b_structures_takes_the_battery(monkeypatch):
+    # without its axioms a B-structure's diagonal slice varies along v1,
+    # so the recovery images define no R and S and the battery decides
+    made = _translations_made(monkeypatch)
+    any_b = Theory.make("b-any", PAIRING.b_language, [])
+    free_rs = Theory.make("rs-free", RS6, [])
+    rep = check_interpretation(PAIRING.tr_to_b, free_rs, any_b, bound=2)
+    assert rep.verdict == "faithful" and not rep.exact and made
+    # the round trip over any_b is undecided, the one over free_rs fails
+    report = check_defeq(PAIRING.tr_from_b, PAIRING.tr_to_b, any_b, free_rs, bound=2)
+    assert report.verdict == "refuted" and report.witness_model.size == 1

@@ -1089,3 +1089,14 @@ def test_truth_tables_are_capped():
         sat_of_formula(wide, atom("C00"))
     edge = Language.make("S21", {f"C{i:02d}": 0 for i in range(21)}, 0)
     assert enumeration_feasible(Theory.make("edge", edge, []), 1)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(0, 20).flatmap(
+    lambda width: st.lists(st.integers(0, (1 << width) - 1), max_size=40).map(lambda c: (width, c))))
+def test_lane_masks_transpose_the_codes_and_back(case):
+    # bit i of mask j is bit j of code i; zero codes or zero width included
+    width, codes = case
+    bits = semantics._lanes(codes, width)
+    assert bits == [sum((c >> j & 1) << i for i, c in enumerate(codes)) for j in range(width)]
+    assert semantics._lane_codes(bits, len(codes)) == codes
