@@ -27,8 +27,8 @@ from .network import (
     NETWORK_KINDS,
     ClusterNetwork,
     DistanceResult,
+    _with_lower_bound,
     build_network,
-    conceptual_distance,
     directed_step_distance,
     step_distance,
 )
@@ -336,14 +336,19 @@ def _parse_network(form: SList, catalog: Catalog) -> None:
 
 def _parse_policy(form: SList, catalog: Catalog) -> None:
     kw = _keywords(form.items[1:], ("size-cap", "rank-cap", "var-cap"))
-    def get(key: str, default: int) -> int:
+    def get(key: str, default: int, low: int) -> int:
         node = _one(kw, key, form, required=False)
-        return _int(node) if node is not None else default
+        if node is None:
+            return default
+        value = _int(node)
+        if value < low:  # a size cap of 0 would verify nothing
+            raise _err(node, f":{key} is at least {low}, got {value}")
+        return value
 
     catalog.policy = Policy(
-        size_cap=get("size-cap", 4),
-        rank_cap=get("rank-cap", 3),
-        var_cap=get("var-cap", 6),
+        size_cap=get("size-cap", 4, 1),
+        rank_cap=get("rank-cap", 3, 0),
+        var_cap=get("var-cap", 6, 0),
     )
 
 
@@ -379,7 +384,11 @@ def loads_catalog(text: str, source: str = "<string>") -> Catalog:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    return loads_catalog(Path(path).read_text(), str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path} is not UTF-8 text: {exc}") from None
+    return loads_catalog(text, str(path))
 
 
 def shipped_catalog_text() -> str:
@@ -466,17 +475,17 @@ def catalog_distance(
     b: str,
     directed: bool = False,
 ) -> DistanceResult:
-    """Distance query on a declared network; concept networks attach the
-    spectrum lower bounds of conceptual distance."""
-    decl = catalog.network_decl(net_name)
-    mode = "directed" if (directed or decl.mode == "directed") else "symmetric"
-    if decl.step == "concept" and mode == "symmetric":
-        theories = {n: catalog.theories[n] for n in decl.nodes}
-        return conceptual_distance(
-            theories, a, b, catalog.certificates, catalog.policy.size_cap,
-            catalog.policy.rank_cap, catalog.policy.caps(),
-        )
+    """Distance query on a declared network, under its declared
+    equivalence; symmetric concept networks attach the spectrum lower
+    bounds of conceptual distance."""
     net = catalog_network(catalog, net_name, directed=directed)
-    if mode == "directed":
+    if net.mode == "directed":
         return directed_step_distance(net, a, b)
-    return step_distance(net, a, b)
+    result = step_distance(net, a, b)
+    if catalog.network_decl(net_name).step != "concept":
+        return result
+    policy = catalog.policy
+    return _with_lower_bound(
+        result, catalog.theories[a], catalog.theories[b], policy.size_cap, policy.rank_cap,
+        policy.caps(),
+    )

@@ -130,7 +130,7 @@ def cmd_cz(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    text = Path(args.model).read_text()
+    text = Path(args.model).read_bytes()
     _, model = model_lang_from_json(text, args.vars)
     closure = concept_closure(model)
     payload = closure_to_json(closure)

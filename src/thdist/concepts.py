@@ -29,6 +29,8 @@ from .semantics import (
     Theory,
     _Tables,
     _fibres,
+    _holds,
+    _induced,
     _lane_codes,
     _lanes,
     _least_codes_of,
@@ -131,12 +133,13 @@ def _fixpoint(
         runs.append((run[0][1], len(run), _Tables(space, bits, (1 << len(run)) - 1, free)))
 
     def meaning(phi: Formula) -> int:
-        """Bit j * k^n + a of a run's part is bit j of the table's entry a:
-        the table transposed, lane j (model j of the run) from the top."""
+        """Bits j * k^n to (j + 1) * k^n of a run's part are the assignment
+        mask of the run's model j: its lane's code in the table over all n
+        variables."""
         out = 0
         for off, count, tables in runs:
-            rows = [f"{x:0{count}b}" for x in reversed(tables.lift(phi, tuple(range(n))))]
-            out |= int("".join(map("".join, zip(*rows))), 2) << off
+            codes = _lane_codes(tables.lift(phi, tuple(range(n))), count)
+            out |= sum(c << j * tables.k**n for j, c in enumerate(codes)) << off
         return out
 
     def cylindrify(x: int, i: int) -> int:
@@ -343,31 +346,6 @@ def _row(lang: Language, r: int) -> tuple[bool, ...]:
     return next(sat_rows(lang, 1 << r))
 
 
-def _induced(tr: Translation, k: int, bits: Sequence[int], full: int, free: dict) -> list[int] | str:
-    """The lanes of tr*(M) for the lanes M of `bits`, size-k structures of
-    tr.target: each source symbol's image tabled over v0..v_{rank-1}, in
-    block order. An image whose table varies along a free variable past
-    the rank in some lane defines no relation; its symbol is returned."""
-    tables = _Tables(_space(tr.target.symbols, k), bits, full, free)
-    out: list[int] = []
-    for sym, rank in tr.source.symbols:
-        image = tr.image(sym)
-        vs = tuple(sorted({*range(rank), *tables.fv(image)}))
-        table, step = tables.lift(image, vs), k ** (len(vs) - rank)  # extras vary fastest
-        if any(table[j::step] != table[::step] for j in range(1, step)):
-            return sym
-        out += table[::step]
-    return out
-
-
-def _failing_lanes(tables: _Tables, phi: Formula) -> int:
-    """The lanes in which phi fails under some assignment."""
-    alive = tables.full
-    for x in tables.table(phi):
-        alive &= x
-    return tables.full ^ alive
-
-
 def _extension(model: FiniteModel, phi: Formula) -> list[bool]:
     """phi under every assignment, by `eval_formula`, to re-check a refutation."""
     n = model.lang.var_bound
@@ -426,13 +404,14 @@ def _first_order_interpretation(
     for k in range(1, bound + 1):
         models, bits = model_lanes(t2, k, caps)
         full = (1 << len(models)) - 1
-        ind = _induced(tr, k, bits, full, free)
+        target = _space(tr.target.symbols, k)
+        ind = _induced(tr.source.symbols, dict(tr.basic), target, bits, full, free)
         if isinstance(ind, str):
             return _battery_interpretation(tr, t1, t2, bound, caps, ind)
         sizes.append((models, ind, _Tables(_space(t1.lang.symbols, k), ind, full, free)))
     for phi in t1.axioms:  # the head of the battery, each a theorem of t1
         for k, (models, ind, tab) in enumerate(sizes, 1):
-            bad = _failing_lanes(tab, phi)
+            bad = tab.full ^ _holds(tab, (phi,))
             if bad:
                 i = (bad & -bad).bit_length() - 1
                 induced = FiniteModel._of_code(t1.lang, k, _lane_codes(ind, i + 1)[i])
@@ -449,7 +428,7 @@ def _first_order_interpretation(
     else:
         return CheckReport("faithful", False, bound)
     for phi in formula_battery(t1, bound):
-        if not any(_failing_lanes(tab, phi) for *_, tab in sizes):
+        if all(_holds(tab, (phi,)) == tab.full for *_, tab in sizes):
             r1 = bounded_consequence(t1, phi, bound, caps)
             if not r1.holds:
                 return CheckReport(
@@ -519,8 +498,11 @@ def _round_trip(
     for k in range(1, bound + 1):
         models, bits = model_lanes(theory, k, caps)
         full = (1 << len(models)) - 1
-        there = _induced(outer, k, bits, full, free)
-        back = there if isinstance(there, str) else _induced(inner, k, there, full, free)
+        space = _space(theory.lang.symbols, k)
+        there = _induced(outer.source.symbols, dict(outer.basic), space, bits, full, free)
+        back = there if isinstance(there, str) else _induced(
+            inner.source.symbols, dict(inner.basic), _space(inner.target.symbols, k),
+            there, full, free)
         if isinstance(back, str):
             stopped = CheckReport(
                 "undecided", False, k,
@@ -529,7 +511,6 @@ def _round_trip(
             )
             break
         if back != bits:
-            space = _space(theory.lang.symbols, k)
             sizes.append((k, models, back, [_Tables(space, x, full, free) for x in (bits, back)]))
     if not sizes:
         return stopped

@@ -719,7 +719,16 @@ def conceptual_distance(
         "conceptual", theories, certificates, "defeq", "concept", "symmetric", bound, caps
     )
     result = step_distance(net, a, b)
-    evidence = lower_bound_certificates(theories[a], theories[b], bound, rank_cap, caps)
+    return _with_lower_bound(result, theories[a], theories[b], bound, rank_cap, caps)
+
+
+def _with_lower_bound(
+    result: DistanceResult, t1: Theory, t2: Theory, bound: int, rank_cap: int | None, caps: Caps
+) -> DistanceResult:
+    """A concept-step result with the strongest lower bound on the
+    conceptual distance of t1 and t2 attached, and a note where the bound
+    and the path disagree."""
+    evidence = lower_bound_certificates(t1, t2, bound, rank_cap, caps)
     notes = result.notes
     if result.value.is_finite:
         if evidence.kind == "spectrum-obstruction":
@@ -729,10 +738,7 @@ def conceptual_distance(
             )
         elif evidence.bound > result.value:
             notes = notes + ("growth lower bound exceeds the path length",)
-    return DistanceResult(
-        result.value, result.witness, result.status, result.asserted_used,
-        evidence, notes,
-    )
+    return result._replace(lower_bound=evidence, notes=notes)
 
 
 def faithful_interpretation_distance(

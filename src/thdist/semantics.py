@@ -167,15 +167,29 @@ def model_from_json(text: str, lang: Language) -> FiniteModel:
     return FiniteModel(lang, int(data["size"]), data["interp"])
 
 
-def model_lang_from_json(text: str, var_bound: int) -> tuple[Language, FiniteModel]:
+def model_lang_from_json(text: str | bytes, var_bound: int) -> tuple[Language, FiniteModel]:
     """Infer a language from a standalone model JSON (needs `ranks` for
-    empty relations) and build the model over it."""
-    data = json.loads(text)
-    ranks = {k: int(v) for k, v in data.get("ranks", {}).items()}
+    empty relations) and build the model over it. Input of any other shape
+    is a LanguageError."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # undecodable bytes included
+        raise LanguageError(f"model is not JSON: {exc}") from None
+    ranks = data.get("ranks", {}) if isinstance(data, dict) else None
+    if not (isinstance(ranks, dict) and all(type(r) is int for r in ranks.values())
+            and type(data.get("size")) is int and isinstance(data.get("interp"), dict)):
+        raise LanguageError(
+            'a model is an object with an integer "size", an "interp" object '
+            'and optional integer "ranks"'
+        )
     symbols: dict[str, int] = {}
     for sym, value in data["interp"].items():
         if isinstance(value, bool):
             symbols[sym] = 0
+        elif not isinstance(value, list) or not all(
+            isinstance(t, list) and all(type(e) is int for e in t) for t in value
+        ):
+            raise LanguageError(f"{sym} is neither a boolean nor a list of integer tuples")
         elif value:
             symbols[sym] = len(value[0])
         elif sym in ranks:
@@ -183,7 +197,7 @@ def model_lang_from_json(text: str, var_bound: int) -> tuple[Language, FiniteMod
         else:
             raise LanguageError(f"empty relation {sym} needs an entry in 'ranks'")
     lang = Language.make("model", symbols, var_bound)
-    return lang, FiniteModel(lang, int(data["size"]), data["interp"])
+    return lang, FiniteModel(lang, data["size"], data["interp"])
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +444,6 @@ class _Space:
         for m in self.maps():
             yield sum(map(power.__getitem__, map(m.__getitem__, bits)))
 
-    def runs_in(self, big: "_Space") -> list[tuple[int, int, int]]:
-        """(source shift, mask, destination shift) runs that copy this
-        signature's blocks out of a code of `big`, a space over more
-        symbols at the same size. Blocks are consecutive here, so blocks
-        consecutive in `big` too merge into one run."""
-        runs: list[list[int]] = []
-        for sym, (rank, dst) in self.blocks.items():
-            src, n = big.blocks[sym][1], self.k**rank
-            if runs and runs[-1][0] + runs[-1][1] == src:
-                runs[-1][1] += n
-            else:
-                runs.append([src, n, dst])
-        return [(src, (1 << n) - 1, dst) for src, n, dst in runs]
-
 
 @functools.lru_cache(maxsize=None)
 def _space(symbols: tuple[tuple[str, int], ...], k: int) -> _Space:
@@ -518,7 +518,7 @@ def _satisfying_blocks(
             if mask is None:
                 if bits is None:
                     bits = _code_masks(width, block)
-                mask = memo[block, phi.uid] = _holds(space, bits, full, (phi,), free)
+                mask = memo[block, phi.uid] = _holds(_Tables(space, bits, full, free), (phi,))
             alive &= mask
             if not alive:
                 break
@@ -594,18 +594,36 @@ class _Tables:
         return out
 
 
-def _holds(
-    space: _Space, bits: Sequence[int], full: int, formulas: Sequence[Formula], free: dict
-) -> int:
-    """The lanes of `full` in which every formula holds under every
-    assignment: the AND over each formula's `_Tables` table."""
-    tables, alive = _Tables(space, bits, full, free), full
+def _holds(tables: _Tables, formulas: Sequence[Formula]) -> int:
+    """The lanes of the tables in which every formula holds under every
+    assignment: the AND over each formula's table."""
+    alive = tables.full
     for phi in formulas:
         for x in tables.table(phi):
             alive &= x
         if not alive:
             break
     return alive
+
+
+def _induced(
+    symbols: Sequence[tuple[str, int]], images: Mapping[str, Formula],
+    space: _Space, bits: Sequence[int], full: int, free: dict,
+) -> list[int] | str:
+    """The lanes of the structures that the images define in the lanes of
+    `bits`, structures of the space: each symbol's image tabled over
+    v0..v_{rank-1}, in block order. With canonical atoms as images these
+    are reducts. An image whose table varies along a free variable past
+    the rank in some lane defines no relation; its symbol is returned."""
+    tables, out = _Tables(space, bits, full, free), []
+    for sym, rank in symbols:
+        image = images[sym]
+        vs = tuple(sorted({*range(rank), *tables.fv(image)}))
+        table, step = tables.lift(image, vs), space.k ** (len(vs) - rank)  # extras vary fastest
+        if any(table[j::step] != table[::step] for j in range(1, step)):
+            return sym
+        out += table[::step]
+    return out
 
 
 def canonical_form(model: FiniteModel) -> tuple[int, int]:
@@ -755,7 +773,7 @@ def first_countermodel(
     over `model_lanes` checks them all."""
     models, bits = model_lanes(theory, k, caps)
     full = (1 << len(models)) - 1
-    bad = full ^ _holds(_space(theory.lang.symbols, k), bits, full, formulas, {})
+    bad = full ^ _holds(_Tables(_space(theory.lang.symbols, k), bits, full, {}), formulas)
     return models[(bad & -bad).bit_length() - 1] if bad else None
 
 
@@ -919,9 +937,10 @@ def conservative_extension(
 
     Sentential case: the projection of Sat(t2) onto t1's constants must
     equal Sat(t1); exact. First-order case: for each size k <= bound the
-    t1-reducts of t2's models (bit projections of their codes, taken to
-    the least code of their orbit) must equal t1's model list; a
-    refutation shows the differing model of least canonical code.
+    t1-reducts of t2's models (the structures t1's canonical atoms induce
+    in them, taken to the least code of their orbit) must equal t1's
+    model list; a refutation shows the differing model of least canonical
+    code.
 
     The claim is about t1's formulas, with n = t1's variable bound. A
     size-k t1-model lacking a t2-expansion refutes only where k <= n - 1:
@@ -955,20 +974,15 @@ def conservative_extension(
             False, True, None, witness, assignment_model(t1.lang, row), side
         )
 
-    n, undecided = t1.lang.var_bound, None
+    n, undecided, free = t1.lang.var_bound, None, {}
+    canonical = {sym: atom(sym, tuple(range(rank))) for sym, rank in t1.lang.symbols}
     for k in range(1, bound + 1):
         # enumerated models are least codes, hence already canonical
         own = {m.code for m in enumerate_models(t1, k, caps)}
-        expansions = enumerate_models(t2, k, caps)
-        space = _space(t1.lang.symbols, k)
-        runs = space.runs_in(_space(t2.lang.symbols, k))
-        codes = []
-        for m in expansions:
-            code = 0
-            for src, mask, dst in runs:
-                code |= (m.code >> src & mask) << dst
-            codes.append(code)
-        reducts = _least_codes_of(space, codes, own)
+        expansions, bits = model_lanes(t2, k, caps)
+        space, full = _space(t1.lang.symbols, k), (1 << len(expansions)) - 1
+        lanes = _induced(t1.lang.symbols, canonical, _space(t2.lang.symbols, k), bits, full, free)
+        reducts = _least_codes_of(space, _lane_codes(lanes, len(expansions)), own)
         if own == reducts:
             continue
         decisive = own ^ reducts if k < n else reducts - own

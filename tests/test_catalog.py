@@ -86,6 +86,11 @@ def test_policy_violations():
         loads_catalog("(policy :rank-cap 1)\n(language L (R 2) :vars 3)")
 
 
+def test_policy_caps_at_their_least_value():
+    cat = loads_catalog("(policy :size-cap 1 :rank-cap 0 :var-cap 0)\n" + PREFIX)
+    assert tuple(cat.policy) == (1, 0, 0)
+
+
 @pytest.mark.parametrize(
     "decl, message",
     [
@@ -133,6 +138,11 @@ PREFIX = '(language L (P 0) (Q 0) :vars 0)\n(theory A :over L)\n(theory B :over 
         ),
         ("(network N :equiv logical :step axiom :mdoe directed)", "unknown keyword :mdoe", 39),
         ("(policy :sizecap 9)", "unknown keyword :sizecap", 9),
+        # a size cap of 0 would verify nothing, sentential certificates included
+        ("(policy :size-cap 0)", ":size-cap is at least 1, got 0", 19),
+        ("(policy :size-cap -3)", ":size-cap is at least 1, got -3", 19),
+        ("(policy :rank-cap -1)", ":rank-cap is at least 0, got -1", 19),
+        ("(policy :size-cap 2 :var-cap -1)", ":var-cap is at least 0, got -1", 30),
         # languages
         ("(language M :vars)", ":vars needs a number", 13),
         ("(language M :vars two)", "expected an integer", 19),
@@ -367,6 +377,25 @@ def test_catalog_distance_concept_network_attaches_bounds(examples_catalog):
     res = catalog_distance(examples_catalog, "Ladder", "TStar1", "TStar3")
     assert res.value.to_json() == 2
     assert res.lower_bound is not None and res.lower_bound.kind == "growth-certificate"
+
+
+_PQ_CONCEPT = (
+    '(language P1 (P 0) :vars 0)\n(language Q1 (Q 0) :vars 0)\n'
+    '(theory TP :over P1 :axioms "P")\n(theory TQ :over Q1 :axioms "Q")\n'
+    '(certificate :name pq :kind defeq :from TP :to TQ :tr12 ((P "Q")) :tr21 ((Q "P")))\n'
+    '(network N :equiv {} :step concept :nodes TP TQ)\n'
+)
+
+
+@pytest.mark.parametrize("equiv, distance", [("logical", "infinity"), ("defeq", 0)])
+def test_concept_network_distance_keeps_its_declared_equivalence(equiv, distance):
+    # a defeq certificate is no edge of a network whose equivalence is logical
+    cat = loads_catalog(_PQ_CONCEPT.format(equiv))
+    edges = [e["certificate"] for e in export_json(catalog_network(cat, "N"))["edges"]]
+    assert edges == (["pq"] if equiv == "defeq" else [])
+    res = catalog_distance(cat, "N", "TP", "TQ")
+    assert res.value.to_json() == distance and res.lower_bound.kind == "none"
+    assert catalog_distance(cat, "N", "TP", "TQ", directed=True).value.to_json() == distance
 
 
 def test_load_catalog_from_file(tmp_path):

@@ -58,6 +58,27 @@ def test_check_input_error_exit_code(tmp_path, capsys):
     assert code == 2 and "Missing" in err
 
 
+def test_check_refuses_a_catalog_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.cat"
+    path.write_bytes(b"\xff\xfe" + GOOD_CAT.encode("utf-16-le"))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith(f"{path} is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("policy, message", [
+    ("(policy :size-cap 0)", ":size-cap is at least 1, got 0 (at 1:19)"),
+    ("(policy :var-cap -1)", ":var-cap is at least 0, got -1 (at 1:18)"),
+])
+def test_check_policy_cap_below_its_least_value_exit_code(tmp_path, capsys, policy, message):
+    # not a cap error (exit 3) for every certificate: an input error at the token
+    path = tmp_path / "policy.cat"
+    path.write_text(policy + "\n" + GOOD_CAT)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message}
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_check_certificate_bound_below_one_exit_code(tmp_path, capsys, bound):
     path = tmp_path / "bound.cat"
@@ -167,16 +188,31 @@ def test_cz_at_depth_zero_runs(capsys):
     assert code == 0 and json.loads(out)["depth"] == 0
 
 
+_NOT_A_MODEL = (
+    'a model is an object with an integer "size", an "interp" object and optional integer "ranks"'
+)
+
+
 @pytest.mark.parametrize("model, message", [
     ('{"size": 0, "interp": {"R": []}, "ranks": {"R": 2}}', "models have non-empty universes"),
     ('{"size": 2, "interp": {"R": [[0, 2]]}}', "tuple (0, 2) out of bounds for R/2"),
     ('{"size": 2, "interp": {"R": [[0, 1], [1]]}}', "tuple (1,) out of bounds for R/2"),
     ('{"size": 2, "interp": {"R": []}}', "empty relation R needs an entry in 'ranks'"),
     ('{"size": 2, "interp": {"r!": true}}', "bad symbol name 'r!'"),
+    # not a model at all: each an input error, not a traceback (exit 1)
+    ("not json", "model is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (b"\x80{}", "model is not JSON: 'utf-8' codec can't decode byte 0x80 in position 0: "
+     "invalid start byte"),
+    ("[1, 2]", _NOT_A_MODEL),
+    ('{"size": 2}', _NOT_A_MODEL),
+    ('{"size": "x", "interp": {"R": [[0, 1]]}}', _NOT_A_MODEL),
+    ('{"size": 2, "interp": {"R": [[0, 1]]}, "ranks": {"R": "2"}}', _NOT_A_MODEL),
+    ('{"size": 2, "interp": {"R": 5}}', "R is neither a boolean nor a list of integer tuples"),
+    ('{"size": 2, "interp": {"R": [[0, "a"]]}}', "R is neither a boolean nor a list of integer tuples"),
 ])
 def test_closure_refuses_a_malformed_model(tmp_path, capsys, model, message):
     path = tmp_path / "m.json"
-    path.write_text(model)
+    path.write_bytes(model if isinstance(model, bytes) else model.encode())
     code, out, err = run(capsys, "closure", str(path), "--vars", "2")
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": message}

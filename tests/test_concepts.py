@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from thdist.catalog import loads_catalog, shipped_catalog_text
 from thdist.concepts import (
-    _induced,
     check_defeq,
     check_interpretation,
     closure_formula,
@@ -22,7 +21,15 @@ from thdist.concepts import (
 )
 from thdist.errors import InconsistencyError, UnsupportedFragmentError, VariableBudgetError
 from thdist.relations import EdgeCertificate, verify_certificate
-from thdist.semantics import FiniteModel, Theory, assignment_set, enumerate_models, eval_formula
+from thdist.semantics import (
+    FiniteModel,
+    Theory,
+    _induced,
+    _space,
+    assignment_set,
+    enumerate_models,
+    eval_formula,
+)
 from thdist.syntax import Language, and_, atom, eq, exists, not_, print_formula
 from thdist.translation import Translation, apply_translation, identity_translation
 
@@ -442,8 +449,9 @@ def test_reduction_theorem_on_induced_structures(case):
     # M satisfies tr(phi) iff tr*(M) satisfies phi, under every assignment
     tr, phi, model = case
     induced = _induced_by_eval(tr, model)
-    width = sum(model.size**rank for _, rank in model.lang.symbols)
-    lanes = _induced(tr, model.size, [model.code >> j & 1 for j in range(width)], 1, {})
+    space = _space(model.lang.symbols, model.size)
+    bits = [model.code >> j & 1 for j in range(space.width)]
+    lanes = _induced(tr.source.symbols, dict(tr.basic), space, bits, 1, {})
     assert lanes == [induced.code >> j & 1 for j in range(len(lanes))]
     try:
         psi = apply_translation(tr, phi)

@@ -1100,3 +1100,57 @@ def test_lane_masks_transpose_the_codes_and_back(case):
     bits = semantics._lanes(codes, width)
     assert bits == [sum((c >> j & 1) << i for i, c in enumerate(codes)) for j in range(width)]
     assert semantics._lane_codes(bits, len(codes)) == codes
+
+
+# t1's blocks lie apart inside t2's code: B and D are separated by C, and
+# by A before them; each pair with the largest size its sweep allows
+_REDUCT_PAIRS = [
+    ({"B": 1, "D": 2}, {"A": 1, "B": 1, "C": 2, "D": 2}, 2),
+    ({"B": 1, "D": 2}, {"A": 0, "B": 1, "C": 0, "D": 2}, 3),
+    ({"B": 0, "D": 1}, {"A": 1, "B": 0, "C": 1, "D": 1}, 3),
+]
+
+
+def _reduct_oracle(t1, t2, bound):
+    """conservative_extension by its definition: each t2 model's interp cut
+    down to t1's symbols and put in canonical form; a mismatch at size k
+    decides where k < n, or where a reduct is no t1 model, and otherwise
+    leaves the answer undecided unless a larger size decides."""
+    n, undecided = t1.lang.var_bound, None
+    for k in range(1, bound + 1):
+        own = {canonical_form(m) for m in enumerate_models(t1, k)}
+        reducts = {
+            canonical_form(FiniteModel(t1.lang, k, {s: m.interp[s] for s, _ in t1.lang.symbols}))
+            for m in enumerate_models(t2, k)
+        }
+        decisive = own ^ reducts if k < n else reducts - own
+        if decisive:
+            return False, k, min(decisive)
+        if own != reducts and undecided is None:
+            undecided = (None, k, min(own ^ reducts))
+    return undecided or (True, bound, None)
+
+
+@st.composite
+def _reduct_cases(draw):
+    sig1, sig2, top = draw(st.sampled_from(_REDUCT_PAIRS))
+    n = draw(st.integers(max(sig1.values()) or 1, 3))
+    lang1 = Language.make("L1", sig1, n)
+    lang2 = Language.make("L2", sig2, draw(st.integers(n, 3)))
+    # t2's own axioms speak of every symbol, or of the new ones only
+    new = Language.make("New", {s: r for s, r in sig2.items() if s not in sig1}, lang2.var_bound)
+    ax1 = draw(st.lists(_formulas(lang1, 4), max_size=2))
+    ax2 = draw(st.lists(_formulas(draw(st.sampled_from((lang2, new))), 4), max_size=2))
+    if draw(st.integers(0, 3)):  # mostly an extension of t1, conservative or not
+        ax2 = ax1 + ax2
+    return Theory("t1", lang1, ax1), Theory("t2", lang2, ax2), draw(st.integers(top - 1, top))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_reduct_cases())
+def test_conservativity_matches_the_reduct_oracle(case):
+    t1, t2, bound = case
+    res = conservative_extension(t1, t2, bound)
+    holds, k, least = _reduct_oracle(t1, t2, bound)
+    assert (res.holds, res.exact, res.bound) == (holds, False, k)
+    assert (None if res.witness_model is None else canonical_form(res.witness_model)) == least
