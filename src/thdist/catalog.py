@@ -41,7 +41,7 @@ from .relations import (
     EdgeCertificate,
     verify_certificate,
 )
-from .semantics import Caps, Theory
+from .semantics import Theory
 from .sexpr import SAtom, SList, SString, read_all
 from .syntax import Formula, Language, parse_formula
 from .translation import Translation
@@ -49,14 +49,16 @@ from .translation import Translation
 
 class Policy(NamedTuple):
     """Catalog-wide caps: verification size bound K, maximal symbol rank,
-    maximal variable bound."""
+    maximal variable bound. Model sizes have one cap, `semantics.MAX_SIZE`."""
 
     size_cap: int = 4
     rank_cap: int = 3
     var_cap: int = 6
 
-    def caps(self) -> Caps:
-        return Caps(max_size=max(6, self.size_cap))
+    def caps(self) -> None:
+        """Nothing: `perfbench/worker.py` still passes this to
+        `verify_certificate`, which ignores it."""
+        return None
 
 
 class NetworkDecl(NamedTuple):
@@ -442,10 +444,9 @@ def verify_all(catalog: Catalog, bound: int | None = None) -> VerificationReport
     """Verify every certificate to its strongest achievable status."""
     report = VerificationReport()
     k = catalog.policy.size_cap if bound is None else bound
-    caps = catalog.policy.caps()
     for cert in catalog.certificates:
         try:
-            status = verify_certificate(cert, catalog.theories, k, caps)
+            status = verify_certificate(cert, catalog.theories, k)
             report.entries.append((cert, status))
         except ThdistError as exc:
             report.errors.append((cert, str(exc)))
@@ -464,7 +465,6 @@ def catalog_network(catalog: Catalog, name: str, directed: bool = False) -> Clus
         decl.step,
         mode,
         catalog.policy.size_cap,
-        catalog.policy.caps(),
     )
 
 
@@ -486,6 +486,5 @@ def catalog_distance(
         return result
     policy = catalog.policy
     return _with_lower_bound(
-        result, catalog.theories[a], catalog.theories[b], policy.size_cap, policy.rank_cap,
-        policy.caps(),
+        result, catalog.theories[a], catalog.theories[b], policy.size_cap, policy.rank_cap
     )

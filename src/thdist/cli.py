@@ -77,7 +77,7 @@ def cmd_check(args) -> int:
 def cmd_models(args) -> int:
     catalog, name = _load_ref(args.theory)
     theory = catalog.theory(name)
-    models = enumerate_models(theory, args.size, catalog.policy.caps())
+    models = enumerate_models(theory, args.size)
     if args.human:
         print("\n".join(model_to_json(m) for m in models) or "(none)")
         return EXIT_OK
@@ -94,8 +94,7 @@ def cmd_models(args) -> int:
 def cmd_spectrum(args) -> int:
     catalog, name = _load_ref(args.theory)
     theory = catalog.theory(name)
-    caps = catalog.policy.caps()
-    counts = {k: spectrum(theory, k, caps) for k in range(1, args.max_size + 1)}
+    counts = {k: spectrum(theory, k) for k in range(1, args.max_size + 1)}
     payload = {
         "theory": name,
         "spectrum": {str(k): v for k, v in counts.items()},
@@ -113,7 +112,7 @@ def cmd_cz(args) -> int:
     if theory.lang.is_sentential:
         value = cz_sentential(theory)
     else:
-        value = cz_lower_bound(theory, args.max_size, args.depth, catalog.policy.caps())
+        value = cz_lower_bound(theory, args.max_size, args.depth)
     payload = {
         "theory": name,
         "value": value.value,
@@ -156,17 +155,14 @@ def cmd_classify_ad(args) -> int:
         flag = "asserted"
         amalgamation = None
     else:
-        report = check_amalgamation(
-            theories, certificates, catalog.policy.size_cap, catalog.policy.caps()
-        )
+        report = check_amalgamation(theories, certificates, catalog.policy.size_cap)
         amalgamation = report.to_json()
         if report.amalgamation != "holds" and report.co_amalgamation != "holds":
             _emit(args, {"error": "amalgamation not established", "report": amalgamation})
             return EXIT_INPUT
         flag = "verified"
     result = classify_ad(
-        theories, args.t1, args.t2, certificates,
-        catalog.policy.size_cap, catalog.policy.caps(), amalgamation=flag,
+        theories, args.t1, args.t2, certificates, catalog.policy.size_cap, amalgamation=flag
     )
     payload = result.to_json()
     if amalgamation is not None:

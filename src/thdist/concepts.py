@@ -22,9 +22,8 @@ from .errors import (
     VariableBudgetError,
 )
 from .semantics import (
-    Caps,
     DEFAULT_BOUND,
-    DEFAULT_CAPS,
+    MAX_SIZE,
     FiniteModel,
     Theory,
     _Tables,
@@ -208,9 +207,9 @@ def concept_closure(model: FiniteModel) -> ConceptClosure:
     generator operations, over the language's varBound variables; a
     closure of more than CLOSURE_CAP relations raises CapExceededError."""
     k, n = model.size, model.lang.var_bound
-    if k > DEFAULT_CAPS.max_size:
-        raise CapExceededError(f"model size {k} exceeds cap {DEFAULT_CAPS.max_size}")
-    # More than CLOSURE_CAP assignments at k <= 6 forces n >= 5 and k >= 2.
+    if k > MAX_SIZE:
+        raise CapExceededError(f"size {k} exceeds cap {MAX_SIZE}")
+    # More than CLOSURE_CAP assignments at k <= MAX_SIZE forces n >= 5 and k >= 2.
     # Then the equality patterns with at most two classes are 2^(n-1) >= 16
     # non-empty atoms of the closure, so it has at least 2^16 relations:
     # refuse before building a single one.
@@ -279,7 +278,6 @@ def cz_lower_bound(
     theory: Theory,
     bound: int = DEFAULT_BOUND,
     depth: int = 4,
-    caps: Caps = DEFAULT_CAPS,
 ) -> CzValue:
     """Enumeration lower bound on conceptual size for first-order theories.
 
@@ -288,7 +286,7 @@ def cz_lower_bound(
     size <= bound after `depth` generation rounds bounds Cz from below.
     """
     models = [
-        m for k in range(1, bound + 1) for m in enumerate_models(theory, k, caps)
+        m for k in range(1, bound + 1) for m in enumerate_models(theory, k)
     ]
     if not models:
         return CzValue(
@@ -357,7 +355,6 @@ def check_interpretation(
     t1: Theory,
     t2: Theory,
     bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
 ) -> CheckReport:
     """Does tr map theorems of t1 to theorems of t2, and does it reflect
     them back? Sentential case exact; otherwise checked on the structures
@@ -389,11 +386,11 @@ def check_interpretation(
                 note="translation holds but does not reflect this formula",
             )
         return CheckReport("faithful", True, None)
-    return _first_order_interpretation(tr, t1, t2, bound, caps, {}, True)
+    return _first_order_interpretation(tr, t1, t2, bound, {}, True)
 
 
 def _first_order_interpretation(
-    tr: Translation, t1: Theory, t2: Theory, bound: int, caps: Caps, free: dict, reflect: bool
+    tr: Translation, t1: Theory, t2: Theory, bound: int, free: dict, reflect: bool
 ) -> CheckReport:
     """Forward: every tr*(M) satisfies t1's axioms, so it satisfies every
     phi that t1 proves up to the bound; the first failing axiom refutes
@@ -402,12 +399,12 @@ def _first_order_interpretation(
     formula whose translation t2 proves and t1 does not."""
     sizes = []
     for k in range(1, bound + 1):
-        models, bits = model_lanes(t2, k, caps)
+        models, bits = model_lanes(t2, k)
         full = (1 << len(models)) - 1
         target = _space(tr.target.symbols, k)
         ind = _induced(tr.source.symbols, dict(tr.basic), target, bits, full, free)
         if isinstance(ind, str):
-            return _battery_interpretation(tr, t1, t2, bound, caps, ind)
+            return _battery_interpretation(tr, t1, t2, bound, ind)
         sizes.append((models, ind, _Tables(_space(t1.lang.symbols, k), ind, full, free)))
     for phi in t1.axioms:  # the head of the battery, each a theorem of t1
         for k, (models, ind, tab) in enumerate(sizes, 1):
@@ -422,14 +419,14 @@ def _first_order_interpretation(
     if not reflect:
         return CheckReport("interpretation", False, bound)
     for k, (models, ind, _) in enumerate(sizes, 1):
-        own = {m.code for m in enumerate_models(t1, k, caps)}
+        own = {m.code for m in enumerate_models(t1, k)}
         if not own <= _least_codes_of(_space(t1.lang.symbols, k), _lane_codes(ind, len(models)), own):
             break
     else:
         return CheckReport("faithful", False, bound)
     for phi in formula_battery(t1, bound):
         if all(_holds(tab, (phi,)) == tab.full for *_, tab in sizes):
-            r1 = bounded_consequence(t1, phi, bound, caps)
+            r1 = bounded_consequence(t1, phi, bound)
             if not r1.holds:
                 return CheckReport(
                     "interpretation", False, bound, phi, r1.countermodel,
@@ -439,7 +436,7 @@ def _first_order_interpretation(
 
 
 def _battery_interpretation(
-    tr: Translation, t1: Theory, t2: Theory, bound: int, caps: Caps, sym: str
+    tr: Translation, t1: Theory, t2: Theory, bound: int, sym: str
 ) -> CheckReport:
     """check_interpretation formula by formula over the battery, for a
     translation whose image of `sym` defines no relation: each formula is
@@ -453,8 +450,8 @@ def _battery_interpretation(
         except VariableBudgetError:
             untranslated.append(phi)
             continue
-        r1 = bounded_consequence(t1, phi, bound, caps)
-        r2 = bounded_consequence(t2, psi, bound, caps)
+        r1 = bounded_consequence(t1, phi, bound)
+        r2 = bounded_consequence(t2, psi, bound)
         if r1.holds and not r2.holds and forward_witness is None:
             exact = phi in t1.axioms or r1.exact
             forward_witness = (phi, r2.countermodel, exact)
@@ -487,7 +484,7 @@ def _battery_interpretation(
 
 
 def _round_trip(
-    theory: Theory, outer: Translation, inner: Translation, bound: int, caps: Caps, free: dict
+    theory: Theory, outer: Translation, inner: Translation, bound: int, free: dict
 ) -> CheckReport | None:
     """Does inner*(outer*(M)) = M for every model M of the theory up to
     the bound? Then the round trip of every formula holds, not only the
@@ -496,7 +493,7 @@ def _round_trip(
     cylinder leaves the sizes from there undecided."""
     sizes, stopped = [], None  # per size where some M moves: k, models, lanes and tables
     for k in range(1, bound + 1):
-        models, bits = model_lanes(theory, k, caps)
+        models, bits = model_lanes(theory, k)
         full = (1 << len(models)) - 1
         space = _space(theory.lang.symbols, k)
         there = _induced(outer.source.symbols, dict(outer.basic), space, bits, full, free)
@@ -535,7 +532,6 @@ def check_defeq(
     t1: Theory,
     t2: Theory,
     bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
 ) -> CheckReport:
     """Verify a definitional-equivalence witness pair: both directions are
     interpretations and both round trips are provable biconditionals.
@@ -574,12 +570,12 @@ def check_defeq(
     free: dict = {}  # one free-variable memo for every table of the check
     undecided = None
     for theory, outer, inner in ((t1, tr21, tr12), (t2, tr12, tr21)):
-        rep = _round_trip(theory, outer, inner, bound, caps, free)
+        rep = _round_trip(theory, outer, inner, bound, free)
         if rep is not None and rep.verdict == "refuted":
             return rep
         undecided = undecided or rep
     for tr, a, b, label in ((tr12, t1, t2, "tr12"), (tr21, t2, t1, "tr21")):
-        rep = _first_order_interpretation(tr, a, b, bound, caps, free, False)
+        rep = _first_order_interpretation(tr, a, b, bound, free, False)
         if rep.verdict == "refuted":
             return rep._replace(note=f"{label} is not an interpretation: {rep.note}")
         if rep.verdict == "undecided" and undecided is None:

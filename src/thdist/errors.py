@@ -25,7 +25,7 @@ class VariableBudgetError(ThdistError):
 
 
 class CapExceededError(ThdistError):
-    """A semantic computation would exceed the configured desk-scale caps."""
+    """A semantic computation would exceed the desk-scale caps."""
 
 
 class UnsupportedFragmentError(ThdistError):

@@ -33,9 +33,7 @@ from .relations import (
     verify_certificate,
 )
 from .semantics import (
-    Caps,
     DEFAULT_BOUND,
-    DEFAULT_CAPS,
     Theory,
     _set_bits,
     feasible_bound,
@@ -293,7 +291,8 @@ class SourceDistances(Mapping[str, DistanceResult]):
     """Distances from one source to every node of its network, read off a
     single 0/1-BFS. A target's witness is walked back through the parent
     steps when the target is looked up. On a network that left undecided
-    certificates out, no answer is better than bounded."""
+    certificates out, no answer is better than bounded, and no path is no
+    lower bound."""
 
     def __init__(
         self, names: tuple[str, ...], index: dict[str, int], source: int,
@@ -309,8 +308,11 @@ class SourceDistances(Mapping[str, DistanceResult]):
         node = index[target]
         value = self._dist[node]
         if value == len(self._names):
-            status = "bounded" if notes else "exact"
-            return DistanceResult(INFINITY, None, status, (), EXHAUSTED, notes)
+            # an undecided certificate left out may be an edge, so only a
+            # search of the whole relation proves the pair unreachable
+            if notes:
+                return DistanceResult(INFINITY, None, "bounded", (), None, notes)
+            return DistanceResult(INFINITY, None, "exact", (), EXHAUSTED, notes)
         steps, asserted, bounded = [], [], bool(notes)
         while node != source:
             step = parent[node]
@@ -385,7 +387,7 @@ NETWORK_KINDS = {
 
 def _node_certificates(
     theories: Mapping[str, Theory], certificates: Iterable[EdgeCertificate],
-    kinds: Container[str], bound: int, caps: Caps,
+    kinds: Container[str], bound: int
 ) -> list[EdgeCertificate]:
     """The certificates of the given kinds between nodes, each verified
     first if still declared, so no answer depends on the caller verifying."""
@@ -393,7 +395,7 @@ def _node_certificates(
            if c.kind in kinds and c.source in theories and c.target in theories]
     for cert in out:
         if cert.status.state == DECLARED:
-            verify_certificate(cert, theories, bound, caps)
+            verify_certificate(cert, theories, bound)
     return out
 
 
@@ -405,7 +407,6 @@ def build_network(
     step: str = "axiom",
     mode: str = "symmetric",
     bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
 ) -> ClusterNetwork:
     """Assemble a cluster network.
 
@@ -426,7 +427,7 @@ def build_network(
     nodes = tuple(theories)
     edges: list[NetEdge] = []
     undecided: list[str] = []
-    for cert in _node_certificates(theories, certificates, weights, bound, caps):
+    for cert in _node_certificates(theories, certificates, weights, bound):
         if not cert.status.usable:
             if cert.status.state == UNDECIDED:
                 undecided.append(cert.label())
@@ -481,7 +482,6 @@ def axiomatic_distance(
     b: str,
     certificates: Iterable[EdgeCertificate] = (),
     bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
 ) -> DistanceResult:
     """Step distance on (X, ≡, −). Theories on different languages are
     infinitely far apart: equivalence presupposes a common language."""
@@ -492,7 +492,7 @@ def axiomatic_distance(
             notes=("different languages admit no equivalence path",),
         )
     net = build_network(
-        "axiomatic", theories, certificates, "logical", "axiom", "symmetric", bound, caps
+        "axiomatic", theories, certificates, "logical", "axiom", "symmetric", bound
     )
     return step_distance(net, a, b)
 
@@ -503,7 +503,6 @@ def classify_ad(
     b: str,
     certificates: Iterable[EdgeCertificate] = (),
     bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
     amalgamation: str | None = None,
 ) -> DistanceResult:
     """The four-way classification {0, 1, 2, infinity} of axiomatic
@@ -516,19 +515,21 @@ def classify_ad(
     ta, tb = _endpoints(theories, a, b)
     note = f"amalgamation property: {amalgamation}"
     if ta.lang.same_formulas(tb.lang):
-        eq_res = logically_equivalent(ta, tb, bound, caps)
+        # clamped as the certificate checks are; size 1 past the caps
+        # still reaches enumerate_models, which refuses it
+        eq_res = logically_equivalent(ta, tb, max(1, feasible_bound(bound, (ta, tb))))
         if eq_res.equivalent:
             status = "exact" if eq_res.exact else "bounded"
             return DistanceResult(fin(0), None, status, notes=(note,))
-        fwd = axiom_add_exists(ta, tb, bound, caps)
-        bwd = axiom_add_exists(tb, ta, bound, caps)
+        fwd = axiom_add_exists(ta, tb, bound)
+        bwd = axiom_add_exists(tb, ta, bound)
         if fwd.answer == "yes" or bwd.answer == "yes":
             return DistanceResult(fin(1), None, "exact", notes=(note,))
         if fwd.answer == "unknown" or bwd.answer == "unknown":
             raise LanguageError(
                 f"axiom-adding between {a} and {b} is undecided at bound {bound}"
             )
-    connected = axiomatic_distance(theories, a, b, certificates, bound, caps)
+    connected = axiomatic_distance(theories, a, b, certificates, bound)
     if not connected.value.is_finite:
         return DistanceResult(INFINITY, None, "exact", (), EXHAUSTED, notes=(note,))
     if amalgamation == "asserted":  # a distance of 2 rests on the property
@@ -557,17 +558,17 @@ class AmalgamationReport(NamedTuple):
 
 
 def _arrow_matrix(
-    theories: Mapping[str, Theory], certificates: Iterable[EdgeCertificate], bound: int, caps: Caps
+    theories: Mapping[str, Theory], certificates: Iterable[EdgeCertificate], bound: int
 ) -> dict[tuple[str, str], bool | None]:
     """arrow[u, v] decides u <- v (v is u plus one axiom, up to logical
     equivalence) by axiom_add_exists: yes, no or unknown (None). Verified
     certificates add positives, closed under facts (1)-(3)."""
     names = list(theories)
-    certificates = _node_certificates(theories, certificates, ("axiom-add", "collapse", "equiv"),
-                                      bound, caps)
+    certificates = _node_certificates(
+        theories, certificates, ("axiom-add", "collapse", "equiv"), bound)
     decided = {"yes": True, "no": False}  # unknown: None
     arrow = {
-        (u, v): decided.get(axiom_add_exists(theories[u], theories[v], bound, caps).answer)
+        (u, v): decided.get(axiom_add_exists(theories[u], theories[v], bound).answer)
         for u in names
         for v in names
     }
@@ -603,14 +604,13 @@ def check_amalgamation(
     theories: Mapping[str, Theory],
     certificates: Iterable[EdgeCertificate] = (),
     bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
 ) -> AmalgamationReport:
     """Exhaustively check the theory (co-)amalgamation property over the
     catalog nodes. Reports the first counterexample triple, the pairs whose
     axiom-adding status stays unknown at the bound, and "undecidable" where
     such a pair leaves the verdict open."""
     names = list(theories)
-    arrow = _arrow_matrix(theories, certificates, bound, caps)
+    arrow = _arrow_matrix(theories, certificates, bound)
     undecided = tuple(p for p, v in arrow.items() if v is None)
 
     def decide(m) -> tuple[str, tuple | None]:
@@ -658,7 +658,6 @@ def lower_bound_certificates(
     t2: Theory,
     bound: int = DEFAULT_BOUND,
     rank_cap: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
 ) -> LowerBoundEvidence:
     """Spectrum-based lower bounds on conceptual distance.
 
@@ -675,8 +674,8 @@ def lower_bound_certificates(
     if not (t1.lang.is_sentential and t2.lang.is_sentential):
         bound = min(bound, t1.lang.var_bound - 1, t2.lang.var_bound - 1)
     best = LowerBoundEvidence("none", fin(0))
-    for k in range(1, feasible_bound(bound, (t1, t2), caps) + 1):
-        c1, c2 = spectrum(t1, k, caps), spectrum(t2, k, caps)
+    for k in range(1, feasible_bound(bound, (t1, t2)) + 1):
+        c1, c2 = spectrum(t1, k), spectrum(t2, k)
         if (c1 == 0) != (c2 == 0):
             return LowerBoundEvidence(
                 "spectrum-obstruction", INFINITY, size=k,
@@ -710,25 +709,28 @@ def conceptual_distance(
     certificates: Iterable[EdgeCertificate] = (),
     bound: int = DEFAULT_BOUND,
     rank_cap: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
 ) -> DistanceResult:
     """Step distance on (X, defeq, ~), with the strongest available lower
     bound attached. Distances are relative to the declared catalog; larger
     catalogs can only shrink them."""
     net = build_network(
-        "conceptual", theories, certificates, "defeq", "concept", "symmetric", bound, caps
+        "conceptual", theories, certificates, "defeq", "concept", "symmetric", bound
     )
     result = step_distance(net, a, b)
-    return _with_lower_bound(result, theories[a], theories[b], bound, rank_cap, caps)
+    return _with_lower_bound(result, theories[a], theories[b], bound, rank_cap)
 
 
 def _with_lower_bound(
-    result: DistanceResult, t1: Theory, t2: Theory, bound: int, rank_cap: int | None, caps: Caps
+    result: DistanceResult, t1: Theory, t2: Theory, bound: int, rank_cap: int | None
 ) -> DistanceResult:
     """A concept-step result with the strongest lower bound on the
     conceptual distance of t1 and t2 attached, and a note where the bound
-    and the path disagree."""
-    evidence = lower_bound_certificates(t1, t2, bound, rank_cap, caps)
+    and the path disagree. With no path in a network that left nothing
+    undecided out, the exhausted search's infinite bound stands unless the
+    spectra give one as large."""
+    evidence = lower_bound_certificates(t1, t2, bound, rank_cap)
+    if result.lower_bound is not None and result.lower_bound.bound > evidence.bound:
+        evidence = result.lower_bound
     notes = result.notes
     if result.value.is_finite:
         if evidence.kind == "spectrum-obstruction":
@@ -747,12 +749,11 @@ def faithful_interpretation_distance(
     b: str,
     certificates: Iterable[EdgeCertificate] = (),
     bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
 ) -> DistanceResult:
     """Step distance on (X, ≡, I), I the symmetric faithful-interpretation
     relation supplied through certificates."""
     net = build_network(
-        "faithful", theories, certificates, "logical", "faithful", "symmetric", bound, caps
+        "faithful", theories, certificates, "logical", "faithful", "symmetric", bound
     )
     return step_distance(net, a, b)
 
@@ -763,12 +764,11 @@ def bidirected_conceptual_distance(
     b: str,
     certificates: Iterable[EdgeCertificate] = (),
     bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
 ) -> DistanceResult:
     """Directed step distance on (X, defeq, ~> ∪ concept-removal); not
     symmetric, so query both orders to see the asymmetry."""
     net = build_network(
-        "bidirected", theories, certificates, "defeq", "concept", "directed", bound, caps
+        "bidirected", theories, certificates, "defeq", "concept", "directed", bound
     )
     return directed_step_distance(net, a, b)
 
@@ -865,7 +865,7 @@ def sentential_cd_solve(t1: Theory, t2: Theory) -> SolveResult:
     for kind, nxt in rungs:
         cur = chain[-1]
         cert = EdgeCertificate(kind, cur.name, nxt.name)
-        _verify_between(cert, cur, nxt, DEFAULT_BOUND, DEFAULT_CAPS)
+        _verify_between(cert, cur, nxt, DEFAULT_BOUND)
         if not cert.status.verified:
             raise AssertionError(f"solver certificate failed: {cert.status}")
         bit = int(kind == "concept-add")

@@ -437,13 +437,13 @@ def a8():
     if d.value.to_json() != 2:
         return False, {"distance": d.value.to_json()}
     posets, eqrels = cat.theory("Posets"), cat.theory("Eqrels")
-    fwd = axiom_add_exists(posets, eqrels, 4, cat.policy.caps())
-    bwd = axiom_add_exists(eqrels, posets, 4, cat.policy.caps())
+    fwd = axiom_add_exists(posets, eqrels, 4)
+    bwd = axiom_add_exists(eqrels, posets, 4)
     if fwd.answer != "no" or bwd.answer != "no":
         return False, {"fwd": fwd.answer, "bwd": bwd.answer}
     if fwd.countermodel.size != 2 or bwd.countermodel.size != 2:
         return False, {"sizes": [fwd.countermodel.size, bwd.countermodel.size]}
-    eq = logically_equivalent(posets, eqrels, 4, cat.policy.caps())
+    eq = logically_equivalent(posets, eqrels, 4)
     if eq.equivalent:
         return False, {"equivalent": True}
     path = [s.to_json() for s in d.witness.steps]
@@ -498,11 +498,11 @@ def a11():
     if cert.status.state != "verified-bounded" or cert.status.bound != 4:
         return False, {"status": cert.status.to_json()}
     t1, t2 = cat.theory("PosetsLeq"), cat.theory("PosetsLt")
-    rep = check_defeq(cert.tr12, cert.tr21, t1, t2, 4, cat.policy.caps())
+    rep = check_defeq(cert.tr12, cert.tr21, t1, t2, 4)
     if rep.verdict != "defeq" or rep.exact:
         return False, {"defeq": rep.verdict, "exact": rep.exact}
-    f12 = check_interpretation(cert.tr12, t1, t2, 4, cat.policy.caps())
-    f21 = check_interpretation(cert.tr21, t2, t1, 4, cat.policy.caps())
+    f12 = check_interpretation(cert.tr12, t1, t2, 4)
+    f21 = check_interpretation(cert.tr21, t2, t1, 4)
     ok = f12.verdict == "faithful" and f21.verdict == "faithful"
     return ok, {
         "defeq": rep.verdict,

@@ -20,9 +20,7 @@ from .errors import (
 )
 from .concepts import CheckReport, check_defeq, check_interpretation, sentential_defeq_witness
 from .semantics import (
-    Caps,
     DEFAULT_BOUND,
-    DEFAULT_CAPS,
     ConservativityResult,
     EquivalenceResult,
     FiniteModel,
@@ -132,7 +130,7 @@ class EdgeCertificate:
 # Axiom adding (the <- relation) and collapsing
 
 def check_axiom_add(
-    t: Theory, t2: Theory, phi: Formula, bound: int = DEFAULT_BOUND, caps: Caps = DEFAULT_CAPS
+    t: Theory, t2: Theory, phi: Formula, bound: int = DEFAULT_BOUND
 ) -> CertStatus:
     """Does T + phi axiomatize t2? Exact on Sat-sets in the sentential case."""
     if not t.lang.same_formulas(t2.lang):
@@ -149,7 +147,7 @@ def check_axiom_add(
             note="Sat(T) ∩ Sat(phi) differs from Sat(T')",
         )
     extended = Theory(f"{t.name}+axiom", t.lang, (*t.axioms, phi))
-    return _status_of_equivalence(logically_equivalent(extended, t2, bound, caps))
+    return _status_of_equivalence(logically_equivalent(extended, t2, bound))
 
 
 def _status_of_equivalence(res: EquivalenceResult) -> CertStatus:
@@ -173,7 +171,7 @@ class AxiomAddAnswer(NamedTuple):
 
 
 def axiom_add_exists(
-    t: Theory, t2: Theory, bound: int = DEFAULT_BOUND, caps: Caps = DEFAULT_CAPS
+    t: Theory, t2: Theory, bound: int = DEFAULT_BOUND
 ) -> AxiomAddAnswer:
     """Is there any phi with T + phi equivalent to t2 (T <- T')?
 
@@ -197,9 +195,9 @@ def axiom_add_exists(
         )
     if set(t.axioms) <= set(t2.axioms):
         return AxiomAddAnswer("yes", candidate, note="axioms of T are axioms of T'")
-    top = feasible_bound(bound, (t2,), caps)  # only t2's models are enumerated
+    top = feasible_bound(bound, (t2,))  # only t2's models are enumerated
     for k in range(1, top + 1):
-        m = first_countermodel(t2, k, t.axioms, caps)
+        m = first_countermodel(t2, k, t.axioms)
         if m is not None:
             return AxiomAddAnswer(
                 "no", countermodel=m,
@@ -242,12 +240,12 @@ def _language_diff(t: Theory, t2: Theory) -> str:
 
 
 def check_concept_add(
-    t: Theory, t2: Theory, bound: int = DEFAULT_BOUND, caps: Caps = DEFAULT_CAPS
+    t: Theory, t2: Theory, bound: int = DEFAULT_BOUND
 ) -> tuple[CertStatus, str]:
     """T ~> T': languages differ by one symbol and T' is conservative
     over T. Returns the status and the added symbol."""
     symbol = _language_diff(t, t2)
-    res = conservative_extension(t, t2, bound, caps)
+    res = conservative_extension(t, t2, bound)
     return _status_of_conservativity(res), symbol
 
 
@@ -359,8 +357,8 @@ def _on_trust(cert: EdgeCertificate, note: str, error: Exception) -> CertStatus:
     return CertStatus(ASSERTED, note=note)
 
 
-def _concept_step(cert: EdgeCertificate, t1: Theory, t2: Theory, b: int, caps: Caps) -> CertStatus:
-    status, symbol = check_concept_add(t1, t2, b, caps)
+def _concept_step(cert: EdgeCertificate, t1: Theory, t2: Theory, b: int) -> CertStatus:
+    status, symbol = check_concept_add(t1, t2, b)
     if cert.symbol is not None and cert.symbol != symbol:
         return CertStatus(REFUTED, note=f"added symbol is {symbol}, not {cert.symbol}")
     cert.symbol = symbol
@@ -368,7 +366,7 @@ def _concept_step(cert: EdgeCertificate, t1: Theory, t2: Theory, b: int, caps: C
 
 
 def _check_at(
-    cert: EdgeCertificate, t1: Theory, t2: Theory, caps: Caps
+    cert: EdgeCertificate, t1: Theory, t2: Theory
 ) -> CertStatus | Callable[[int], CertStatus]:
     """The status of cert where it needs no size bound (trust, a missing
     payload, the defeq witness, removals), else its check at a bound b.
@@ -376,17 +374,17 @@ def _check_at(
     kind, label = cert.kind, cert.label()
     sentential = t1.lang.is_sentential and t2.lang.is_sentential
     if kind == "equiv":
-        return lambda b: _status_of_equivalence(logically_equivalent(t1, t2, b, caps))
+        return lambda b: _status_of_equivalence(logically_equivalent(t1, t2, b))
     if kind == "axiom-add" and cert.axiom is None:
         raise LanguageError(f"{label}: axiom-add needs :axiom")
     if kind == "collapse" and (cert.phi is None or cert.psi is None):
         raise LanguageError(f"{label}: collapse needs :phi and :psi")
     if kind in ("axiom-add", "collapse"):
         axiom = cert.axiom if kind == "axiom-add" else iff(cert.phi, cert.psi)
-        return lambda b: check_axiom_add(t1, t2, axiom, b, caps)
+        return lambda b: check_axiom_add(t1, t2, axiom, b)
     if kind == "concept-add":
         _language_diff(t1, t2)
-        return lambda b: _concept_step(cert, t1, t2, b, caps)
+        return lambda b: _concept_step(cert, t1, t2, b)
     if kind == "defeq":
         if cert.tr12 is None or cert.tr21 is None:
             if cert.status.state == ASSERTED or not sentential:
@@ -402,13 +400,13 @@ def _check_at(
                                   "differ or one language has no formulas)")
             cert.tr12, cert.tr21 = pair
         return lambda b: _status_of_report(
-            check_defeq(cert.tr12, cert.tr21, t1, t2, b, caps), "defeq")
+            check_defeq(cert.tr12, cert.tr21, t1, t2, b), "defeq")
     if kind == "faithful":
         if cert.tr is None:
             return _on_trust(cert, "no translation supplied; taken on trust",
                              LanguageError(f"{label}: faithful needs :tr"))
         return lambda b: _status_of_report(
-            check_interpretation(cert.tr, t1, t2, b, caps), "faithful")
+            check_interpretation(cert.tr, t1, t2, b), "faithful")
     if kind not in ("concept-remove", "theorem-remove"):
         raise LanguageError(f"unknown certificate kind {kind!r}")
     if not sentential:
@@ -426,16 +424,14 @@ def _check_at(
     return CertStatus(REFUTED, note=f"{t2.name} matches none of the {len(masks)} removals")
 
 
-def _verify_between(
-    cert: EdgeCertificate, t1: Theory, t2: Theory, bound: int, caps: Caps
-) -> CertStatus:
+def _verify_between(cert: EdgeCertificate, t1: Theory, t2: Theory, bound: int) -> CertStatus:
     """Verify cert from t1 to t2 and record the status on the certificate.
     A check runs once, at the largest bound up to K whose enumerations
     stay inside the caps; a bounded success below K notes where it stopped."""
     k = bound if cert.bound_override is None else cert.bound_override
     try:
-        check = _check_at(cert, t1, t2, caps)
-        b = k if isinstance(check, CertStatus) else feasible_bound(k, (t1, t2), caps)
+        check = _check_at(cert, t1, t2)
+        b = k if isinstance(check, CertStatus) else feasible_bound(k, (t1, t2))
         if b < 1:
             raise CapExceededError("verification infeasible even at size 1")
         status = check if isinstance(check, CertStatus) else check(b)
@@ -451,8 +447,9 @@ def verify_certificate(
     cert: EdgeCertificate,
     lookup: Mapping[str, Theory],
     bound: int = DEFAULT_BOUND,
-    caps: Caps = DEFAULT_CAPS,
+    _caps: object = None,
 ) -> CertStatus:
     """Verify one certificate to its strongest achievable status and
-    record the result on the certificate."""
-    return _verify_between(cert, lookup[cert.source], lookup[cert.target], bound, caps)
+    record the result on the certificate. The fourth parameter is ignored:
+    `perfbench/worker.py` still passes `Policy.caps()` there."""
+    return _verify_between(cert, lookup[cert.source], lookup[cert.target], bound)

@@ -55,15 +55,8 @@ from .syntax import (
 )
 
 
-class Caps(NamedTuple):
-    """Desk-scale guard on model sizes, which a catalog's policy sets."""
-
-    max_size: int = 6
-
-
-DEFAULT_CAPS = Caps()
 MAX_CANDIDATES = 1 << 21  # most codes (or truth-table rows) one enumeration sweeps
-MAX_PERM_SIZE = 8  # largest size whose k! permutations canonical forms try
+MAX_SIZE = 8  # largest model size; canonical forms try its k! permutations
 DEFAULT_BOUND = 4  # default K for bounded first-order checks
 
 
@@ -160,11 +153,6 @@ def model_to_dict(model: FiniteModel) -> dict:
 def model_to_json(model: FiniteModel) -> str:
     """Deterministic JSON: symbols alphabetical, tuples lexicographic."""
     return json.dumps(model_to_dict(model), sort_keys=True)
-
-
-def model_from_json(text: str, lang: Language) -> FiniteModel:
-    data = json.loads(text)
-    return FiniteModel(lang, int(data["size"]), data["interp"])
 
 
 def model_lang_from_json(text: str | bytes, var_bound: int) -> tuple[Language, FiniteModel]:
@@ -631,8 +619,8 @@ def canonical_form(model: FiniteModel) -> tuple[int, int]:
     over all universe permutations. Equal forms iff isomorphic (within
     one signature)."""
     k = model.size
-    if k > MAX_PERM_SIZE:
-        raise CapExceededError(f"canonical form capped at size {MAX_PERM_SIZE}")
+    if k > MAX_SIZE:
+        raise CapExceededError(f"size {k} exceeds cap {MAX_SIZE}")
     return (k, min(_space(model.lang.symbols, k).images(model.code)))
 
 
@@ -680,37 +668,34 @@ def clear_memory_caches() -> None:
     _space.cache_clear()
 
 
-def enumeration_feasible(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Would enumerate_models stay inside the caps? The code width is read
-    off the signature (one bit per constant for a sentential theory,
-    whatever k), so nothing is built."""
-    if k < 1 or k > caps.max_size:
+def enumeration_feasible(theory: Theory, k: int) -> bool:
+    """Would enumerate_models stay inside the caps: 1 <= k <= MAX_SIZE, for
+    sentential theories too, and at most MAX_CANDIDATES codes? The code
+    width is read off the signature (one bit per constant for a sentential
+    theory, whatever k), so nothing is built."""
+    if not 1 <= k <= MAX_SIZE:
         return False
-    if k > MAX_PERM_SIZE and not theory.lang.is_sentential:
-        return False  # _least_codes refuses it
     return 1 << sum(k**rank for _, rank in theory.lang.symbols) <= MAX_CANDIDATES
 
 
-def feasible_bound(bound: int, theories: Sequence[Theory], caps: Caps = DEFAULT_CAPS) -> int:
+def feasible_bound(bound: int, theories: Sequence[Theory]) -> int:
     """The largest k <= bound such that every theory's enumeration stays
     inside the caps at each size up to k; 0 when size 1 already fails.
     Checks clamp their bound here before they enumerate anything."""
     k = 0
-    while k < bound and all(enumeration_feasible(t, k + 1, caps) for t in theories):
+    while k < bound and all(enumeration_feasible(t, k + 1) for t in theories):
         k += 1
     return k
 
 
-def enumerate_models(
-    theory: Theory, k: int, caps: Caps = DEFAULT_CAPS
-) -> list[FiniteModel]:
+def enumerate_models(theory: Theory, k: int) -> list[FiniteModel]:
     """Canonical representatives of the size-k models of the theory:
     first-order lists ascend by canonical code, sentential lists follow
     the Sat mask's rows (the same codes at every k)."""
     if k < 1:
         raise CapExceededError("model size must be >= 1")
-    if k > caps.max_size:
-        raise CapExceededError(f"size {k} exceeds cap {caps.max_size}")
+    if k > MAX_SIZE:
+        raise CapExceededError(f"size {k} exceeds cap {MAX_SIZE}")
     memo_key = (theory.key, k)
     cached = _model_memo.get(memo_key)
     if cached is not None:
@@ -734,13 +719,11 @@ def enumerate_models(
     return models
 
 
-def model_lanes(
-    theory: Theory, k: int, caps: Caps = DEFAULT_CAPS
-) -> tuple[list[FiniteModel], list[int]]:
+def model_lanes(theory: Theory, k: int) -> tuple[list[FiniteModel], list[int]]:
     """The theory's size-k models (`enumerate_models`) and their lane
     masks, one per code bit: bit i of mask j is bit j of the i-th model's
     code. Built once per theory and size, beside the model list."""
-    models = enumerate_models(theory, k, caps)
+    models = enumerate_models(theory, k)
     entry = _model_memo[theory.key, k]
     if entry[1] is None:
         entry[1] = _lanes([m.code for m in models], _space(theory.lang.symbols, k).width)
@@ -766,12 +749,12 @@ def _lane_codes(bits: Sequence[int], lanes: int) -> list[int]:
 
 
 def first_countermodel(
-    theory: Theory, k: int, formulas: Sequence[Formula], caps: Caps = DEFAULT_CAPS
+    theory: Theory, k: int, formulas: Sequence[Formula]
 ) -> FiniteModel | None:
     """The first of the theory's size-k models (in `enumerate_models`
     order) in which some formula is not true, or None. One `_holds` pass
     over `model_lanes` checks them all."""
-    models, bits = model_lanes(theory, k, caps)
+    models, bits = model_lanes(theory, k)
     full = (1 << len(models)) - 1
     bad = full ^ _holds(_Tables(_space(theory.lang.symbols, k), bits, full, {}), formulas)
     return models[(bad & -bad).bit_length() - 1] if bad else None
@@ -787,9 +770,7 @@ def _least_codes(theory: Theory, space: _Space) -> list[int]:
     under a map m is bit m[j] of c, so scanning j downwards, eq holds the
     codes whose image agrees with them above j, and those of eq whose bit
     j is 1 while bit m[j] is 0 map below themselves. The maps hold k!
-    permutations, so k is held to the cap `canonical_form` keeps."""
-    if space.k > MAX_PERM_SIZE:
-        raise CapExceededError(f"canonical form capped at size {MAX_PERM_SIZE}")
+    permutations; `enumerate_models` holds k to MAX_SIZE before it calls."""
     candidates = 1 << space.width
     if candidates > MAX_CANDIDATES:
         raise CapExceededError(
@@ -830,9 +811,9 @@ def _stored_codes(record, width: int) -> list[int] | None:
     return None
 
 
-def spectrum(theory: Theory, k: int, caps: Caps = DEFAULT_CAPS) -> int:
+def spectrum(theory: Theory, k: int) -> int:
     """I(T, k): number of size-k models up to isomorphism."""
-    return len(enumerate_models(theory, k, caps))
+    return len(enumerate_models(theory, k))
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +830,7 @@ class ConsequenceResult(NamedTuple):
 
 
 def bounded_consequence(
-    theory: Theory, phi: Formula, bound: int = DEFAULT_BOUND, caps: Caps = DEFAULT_CAPS
+    theory: Theory, phi: Formula, bound: int = DEFAULT_BOUND
 ) -> ConsequenceResult:
     """Is phi a theorem of the theory, up to models of size `bound`?
 
@@ -863,7 +844,7 @@ def bounded_consequence(
             return ConsequenceResult(False, True, None, assignment_model(theory.lang, row))
         return ConsequenceResult(True, True, None)
     for k in range(1, bound + 1):
-        model = first_countermodel(theory, k, (phi,), caps)
+        model = first_countermodel(theory, k, (phi,))
         if model is not None:
             return ConsequenceResult(False, True, k, model)
     return ConsequenceResult(True, False, bound)
@@ -882,7 +863,7 @@ class EquivalenceResult(NamedTuple):
 
 
 def logically_equivalent(
-    t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND, caps: Caps = DEFAULT_CAPS
+    t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND
 ) -> EquivalenceResult:
     """Same consequences? Exact for sentential theories, bounded otherwise.
 
@@ -903,13 +884,13 @@ def logically_equivalent(
         )
     # one signature, so both enumerations stay inside the caps up to the same k
     for k in range(1, bound + 1):
-        if enumerate_models(t1, k, caps) != enumerate_models(t2, k, caps):
+        if enumerate_models(t1, k) != enumerate_models(t2, k):
             break
     else:
         return EquivalenceResult(True, False, bound)
     for a, b in ((t1, t2), (t2, t1)):
         for phi in b.axioms:
-            r = bounded_consequence(a, phi, bound, caps)
+            r = bounded_consequence(a, phi, bound)
             if not r.holds:
                 return EquivalenceResult(
                     False, r.exact, r.bound, phi, r.countermodel,
@@ -931,7 +912,7 @@ class ConservativityResult(NamedTuple):
 
 
 def conservative_extension(
-    t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND, caps: Caps = DEFAULT_CAPS
+    t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND
 ) -> ConservativityResult:
     """Does t2 prove exactly t1's theorems in t1's language (t1 within t2)?
 
@@ -978,8 +959,8 @@ def conservative_extension(
     canonical = {sym: atom(sym, tuple(range(rank))) for sym, rank in t1.lang.symbols}
     for k in range(1, bound + 1):
         # enumerated models are least codes, hence already canonical
-        own = {m.code for m in enumerate_models(t1, k, caps)}
-        expansions, bits = model_lanes(t2, k, caps)
+        own = {m.code for m in enumerate_models(t1, k)}
+        expansions, bits = model_lanes(t2, k)
         space, full = _space(t1.lang.symbols, k), (1 << len(expansions)) - 1
         lanes = _induced(t1.lang.symbols, canonical, _space(t2.lang.symbols, k), bits, full, free)
         reducts = _least_codes_of(space, _lane_codes(lanes, len(expansions)), own)

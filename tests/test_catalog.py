@@ -387,15 +387,22 @@ _PQ_CONCEPT = (
 )
 
 
-@pytest.mark.parametrize("equiv, distance", [("logical", "infinity"), ("defeq", 0)])
-def test_concept_network_distance_keeps_its_declared_equivalence(equiv, distance):
+@pytest.mark.parametrize("equiv, distance, kind", [
+    ("logical", "infinity", "exhausted-search"), ("defeq", 0, "none"),
+])
+def test_concept_network_distance_keeps_its_declared_equivalence(equiv, distance, kind):
     # a defeq certificate is no edge of a network whose equivalence is logical
     cat = loads_catalog(_PQ_CONCEPT.format(equiv))
     edges = [e["certificate"] for e in export_json(catalog_network(cat, "N"))["edges"]]
     assert edges == (["pq"] if equiv == "defeq" else [])
     res = catalog_distance(cat, "N", "TP", "TQ")
-    assert res.value.to_json() == distance and res.lower_bound.kind == "none"
-    assert catalog_distance(cat, "N", "TP", "TQ", directed=True).value.to_json() == distance
+    assert res.value.to_json() == distance and res.lower_bound.kind == kind
+    directed = catalog_distance(cat, "N", "TP", "TQ", directed=True)
+    assert directed.value.to_json() == distance
+    if distance == "infinity":
+        # the spectra bound it by 0 only: the exhausted search's infinity
+        # stands, in both modes
+        assert res.lower_bound == directed.lower_bound
 
 
 def test_load_catalog_from_file(tmp_path):
@@ -440,13 +447,12 @@ _PINNED_MODEL_LISTS = {
 
 def test_shipped_model_lists_pinned():
     cat = loads_catalog(shipped_catalog_text())
-    caps = cat.policy.caps()
     got = {}
     for name, theory in cat.theories.items():
         lists = {
-            k: [model_to_json(m) for m in enumerate_models(theory, k, caps)]
+            k: [model_to_json(m) for m in enumerate_models(theory, k)]
             for k in range(1, 5)
-            if enumeration_feasible(theory, k, caps)
+            if enumeration_feasible(theory, k)
         }
         digest = hashlib.sha256(json.dumps(lists).encode()).hexdigest()
         got[name] = (tuple(len(v) for v in lists.values()), digest)
@@ -482,7 +488,7 @@ def _network_answers() -> dict:
             for b in theories:
                 out[f"classify {name} {a} {b}"] = answer(
                     classify_ad, theories, a, b, certs, cat.policy.size_cap,
-                    cat.policy.caps(), amalgamation="verified",
+                    amalgamation="verified",
                 )
 
     langs = [Language.make(f"K{m}", {f"C{i}": 0 for i in range(m)}, 0) for m in range(4)]

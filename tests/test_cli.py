@@ -154,6 +154,9 @@ def test_size_evidence_beyond_the_variable_bound_decides_nothing(tmp_path, capsy
     # the undecided concept-add builds no edge, so "no path" is not exact
     assert data["distance"] == "infinity" and data["status"] == "bounded"
     assert data["notes"] == ["undecided certificates left out: c0"]
+    # nor is it a lower bound, in either mode
+    code, out, _ = run(capsys, "dist", f"{path}:N", "Set", "T", "--directed")
+    assert code == 0 and json.loads(out)["lower_bound"] is None
 
 
 def test_dist_builtin_human(capsys):
@@ -255,15 +258,15 @@ def test_classify_ad_unknown_node_is_an_input_error(capsys, node):
 
 
 def test_orbit_plan_cap_exit_code(tmp_path, capsys):
-    # size 9 is inside this catalog's size cap, but its canonicity test
-    # would take 9! permutations: refused before their maps are built
+    # :size-cap 9 only sets K; size 9 is past MAX_SIZE, since its canonicity
+    # test would take 9! permutations: refused before their maps are built
     path = tmp_path / "wide.cat"
     path.write_text(
         "(policy :size-cap 9)\n(language U (P 1) :vars 1)\n(theory T :over U)\n"
     )
     code, out, err = run(capsys, "models", f"{path}:T", "--size", "9")
     assert code == 3 and out == ""
-    assert json.loads(err) == {"error": "canonical form capped at size 8"}
+    assert json.loads(err) == {"error": "size 9 exceeds cap 8"}
 
 
 def test_truth_table_cap_exit_code(tmp_path, capsys):
@@ -435,3 +438,66 @@ def test_closure_cap_at_the_smallest_wide_instance(tmp_path, capsys):
     code, out, err = run(capsys, "closure", str(model), "--vars", "5")
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": "closure exceeded 4096 elements"}
+
+
+@pytest.mark.parametrize("size, code", [(7, 0), (8, 0), (9, 3)])
+def test_closure_size_cap_is_the_enumeration_cap(tmp_path, capsys, size, code):
+    # over two variables a unary P splits the pairs by P at each coordinate
+    # and by equality: 2^6 relations at every size up to MAX_SIZE = 8
+    model = tmp_path / "p.json"
+    model.write_text(json.dumps({"size": size, "interp": {"P": [[0], [1], [2]]}}))
+    got, out, err = run(capsys, "closure", str(model), "--vars", "2")
+    assert got == code
+    if code:
+        assert out == "" and json.loads(err) == {"error": "size 9 exceeds cap 8"}
+    else:
+        assert json.loads(out)["count"] == 64
+
+
+def test_sizes_up_to_eight_answer_under_the_default_policy(capsys):
+    code, out, _ = run(capsys, "spectrum", "PureTwo", "--max-size", "8")
+    assert code == 0 and json.loads(out)["spectrum"] == {str(k): int(k == 2) for k in range(1, 9)}
+    code, out, _ = run(capsys, "models", "SentP", "--size", "7")
+    assert code == 0 and json.loads(out)["count"] == 2
+    code, _, err = run(capsys, "models", "SentP", "--size", "9")
+    assert code == 3 and json.loads(err) == {"error": "size 9 exceeds cap 8"}
+
+
+_SIZE_CAP_CAT = (
+    "(policy :size-cap {})\n"
+    "(language L (P 0) (Q 0) :vars 0)\n"
+    '(theory A :over L :axioms "P")\n'
+    '(theory B :over L :axioms "P" "Q")\n'
+    '(certificate :kind axiom-add :from A :to B :axiom "Q")\n'
+    "(network N :equiv logical :step axiom :nodes A B)\n"
+    "(language P1 (P 0) :vars 0)\n"
+    '(theory TP :over P1 :axioms "P")\n'
+    '(theory TPQ :over L :axioms "P")\n'
+    "(certificate :name add-q :kind concept-add :from TP :to TPQ)\n"
+    "(network C :equiv defeq :step concept :nodes TP TPQ)\n"
+    "(language U (R 1) :vars 1)\n"
+    '(theory FA :over U :axioms "(forall v0 (R v0))")\n'
+    '(theory FB :over U :axioms "(forall v0 (R v0))" "(exists v0 (R v0))")\n'
+    "(network F :equiv logical :step axiom :nodes FA FB)\n"
+)
+
+
+def test_a_huge_size_cap_answers_as_a_small_one(tmp_path, capsys):
+    # sentential enumerations stop at MAX_SIZE too, so a check's bound is
+    # clamped at 8 rather than counted up to K (this used to hang); FA and
+    # FB have the same models at every size, so classify-ad clamps its
+    # equivalence test at 8 too rather than refuse size 9
+    outputs = []
+    for cap in (4, 1_000_000_000):
+        path = tmp_path / f"cap{cap}.cat"
+        path.write_text(_SIZE_CAP_CAT.format(cap))
+        outputs.append([
+            run(capsys, "check", str(path)),
+            run(capsys, "dist", f"{path}:N", "A", "B"),
+            run(capsys, "dist", f"{path}:C", "TP", "TPQ"),
+            run(capsys, "classify-ad", f"{path}:F", "FA", "FB"),
+        ])
+    assert outputs[0] == outputs[1]
+    assert [code for code, _, _ in outputs[0]] == [0, 0, 0, 0]
+    assert json.loads(outputs[0][3][1])["distance"] == 0
+    assert json.loads(outputs[0][2][1])["lower_bound"]["kind"] == "growth-certificate"

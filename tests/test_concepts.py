@@ -368,9 +368,9 @@ def test_wrong_strict_defeq_pair_is_refuted_with_a_rechecked_witness():
     # three variables; the check evaluates antisymmetry itself on tr12*(M)
     cat = loads_catalog(_wrong_strict_defeq_catalog())
     cert = next(c for c in cat.certificates if c.name == "strict-defeq")
-    assert verify_certificate(cert, cat.theories, 4, cat.policy.caps()).state == "refuted"
+    assert verify_certificate(cert, cat.theories, 4).state == "refuted"
     leq, lt = cat.theory("PosetsLeq"), cat.theory("PosetsLt")
-    rep = check_defeq(cert.tr12, cert.tr21, leq, lt, 4, cat.policy.caps())
+    rep = check_defeq(cert.tr12, cert.tr21, leq, lt, 4)
     assert (rep.verdict, rep.exact, rep.bound) == ("refuted", True, 4)
     assert rep.note == "tr12 is not an interpretation: theoremhood not preserved"
     assert rep.witness_formula == leq.axioms[1]  # antisymmetry

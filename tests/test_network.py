@@ -34,7 +34,7 @@ from thdist.network import (
     step_distance,
 )
 from thdist.relations import CertStatus, EdgeCertificate, axiom_add_exists, verify_certificate
-from thdist.semantics import DEFAULT_CAPS, FiniteModel, Theory, eval_formula, theory_from_sat
+from thdist.semantics import FiniteModel, Theory, eval_formula, theory_from_sat
 from thdist.syntax import Language, big_and, parse_formula
 
 PQ = Language.make("PQ", {"P": 0, "Q": 0}, 0)
@@ -608,7 +608,7 @@ def test_amalgamation_matches_the_definition_on_random_first_order_catalogs():
             cert = EdgeCertificate(kind, u, v, axiom=phi, phi=phi, psi=psi)
             verify_certificate(cert, theories, bound)
             certs.append(cert)
-        arrow = _arrow_matrix(theories, certs, bound, DEFAULT_CAPS)
+        arrow = _arrow_matrix(theories, certs, bound)
         models = {
             n: {m for k in range(1, bound + 1) for m in structures[k]
                 if all(holds(m, a) for a in t.axioms)}
@@ -655,10 +655,10 @@ def test_shipped_first_order_amalgamation_leaves_no_pair_undecided():
     theories = {n: cat.theory(n) for n in cat.network_decl("BinAx").nodes}
     certs = [c for c in cat.certificates if c.source in theories and c.target in theories]
     verify_all(cat)
-    report = check_amalgamation(theories, certs, cat.policy.size_cap, cat.policy.caps())
+    report = check_amalgamation(theories, certs, cat.policy.size_cap)
     assert report.undecided_pairs == ()
     assert (report.amalgamation, report.co_amalgamation, report.vacuous) == ("holds", "holds", False)
-    arrow = _arrow_matrix(theories, certs, cat.policy.size_cap, cat.policy.caps())
+    arrow = _arrow_matrix(theories, certs, cat.policy.size_cap)
     opened = [("Posets", "BinEmpty"), ("Posets", "Eqrels"), ("Eqrels", "BinEmpty"),
               ("Eqrels", "Posets"), ("BinBot", "BinEmpty"), ("BinBot", "Posets"),
               ("BinBot", "Eqrels")]
@@ -678,7 +678,7 @@ def test_check_amalgamation_verifies_the_declared_certificates_it_reads():
     # and Eqrels <- BinBot unknown and the verdict undecidable
     cat = loads_catalog(shipped_catalog_text())
     theories = {n: cat.theory(n) for n in cat.network_decl("BinAx").nodes}
-    report = check_amalgamation(theories, cat.certificates, cat.policy.size_cap, cat.policy.caps())
+    report = check_amalgamation(theories, cat.certificates, cat.policy.size_cap)
     assert (report.amalgamation, report.co_amalgamation, report.undecided_pairs) == (
         "holds", "holds", ())
     inside = [c for c in cat.certificates if c.source in theories and c.target in theories]

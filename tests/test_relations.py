@@ -298,7 +298,7 @@ DIAG_VIA_EQ = Theory.make(
 def test_verify_certificate_runs_once_at_the_clamp_and_notes_it(monkeypatch, note, expected):
     bounds = []
 
-    def check(tr, t1, t2, bound, caps):
+    def check(tr, t1, t2, bound):
         bounds.append(bound)
         return CheckReport("faithful", False, bound, note=note)
 

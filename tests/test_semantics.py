@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import tracemalloc
 
 import pytest
@@ -12,7 +13,6 @@ from thdist.errors import CapExceededError, LanguageError
 from thdist.network import lower_bound_certificates
 from thdist.relations import axiom_add_exists
 from thdist.semantics import (
-    Caps,
     FiniteModel,
     Theory,
     assignment_model,
@@ -25,10 +25,10 @@ from thdist.semantics import (
     enumerate_models,
     enumeration_feasible,
     eval_formula,
+    feasible_bound,
     is_true,
     isomorphic,
     logically_equivalent,
-    model_from_json,
     model_to_json,
     sat_assignments,
     sat_of_formula,
@@ -258,7 +258,8 @@ def test_model_json_round_trip():
     m = FiniteModel(BIN, 2, {"R": {(1, 0), (0, 0)}})
     text = model_to_json(m)
     assert text == '{"interp": {"R": [[0, 0], [1, 0]]}, "size": 2}'
-    assert model_from_json(text, BIN) == m
+    data = json.loads(text)
+    assert FiniteModel(BIN, data["size"], data["interp"]) == m
 
 
 POSET_AXIOMS = [
@@ -399,8 +400,9 @@ def test_caps_raise():
     big = Language.make("big", {"R": 2, "S": 2}, 3)
     with pytest.raises(CapExceededError):
         enumerate_models(Theory.make("too", big, []), 4)  # 2^32 candidates
-    with pytest.raises(CapExceededError):
-        enumerate_models(Theory.make("pure", PURE, []), 9, Caps(max_size=8))
+    for theory in (Theory.make("pure", PURE, []), Theory.make("p", PQ, ["P"])):
+        with pytest.raises(CapExceededError, match="^size 9 exceeds cap 8$"):
+            enumerate_models(theory, 9)  # sentential ones too
     with pytest.raises(CapExceededError) as err:
         enumerate_models(Theory.make("free", BIN, []), 5)  # 2^25 candidates
     assert str(err.value) == "33554432 interpretation candidates at size 5 exceed cap 2097152"
@@ -722,18 +724,56 @@ def test_kept_codes_are_the_orbit_minima(lang, k):
 
 
 def test_perm_cap_bounds_feasible_sizes(monkeypatch):
-    monkeypatch.setattr(semantics, "MAX_PERM_SIZE", 3)
-    caps = Caps(max_size=4)
-    # 5 variables: spectrum evidence counts up to size 4, so the perm cap
+    monkeypatch.setattr(semantics, "MAX_SIZE", 3)
+    # 5 variables: spectrum evidence counts up to size 4, so the size cap
     # is what stops it at 3
     s1 = Theory.make("S1", Language.make("A", {"A": 1}, 5), [])
     s2 = Theory.make("S2", Language.make("AB", {"A": 1, "B": 1}, 5), [])
-    assert enumeration_feasible(s1, 3, caps) and not enumeration_feasible(s1, 4, caps)
-    assert enumeration_feasible(Theory.make("p", PQ, ["P"]), 4, caps)  # no permutations
-    evidence = lower_bound_certificates(s1, s2, rank_cap=1, caps=caps)
+    assert enumeration_feasible(s1, 3) and not enumeration_feasible(s1, 4)
+    assert not enumeration_feasible(Theory.make("p", PQ, ["P"]), 4)  # sentential ones too
+    evidence = lower_bound_certificates(s1, s2, rank_cap=1)
     assert evidence.kind == "growth-certificate" and evidence.size in (1, 2, 3)
     with pytest.raises(CapExceededError):
-        conservative_extension(s1, s2, caps=caps)
+        conservative_extension(s1, s2)
+
+
+# Up to three constants, the empty signature (sentential and first-order),
+# one unary and one binary symbol; free theories, since what fits the caps
+# depends on the signature alone.
+_FEASIBILITY_THEORIES = [
+    Theory.make(lang.name, lang, [])
+    for lang in (
+        *(Language.make(f"S{m}", {f"C{i}": 0 for i in range(m)}, 0) for m in range(4)),
+        Language.make("Eq", {}, 2), Language.make("U", {"U": 1}, 1), BIN,
+    )
+]
+_first_refused: dict[str, int] = {}
+
+
+def _first_refused_size(theory: Theory) -> int:
+    """The least size at which enumerate_models raises CapExceededError."""
+    if theory.name not in _first_refused:
+        k = 1
+        while True:
+            try:
+                enumerate_models(theory, k)
+            except CapExceededError:
+                break
+            k += 1
+        _first_refused[theory.name] = k
+    return _first_refused[theory.name]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.integers(0, 12), st.integers(0, 10**9)),
+    st.lists(st.sampled_from(_FEASIBILITY_THEORIES), min_size=1, max_size=3),
+)
+def test_feasible_bound_matches_the_enumeration_oracle(bound, theories):
+    # the largest k <= bound at which no theory's enumeration is refused at
+    # any size up to k; sentential theories are capped at MAX_SIZE too
+    oracle = min(bound, *(_first_refused_size(t) - 1 for t in theories))
+    assert feasible_bound(bound, theories) == oracle
 
 
 # The sweep's alive masks against the reference truth on every code-born
@@ -943,7 +983,8 @@ def test_code_born_model_round_trip(example):
     assert rebuilt == model and hash(rebuilt) == hash(model)
     assert rebuilt.code == code
     assert model_to_json(rebuilt) == model_to_json(model)
-    assert model_from_json(model_to_json(model), lang) == model
+    data = json.loads(model_to_json(model))
+    assert FiniteModel(lang, data["size"], data["interp"]) == model
 
 
 _S3 = Language.make("S3", {"A": 0, "B": 0, "C": 0}, 0)
