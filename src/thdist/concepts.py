@@ -4,9 +4,11 @@ interpretation and definitional-equivalence checking.
 Concepts of a theory are formula classes modulo provable biconditional.
 Over a single finite model they materialize as assignment sets (subsets of
 M^n), which is what the closure computes; formula representatives are
-recovered from generation traces on demand. Sentential conceptual size is
-exact (2^|Sat|); multi-model first-order sizes are only ever reported as
-enumeration lower bounds tagged with their search depth.
+recovered from generation traces on demand. A closure has 2^types
+elements, one atom per L^n-type of its (model, assignment) pairs.
+Sentential conceptual size is exact (2^|Sat|); multi-model first-order
+sizes are only ever reported as lower bounds, 2^types over the models up to
+a size bound.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from .semantics import (
     _holds,
     _induced,
     _lane_codes,
-    _lanes,
     _least_codes_of,
     _sat_pullback,
     _set_bits,
     _space,
     assignment_model,
+    assignment_set,
     bounded_consequence,
     enumerate_models,
     eval_formula,
@@ -68,7 +70,6 @@ class CzValue(NamedTuple):
     value: int
     method: str  # sentential-exact | closure-exact | enumeration-lower-bound
     lower_bound: bool = False
-    depth: int | None = None
     detail: str = ""
 
 
@@ -89,57 +90,72 @@ def cz_sentential(theory: Theory) -> CzValue:
 
 Trace = tuple
 
-# The most relations concept_closure builds. Each new relation is met with
-# every known one, so the work grows with the square of the count.
+# The most relations concept_closure builds, and the most (model,
+# assignment) pairs _types refines. Each new relation is met with every
+# known one, so the closure's work grows with the square of the count.
 CLOSURE_CAP = 4096
 
 
-def _fixpoint(
-    models: Sequence[FiniteModel],
-    depth: int | None = None,
-    cap: int | None = None,
-) -> dict[int, Trace]:
-    """Close the diagonals and atom meanings over a non-empty tuple of
-    models of one language under complement, intersection and
-    per-coordinate cylindrification.
-
-    A relation is the concatenation of one assignment mask per model, each
-    model in its own bit range, so one integer operation acts on every
-    model at once. Returns each relation with its first generator; `depth`
-    limits the generation rounds and `cap` the count.
-    """
-    lang = models[0].lang
+def _generators(lang: Language) -> list[tuple[Trace, Formula]]:
+    """The diagonals and atoms over the language's variables, with their traces."""
     n = lang.var_bound
-    offsets = list(itertools.accumulate((m.size**n for m in models), initial=0))
-    full = (1 << offsets[-1]) - 1
-    # per coordinate i: the groups of assignments agreeing off i
-    groups = [
-        [
-            sum(1 << (off + a) for a in g)
-            for m, off in zip(models, offsets)
-            for g in zip(*_fibres(m.size, n, i))
-        ]
-        for i in range(n)
+    return [(("diag", i, j), eq(i, j)) for i in range(n) for j in range(n)] + [
+        (("atom", sym, args), atom(sym, args))
+        for sym, rank in lang.symbols
+        for args in itertools.product(range(n), repeat=rank)
     ]
 
-    # per run of models of one size: its first offset, its length and the
-    # tables over its lanes, so one table per formula serves the whole run
-    runs, free = [], {}
-    for k, run in itertools.groupby(zip(models, offsets), key=lambda mo: mo[0].size):
-        run = list(run)
-        space = _space(lang.symbols, k)
-        bits = _lanes([m.code for m, _ in run], space.width)
-        runs.append((run[0][1], len(run), _Tables(space, bits, (1 << len(run)) - 1, free)))
 
-    def meaning(phi: Formula) -> int:
-        """Bits j * k^n to (j + 1) * k^n of a run's part are the assignment
-        mask of the run's model j: its lane's code in the table over all n
-        variables."""
-        out = 0
-        for off, count, tables in runs:
-            codes = _lane_codes(tables.lift(phi, tuple(range(n))), count)
-            out |= sum(c << j * tables.k**n for j, c in enumerate(codes)) << off
-        return out
+def _types(models: Sequence[FiniteModel]) -> int:
+    """The number of L^n-types that the (model, assignment) pairs of a
+    non-empty list of models of one language realise, n the variable
+    bound. They are the atoms of the closure of the models' diagonals and
+    atom meanings, which therefore has 2^types elements.
+
+    Pairs start in classes by the generators they satisfy. A round splits
+    each class by membership in the cylinder of every class along every
+    coordinate i: by the classes met in a pair's i-fibre, the pairs of its
+    model that differ from it at most at i. Rounds stop when no class
+    splits (counting-free Weisfeiler-Leman refinement). More than
+    CLOSURE_CAP pairs raise CapExceededError."""
+    n = models[0].lang.var_bound
+    pairs = sum(m.size**n for m in models)
+    if pairs > CLOSURE_CAP:
+        raise CapExceededError(f"{pairs} (model, assignment) pairs exceed cap {CLOSURE_CAP}")
+    formulas = [phi for _, phi in _generators(models[0].lang)]
+    classes: dict = {}
+    colour = []
+    for m in models:
+        masks = [assignment_set(m, phi) for phi in formulas]
+        for a in range(m.size**n):
+            colour.append(classes.setdefault(tuple(x >> a & 1 for x in masks), len(classes)))
+    while True:
+        # colour sets and signatures are numbered as they come, so that no
+        # pair keeps an object of its own
+        count, classes, sets, along = len(classes), {}, {}, []
+        for i in range(n):
+            met, off = [0] * len(colour), 0  # per pair: its i-fibre's colour set
+            for m in models:
+                for fibre in zip(*_fibres(m.size, n, i)):
+                    x = sets.setdefault(frozenset(colour[off + a] for a in fibre), len(sets))
+                    for a in fibre:
+                        met[off + a] = x
+                off += m.size**n
+            along.append(met)
+        colour = [classes.setdefault(sig, len(classes)) for sig in zip(colour, *along)]
+        if len(classes) == count:
+            return count
+
+
+def _fixpoint(model: FiniteModel) -> dict[int, Trace]:
+    """Close the model's diagonals and atom meanings, each an assignment
+    mask (`assignment_set`), under complement, intersection and
+    per-coordinate cylindrification. Returns each relation with its first
+    generator, in the order found."""
+    k, n = model.size, model.lang.var_bound
+    full = (1 << k**n) - 1
+    # per coordinate i: the groups of assignments agreeing off i
+    groups = [[sum(1 << a for a in g) for g in zip(*_fibres(k, n, i))] for i in range(n)]
 
     def cylindrify(x: int, i: int) -> int:
         out = 0
@@ -152,22 +168,13 @@ def _fixpoint(
 
     def add(mask: int, trace: Trace, frontier: list[int]) -> None:
         if mask not in traces:
-            if cap is not None and len(traces) >= cap:
-                raise CapExceededError(f"closure exceeded {cap} elements")
             traces[mask] = trace
             frontier.append(mask)
 
     frontier: list[int] = []
-    for i in range(n):
-        for j in range(n):
-            add(meaning(eq(i, j)), ("diag", i, j), frontier)
-    for sym, rank in lang.symbols:
-        for args in itertools.product(range(n), repeat=rank):
-            add(meaning(atom(sym, args)), ("atom", sym, args), frontier)
-
-    for _ in itertools.count() if depth is None else range(depth):
-        if not frontier:
-            break
+    for trace, phi in _generators(model.lang):
+        add(assignment_set(model, phi), trace, frontier)
+    while frontier:
         fresh, frontier = frontier, []
         known = list(traces)
         for x in fresh:
@@ -204,18 +211,15 @@ class ConceptClosure:
 
 def concept_closure(model: FiniteModel) -> ConceptClosure:
     """Close the model's atom meanings and diagonals under the three
-    generator operations, over the language's varBound variables; a
-    closure of more than CLOSURE_CAP relations raises CapExceededError."""
-    k, n = model.size, model.lang.var_bound
-    if k > MAX_SIZE:
-        raise CapExceededError(f"size {k} exceeds cap {MAX_SIZE}")
-    # More than CLOSURE_CAP assignments at k <= MAX_SIZE forces n >= 5 and k >= 2.
-    # Then the equality patterns with at most two classes are 2^(n-1) >= 16
-    # non-empty atoms of the closure, so it has at least 2^16 relations:
-    # refuse before building a single one.
-    if k**n > CLOSURE_CAP:
-        raise CapExceededError(f"closure exceeded {CLOSURE_CAP} elements")
-    return ConceptClosure(model, n, _fixpoint([model], cap=CLOSURE_CAP))
+    generator operations, over the language's varBound variables. The
+    closure has 2^types elements (`_types`); past CLOSURE_CAP it raises
+    CapExceededError before building a single one."""
+    if model.size > MAX_SIZE:
+        raise CapExceededError(f"size {model.size} exceeds cap {MAX_SIZE}")
+    types = _types([model])
+    if 1 << types > CLOSURE_CAP:
+        raise CapExceededError(f"closure has 2^{types} elements, past cap {CLOSURE_CAP}")
+    return ConceptClosure(model, model.lang.var_bound, _fixpoint(model))
 
 
 def closure_formula(closure: ConceptClosure, mask: int) -> Formula:
@@ -269,32 +273,22 @@ def closure_to_json(closure: ConceptClosure) -> dict:
 
 
 def cz_of_model(model: FiniteModel) -> CzValue:
-    """Exact fragment-relative conceptual size of Th(model)."""
-    closure = concept_closure(model)
-    return CzValue(len(closure), "closure-exact", detail=f"size-{model.size} model")
+    """Exact fragment-relative conceptual size of Th(model): 2^types."""
+    return CzValue(1 << _types([model]), "closure-exact", detail=f"size-{model.size} model")
 
 
-def cz_lower_bound(
-    theory: Theory,
-    bound: int = DEFAULT_BOUND,
-    depth: int = 4,
-) -> CzValue:
-    """Enumeration lower bound on conceptual size for first-order theories.
-
-    Formulas whose assignment sets differ on some model of the theory are
-    inequivalent, so counting distinct meaning vectors across the models of
-    size <= bound after `depth` generation rounds bounds Cz from below.
-    """
+def cz_lower_bound(theory: Theory, bound: int = DEFAULT_BOUND) -> CzValue:
+    """Enumeration lower bound on conceptual size for first-order theories:
+    2^types over the models of size <= bound. Every element of their
+    closure is the meaning of an L^n formula, and formulas whose meanings
+    differ on some model are inequivalent."""
     models = [
         m for k in range(1, bound + 1) for m in enumerate_models(theory, k)
     ]
     if not models:
-        return CzValue(
-            1, "enumeration-lower-bound", True, depth,
-            detail=f"no models of size <= {bound}",
-        )
+        return CzValue(1, "enumeration-lower-bound", True, detail=f"no models of size <= {bound}")
     return CzValue(
-        len(_fixpoint(models, depth)), "enumeration-lower-bound", True, depth,
+        1 << _types(models), "enumeration-lower-bound", True,
         detail=f"models up to size {bound}",
     )
 

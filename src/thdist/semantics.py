@@ -7,9 +7,8 @@ sideways, one bit (lane) per packed structure, each subformula a table of
 lane masks over its free variables: enumeration sweeps blocks of codes with
 it and bounded checks a theory's model list. `assignment_set` and `is_true`
 are its one-lane case; `assignment_set` packs the table into an integer
-bitmask over the k^n assignments in lexicographic order; concept
-closures run on masks of that layout, read off multi-lane tables. The
-test suite checks both forms agree.
+bitmask over the k^n assignments in lexicographic order, the layout
+concept closures run on. The test suite checks both forms agree.
 
 The sweep splits axioms at their top-level ands and evaluates each
 conjunct at most once per block of codes of a signature and size: the

@@ -11,7 +11,8 @@ import pytest
 
 from thdist.catalog import loads_catalog, shipped_catalog_text
 from thdist.cli import main
-from thdist.semantics import enumerate_models, model_to_json
+from thdist.concepts import cz_of_model
+from thdist.semantics import enumerate_models, model_lang_from_json, model_to_json
 
 GOOD_CAT = (
     '(language L (P 0) (Q 0) :vars 0)\n'
@@ -187,8 +188,10 @@ def test_sizes_are_checked_before_a_command_runs(capsys, argv):
 
 
 def test_cz_at_depth_zero_runs(capsys):
+    # --depth is hidden and ignored: the bound 2^types needs no depth
     code, out, _ = run(capsys, "cz", "Posets", "--max-size", "2", "--depth", "0")
-    assert code == 0 and json.loads(out)["depth"] == 0
+    assert code == 0 and "depth" not in json.loads(out)
+    assert run(capsys, "cz", "Posets", "--max-size", "2") == (code, out, "")
 
 
 _NOT_A_MODEL = (
@@ -312,18 +315,17 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
 
 
 def test_cz_first_order_lower_bound(capsys):
-    code, out, _ = run(capsys, "cz", "Posets", "--max-size", "2", "--depth", "1")
+    code, out, _ = run(capsys, "cz", "Posets", "--max-size", "2")
     assert code == 0
     assert json.loads(out) == {
         "theory": "Posets",
-        "value": 39,
+        "value": 1 << 13,
         "method": "enumeration-lower-bound",
         "lower_bound": True,
-        "depth": 1,
         "detail": "models up to size 2",
     }
-    code, out, _ = run(capsys, "cz", "Posets", "--max-size", "2", "--depth", "1", "--human")
-    assert code == 0 and out == "Cz(Posets) >= 39 [enumeration-lower-bound]\n"
+    code, out, _ = run(capsys, "cz", "Posets", "--max-size", "2", "--human")
+    assert code == 0 and out == "Cz(Posets) >= 2^13 [enumeration-lower-bound]\n"
 
 
 def test_classify_ad_assumed_amalgamation_is_not_checked(capsys):
@@ -413,7 +415,10 @@ def test_closure_cap_exit_code(tmp_path, capsys):
     model.write_text(json.dumps({"size": 4, "interp": {"R": chain}}))
     code, out, err = run(capsys, "closure", str(model), "--vars", "2")
     assert code == 3 and out == ""
-    assert json.loads(err) == {"error": "closure exceeded 4096 elements"}
+    assert json.loads(err) == {"error": "closure has 2^16 elements, past cap 4096"}
+    # its size is still known
+    _, chain_model = model_lang_from_json(model.read_text(), 2)
+    assert cz_of_model(chain_model).value == 1 << 16
 
 
 def test_wide_closure_is_refused_before_it_is_built(tmp_path, capsys):
@@ -424,7 +429,7 @@ def test_wide_closure_is_refused_before_it_is_built(tmp_path, capsys):
     code, out, err = run(capsys, "closure", str(model), "--vars", "11")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
-    assert json.loads(err) == {"error": "closure exceeded 4096 elements"}
+    assert json.loads(err) == {"error": "177147 (model, assignment) pairs exceed cap 4096"}
 
 
 def test_closure_cap_at_the_smallest_wide_instance(tmp_path, capsys):
@@ -437,7 +442,7 @@ def test_closure_cap_at_the_smallest_wide_instance(tmp_path, capsys):
         assert code == 0 and json.loads(out)["count"] == count
     code, out, err = run(capsys, "closure", str(model), "--vars", "5")
     assert code == 3 and out == ""
-    assert json.loads(err) == {"error": "closure exceeded 4096 elements"}
+    assert json.loads(err) == {"error": "closure has 2^16 elements, past cap 4096"}
 
 
 @pytest.mark.parametrize("size, code", [(7, 0), (8, 0), (9, 3)])
