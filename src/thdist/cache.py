@@ -1,9 +1,13 @@
-"""Content-addressed on-disk cache for semantic profiles.
+"""On-disk cache for semantic profiles.
 
-Entries are keyed by the theory's content hash plus the model size and
-hold the canonical codes of the models; records of another tool version
-or another model-list format are ignored; writes go through a temp file
-and an atomic rename. Results never depend on the cache being present.
+A record holds the canonical codes of a theory's models of one size. It
+is named by a CRC-32 of the theory's canonical text (`Theory.key`) plus
+the size, carries that text, and is served only to the same text, so a
+CRC collision costs a recompute, never a wrong model list. Records of
+another tool version or another `FORMAT` are ignored; the format changed
+when records took the text, so caches written before are never read.
+Writes go through a temp file and an atomic rename. Results never depend
+on the cache being present.
 """
 
 from __future__ import annotations
@@ -11,16 +15,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zlib
 from pathlib import Path
 
 from . import __version__
 from .semantics import set_profile_store
 
 ENV_VAR = "THDIST_CACHE_DIR"
-# A record holds the canonical codes of a model list in ascending order
-# (semantics serves it only if they fit the signature's code width).
-# Change the tag whenever that encoding changes.
-FORMAT = "ascending-canonical-codes"
+# A record holds the theory's text and the canonical codes of a model list
+# in ascending order (semantics serves it only if they fit the signature's
+# code width). Change the tag whenever that encoding changes.
+FORMAT = "theory-text+ascending-canonical-codes"
 
 
 class DiskProfileStore:
@@ -29,7 +34,8 @@ class DiskProfileStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str, k: int) -> Path:
-        return self.root / key[:2] / f"{key}.{k}.json"
+        name = f"{zlib.crc32(key.encode()):08x}"
+        return self.root / name[:2] / f"{name}.{k}.json"
 
     def get(self, key: str, k: int):
         path = self._path(key, k)
@@ -38,14 +44,14 @@ class DiskProfileStore:
         except (OSError, ValueError):
             return None
         if not isinstance(data, dict) or data.get("version") != __version__ \
-                or data.get("format") != FORMAT:
+                or data.get("format") != FORMAT or data.get("key") != key:
             return None
         return data
 
     def put(self, key: str, k: int, payload: dict) -> None:
         path = self._path(key, k)
         path.parent.mkdir(parents=True, exist_ok=True)
-        record = dict(payload, version=__version__, format=FORMAT)
+        record = dict(payload, version=__version__, format=FORMAT, key=key)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

@@ -96,39 +96,51 @@ Trace = tuple
 CLOSURE_CAP = 4096
 
 
-def _generators(lang: Language) -> list[tuple[Trace, Formula]]:
-    """The diagonals and atoms over the language's variables, with their traces."""
+def _generators(lang: Language) -> list[Trace]:
+    """The traces of the diagonals and atoms over the language's variables."""
     n = lang.var_bound
-    return [(("diag", i, j), eq(i, j)) for i in range(n) for j in range(n)] + [
-        (("atom", sym, args), atom(sym, args))
+    return [("diag", i, j) for i in range(n) for j in range(n)] + [
+        ("atom", sym, args)
         for sym, rank in lang.symbols
         for args in itertools.product(range(n), repeat=rank)
     ]
 
 
-def _types(models: Sequence[FiniteModel]) -> int:
+def _generator_formula(trace: Trace) -> Formula:
+    return eq(*trace[1:]) if trace[0] == "diag" else atom(*trace[1:])
+
+
+def _generator_masks(models: Sequence[FiniteModel]) -> list[list[int]]:
+    """Per model of a non-empty list of models of one language, the
+    assignment mask (`assignment_set`) of each generator, in the order of
+    `_generators`. More than CLOSURE_CAP (model, assignment) pairs raise
+    CapExceededError before any is evaluated."""
+    n = models[0].lang.var_bound
+    pairs = sum(m.size**n for m in models)
+    if pairs > CLOSURE_CAP:
+        raise CapExceededError(f"{pairs} (model, assignment) pairs exceed cap {CLOSURE_CAP}")
+    formulas = [_generator_formula(t) for t in _generators(models[0].lang)]
+    return [[assignment_set(m, phi) for phi in formulas] for m in models]
+
+
+def _types(models: Sequence[FiniteModel], masks: Sequence[list[int]]) -> int:
     """The number of L^n-types that the (model, assignment) pairs of a
     non-empty list of models of one language realise, n the variable
     bound. They are the atoms of the closure of the models' diagonals and
-    atom meanings, which therefore has 2^types elements.
+    atom meanings, which therefore has 2^types elements. `masks` are the
+    models' `_generator_masks`.
 
     Pairs start in classes by the generators they satisfy. A round splits
     each class by membership in the cylinder of every class along every
     coordinate i: by the classes met in a pair's i-fibre, the pairs of its
     model that differ from it at most at i. Rounds stop when no class
-    splits (counting-free Weisfeiler-Leman refinement). More than
-    CLOSURE_CAP pairs raise CapExceededError."""
+    splits (counting-free Weisfeiler-Leman refinement)."""
     n = models[0].lang.var_bound
-    pairs = sum(m.size**n for m in models)
-    if pairs > CLOSURE_CAP:
-        raise CapExceededError(f"{pairs} (model, assignment) pairs exceed cap {CLOSURE_CAP}")
-    formulas = [phi for _, phi in _generators(models[0].lang)]
     classes: dict = {}
     colour = []
-    for m in models:
-        masks = [assignment_set(m, phi) for phi in formulas]
+    for m, model_masks in zip(models, masks):
         for a in range(m.size**n):
-            colour.append(classes.setdefault(tuple(x >> a & 1 for x in masks), len(classes)))
+            colour.append(classes.setdefault(tuple(x >> a & 1 for x in model_masks), len(classes)))
     while True:
         # colour sets and signatures are numbered as they come, so that no
         # pair keeps an object of its own
@@ -147,11 +159,12 @@ def _types(models: Sequence[FiniteModel]) -> int:
             return count
 
 
-def _fixpoint(model: FiniteModel) -> dict[int, Trace]:
-    """Close the model's diagonals and atom meanings, each an assignment
-    mask (`assignment_set`), under complement, intersection and
-    per-coordinate cylindrification. Returns each relation with its first
-    generator, in the order found."""
+def _fixpoint(model: FiniteModel, masks: list[int], size: int) -> dict[int, Trace]:
+    """Close the model's diagonals and atom meanings, given as their
+    assignment masks (`_generator_masks`), under complement, intersection
+    and per-coordinate cylindrification. Returns each relation with its
+    first generator, in the order found. Stops once it holds `size`
+    relations (2^types), or else after a round that adds none."""
     k, n = model.size, model.lang.var_bound
     full = (1 << k**n) - 1
     # per coordinate i: the groups of assignments agreeing off i
@@ -172,8 +185,8 @@ def _fixpoint(model: FiniteModel) -> dict[int, Trace]:
             frontier.append(mask)
 
     frontier: list[int] = []
-    for trace, phi in _generators(model.lang):
-        add(assignment_set(model, phi), trace, frontier)
+    for trace, mask in zip(_generators(model.lang), masks):
+        add(mask, trace, frontier)
     while frontier:
         fresh, frontier = frontier, []
         known = list(traces)
@@ -181,8 +194,12 @@ def _fixpoint(model: FiniteModel) -> dict[int, Trace]:
             add(full ^ x, ("not", x), frontier)
             for i in range(n):
                 add(cylindrify(x, i), ("exists", i, x), frontier)
-            for y in known:
-                add(x & y, ("and", x, y), frontier)
+            # each new product is traced to its first factor in `known`
+            products = list(map(x.__and__, known))
+            for z in dict.fromkeys(itertools.filterfalse(traces.__contains__, products)):
+                add(z, ("and", x, known[products.index(z)]), frontier)
+            if len(traces) >= size:
+                return traces
     return traces
 
 
@@ -216,10 +233,11 @@ def concept_closure(model: FiniteModel) -> ConceptClosure:
     CapExceededError before building a single one."""
     if model.size > MAX_SIZE:
         raise CapExceededError(f"size {model.size} exceeds cap {MAX_SIZE}")
-    types = _types([model])
+    masks = _generator_masks([model])
+    types = _types([model], masks)
     if 1 << types > CLOSURE_CAP:
         raise CapExceededError(f"closure has 2^{types} elements, past cap {CLOSURE_CAP}")
-    return ConceptClosure(model, model.lang.var_bound, _fixpoint(model))
+    return ConceptClosure(model, model.lang.var_bound, _fixpoint(model, masks[0], 1 << types))
 
 
 def closure_formula(closure: ConceptClosure, mask: int) -> Formula:
@@ -231,10 +249,8 @@ def _trace_formula(traces: dict[int, Trace], mask: int, memo: dict[int, Formula]
     if mask not in memo:
         trace = traces[mask]
         op = trace[0]
-        if op == "diag":
-            out = eq(trace[1], trace[2])
-        elif op == "atom":
-            out = atom(trace[1], trace[2])
+        if op in ("diag", "atom"):
+            out = _generator_formula(trace)
         elif op == "not":
             out = not_(_trace_formula(traces, trace[1], memo))
         elif op == "and":
@@ -274,7 +290,8 @@ def closure_to_json(closure: ConceptClosure) -> dict:
 
 def cz_of_model(model: FiniteModel) -> CzValue:
     """Exact fragment-relative conceptual size of Th(model): 2^types."""
-    return CzValue(1 << _types([model]), "closure-exact", detail=f"size-{model.size} model")
+    types = _types([model], _generator_masks([model]))
+    return CzValue(1 << types, "closure-exact", detail=f"size-{model.size} model")
 
 
 def cz_lower_bound(theory: Theory, bound: int = DEFAULT_BOUND) -> CzValue:
@@ -288,7 +305,7 @@ def cz_lower_bound(theory: Theory, bound: int = DEFAULT_BOUND) -> CzValue:
     if not models:
         return CzValue(1, "enumeration-lower-bound", True, detail=f"no models of size <= {bound}")
     return CzValue(
-        1 << _types(models), "enumeration-lower-bound", True,
+        1 << _types(models, _generator_masks(models)), "enumeration-lower-bound", True,
         detail=f"models up to size {bound}",
     )
 

@@ -28,7 +28,6 @@ sentential fragment is ever reported exact.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import operator
@@ -250,7 +249,9 @@ class Theory:
         self.name = name
         self.lang = lang
         self.axioms = tuple(axioms)
-        payload = json.dumps(
+        # the canonical text of language and axioms: memos and the disk
+        # cache key on it exactly
+        self.key = json.dumps(
             {
                 "symbols": list(lang.symbols),
                 "vars": lang.var_bound,
@@ -258,7 +259,6 @@ class Theory:
             },
             sort_keys=True,
         )
-        self.key = hashlib.sha256(payload.encode()).hexdigest()
 
     @staticmethod
     def make(name: str, lang: Language, axioms: Iterable[Formula | str] = ()) -> "Theory":

@@ -317,7 +317,7 @@ def test_stale_cache_version_ignored(tmp_path, monkeypatch):
     assert store.get("a" * 64, 2) is not None
     # a record of the current version in another model-list format (or in
     # none, as older releases wrote) is stale too
-    (path,) = tmp_path.rglob("a*.2.json")
+    path = store._path("a" * 64, 2)
     plain = {k: v for k, v in json.loads(path.read_text()).items() if k != "format"}
     for stale in (
         plain,
@@ -346,7 +346,7 @@ def test_stale_cache_version_ignored(tmp_path, monkeypatch):
             assert store.get(posets.key, 3)["codes"] == codes
             set_profile_store(None)
         # so is a record that is valid JSON but no object
-        (record,) = (tmp_path / "codes").rglob(f"{posets.key}.3.json")
+        record = store._path(posets.key, 3)
         for text in ("[1, 2]", "null", "3", '"x"'):
             record.write_text(text)
             clear_memory_caches()
@@ -359,6 +359,32 @@ def test_stale_cache_version_ignored(tmp_path, monkeypatch):
         clear_memory_caches()
         set_profile_store(store)
         assert enumerate_models(posets, 3) == cacheless[:1]
+    finally:
+        set_profile_store(None)
+        clear_memory_caches()
+
+
+def test_cache_record_of_another_theory_is_a_miss(tmp_path):
+    # records are named by a CRC-32 of the theory's text; on a collision the
+    # text they carry tells them apart. Eqrels' record at Posets' path would
+    # be served (same signature, valid codes) if the text were not checked.
+    catalog = loads_catalog(shipped_catalog_text())
+    posets, eqrels = catalog.theory("Posets"), catalog.theory("Eqrels")
+    assert posets.lang.symbols == eqrels.lang.symbols
+    clear_memory_caches()
+    set_profile_store(None)
+    cacheless = enumerate_models(posets, 3)
+    store = DiskProfileStore(tmp_path)
+    try:
+        set_profile_store(store)
+        assert enumerate_models(eqrels, 3) != cacheless
+        target = store._path(posets.key, 3)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        store._path(eqrels.key, 3).replace(target)
+        assert store.get(posets.key, 3) is None
+        clear_memory_caches()
+        assert enumerate_models(posets, 3) == cacheless
+        assert store.get(posets.key, 3)["codes"] == [m.code for m in cacheless]
     finally:
         set_profile_store(None)
         clear_memory_caches()

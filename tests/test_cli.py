@@ -314,6 +314,31 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
     assert run.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "disk-cache"])
+def test_no_command_loads_openssl(tmp_path, cached):
+    # theories are keyed by their canonical text, so no command needs
+    # hashlib's OpenSSL backend; pytest imports it itself, hence a fresh
+    # interpreter. With the disk cache the second spectrum reads the records
+    # the first one wrote.
+    code = (
+        "import contextlib, io, sys\n"
+        "from thdist.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['spectrum', 'Posets']) for _ in range(2)]\n"
+        "    codes.append(main(['check', 'src/thdist/data/paper_examples.cat']))\n"
+        "print(codes, '_hashlib' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "THDIST_CACHE_DIR"}
+    env["PYTHONPATH"] = "src"
+    if cached:
+        env["THDIST_CACHE_DIR"] = str(tmp_path)
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[0, 0, 0] False"
+    assert bool(list(tmp_path.rglob("*.json"))) == cached
+
+
 def test_cz_first_order_lower_bound(capsys):
     code, out, _ = run(capsys, "cz", "Posets", "--max-size", "2")
     assert code == 0

@@ -8,9 +8,11 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thdist import concepts
 from thdist.catalog import loads_catalog, shipped_catalog_text
 from thdist.concepts import (
     CLOSURE_CAP,
+    _generator_masks,
     _types,
     check_defeq,
     check_interpretation,
@@ -149,12 +151,36 @@ def _small_models(draw):
 @given(_small_models())
 def test_closure_has_two_to_the_types_elements(m):
     # the closure is the Boolean algebra whose atoms are the L^n-types
-    types = _types([m])
+    types = _types([m], _generator_masks([m]))
     if 1 << types > CLOSURE_CAP:
         with pytest.raises(CapExceededError, match=rf"closure has 2\^{types} elements"):
             concept_closure(m)
     else:
-        assert len(concept_closure(m)) == 1 << types
+        rels = concept_closure(m).relations
+        assert len(rels) == 1 << types
+        # the fixpoint stops at 2^types relations, so only closure under the
+        # operations shows that _types did not undercount
+        n = m.lang.var_bound
+        full = (1 << m.size**n) - 1
+        for x in rels:
+            assert full ^ x in rels
+            assert all(cylindrify(x, m.size, n, i) in rels for i in range(n))
+            assert rels.issuperset(map(x.__and__, rels))
+
+
+def test_closure_evaluates_each_generator_once(monkeypatch):
+    calls = []
+
+    def counting(model, phi):
+        calls.append(phi)
+        return assignment_set(model, phi)
+
+    monkeypatch.setattr(concepts, "assignment_set", counting)
+    lang = Language.make("RP", {"R": 2, "P": 1}, 2)
+    closure = concept_closure(FiniteModel(lang, 2, {"R": {(0, 1)}, "P": {(1,)}}))
+    assert len(closure) == 16
+    # 2^2 diagonals, 2^2 R-atoms and 2 P-atoms
+    assert len(calls) == len(set(calls)) == 10
 
 
 # (model JSON, variables, count, SHA-256 of the sorted-key JSON of
