@@ -33,7 +33,7 @@ from .semantics import (
     _holds,
     _induced,
     _lane_codes,
-    _least_codes_of,
+    _reflect,
     _sat_pullback,
     _set_bits,
     _space,
@@ -91,8 +91,8 @@ def cz_sentential(theory: Theory) -> CzValue:
 Trace = tuple
 
 # The most relations concept_closure builds, and the most (model,
-# assignment) pairs _types refines. Each new relation is met with every
-# known one, so the closure's work grows with the square of the count.
+# assignment) pairs or generators _types refines. Each new relation is met
+# with every known one, so the closure's work grows with the square of the count.
 CLOSURE_CAP = 4096
 
 
@@ -113,12 +113,15 @@ def _generator_formula(trace: Trace) -> Formula:
 def _generator_masks(models: Sequence[FiniteModel]) -> list[list[int]]:
     """Per model of a non-empty list of models of one language, the
     assignment mask (`assignment_set`) of each generator, in the order of
-    `_generators`. More than CLOSURE_CAP (model, assignment) pairs raise
-    CapExceededError before any is evaluated."""
+    `_generators`. More than CLOSURE_CAP (model, assignment) pairs, or
+    generators, raise CapExceededError before any is built."""
     n = models[0].lang.var_bound
     pairs = sum(m.size**n for m in models)
     if pairs > CLOSURE_CAP:
         raise CapExceededError(f"{pairs} (model, assignment) pairs exceed cap {CLOSURE_CAP}")
+    count = n * n + sum(n**rank for _, rank in models[0].lang.symbols)
+    if count > CLOSURE_CAP:
+        raise CapExceededError(f"{count} generators exceed cap {CLOSURE_CAP}")
     formulas = [_generator_formula(t) for t in _generators(models[0].lang)]
     return [[assignment_set(m, phi) for phi in formulas] for m in models]
 
@@ -370,8 +373,8 @@ def check_interpretation(
     """Does tr map theorems of t1 to theorems of t2, and does it reflect
     them back? Sentential case exact; otherwise checked on the structures
     tr*(M) that tr's images define in the models M of t2 up to the bound
-    (M satisfies tr(phi) iff tr*(M) satisfies phi), with witnesses from
-    the battery."""
+    (M satisfies tr(phi) iff tr*(M) satisfies phi), with a failing axiom
+    or a model of t1 that no tr*(M) matches as witness."""
     if not (tr.source.same_formulas(t1.lang) and tr.target.same_formulas(t2.lang)):
         raise LanguageError("translation endpoints do not match the theories")
     if t1.lang.is_sentential and t2.lang.is_sentential:
@@ -405,9 +408,8 @@ def _first_order_interpretation(
 ) -> CheckReport:
     """Forward: every tr*(M) satisfies t1's axioms, so it satisfies every
     phi that t1 proves up to the bound; the first failing axiom refutes
-    exactly. Reflect (skipped when not asked): every model of t1 is
-    isomorphic to some tr*(M); otherwise the battery is searched for a
-    formula whose translation t2 proves and t1 does not."""
+    exactly. Reflect (skipped when not asked): the tr*(M) must cover t1's
+    models by `_reflect`, the rule a concept-add is checked by."""
     sizes = []
     for k in range(1, bound + 1):
         models, bits = model_lanes(t2, k)
@@ -429,21 +431,16 @@ def _first_order_interpretation(
                                    note="theoremhood not preserved")
     if not reflect:
         return CheckReport("interpretation", False, bound)
-    for k, (models, ind, _) in enumerate(sizes, 1):
-        own = {m.code for m in enumerate_models(t1, k)}
-        if not own <= _least_codes_of(_space(t1.lang.symbols, k), _lane_codes(ind, len(models)), own):
-            break
-    else:
+    found = _reflect(t1, ((ind, len(models)) for models, ind, _ in sizes))
+    if found is None:
         return CheckReport("faithful", False, bound)
-    for phi in formula_battery(t1, bound):
-        if all(_holds(tab, (phi,)) == tab.full for *_, tab in sizes):
-            r1 = bounded_consequence(t1, phi, bound)
-            if not r1.holds:
-                return CheckReport(
-                    "interpretation", False, bound, phi, r1.countermodel,
-                    note="theoremhood preserved but not reflected on the battery",
-                )
-    return CheckReport("faithful", False, bound)
+    k, model, witness, decisive = found
+    return CheckReport(
+        "interpretation" if decisive else "undecided", False, k, witness, model,
+        note=f"size-{k} models of {t1.name} differ from those induced in models of {t2.name}"
+        if decisive else f"size-{k} models of {t1.name} are induced by no model of {t2.name}, "
+        f"but {t1.lang.var_bound} variables cannot tell size-{k} structures apart",
+    )
 
 
 def _battery_interpretation(

@@ -918,17 +918,7 @@ def conservative_extension(
     Sentential case: the projection of Sat(t2) onto t1's constants must
     equal Sat(t1); exact. First-order case: for each size k <= bound the
     t1-reducts of t2's models (the structures t1's canonical atoms induce
-    in them, taken to the least code of their orbit) must equal t1's
-    model list; a refutation shows the differing model of least canonical
-    code.
-
-    The claim is about t1's formulas, with n = t1's variable bound. A
-    size-k t1-model lacking a t2-expansion refutes only where k <= n - 1:
-    telling a size-k structure apart takes k + 1 variables, and with fewer
-    it may be L^n-equivalent to a reduct. From k = n on such a mismatch
-    leaves the answer undecided (holds None, the model as witness) unless
-    a larger size refutes. A reduct that is no t1-model refutes at every
-    size: its t2-model fails an axiom of t1.
+    in them) must equal t1's models, by `_reflect`.
     """
     if not t2.lang.includes(t1.lang):
         raise LanguageError(
@@ -954,36 +944,52 @@ def conservative_extension(
             False, True, None, witness, assignment_model(t1.lang, row), side
         )
 
-    n, undecided, free = t1.lang.var_bound, None, {}
-    canonical = {sym: atom(sym, tuple(range(rank))) for sym, rank in t1.lang.symbols}
-    for k in range(1, bound + 1):
+    canonical, free = {sym: atom(sym, tuple(range(rank))) for sym, rank in t1.lang.symbols}, {}
+    reducts = (  # per size, the reducts' lanes and their count, built as _reflect reads them
+        (_induced(t1.lang.symbols, canonical, _space(t2.lang.symbols, k), bits,
+                  (1 << len(expansions)) - 1, free), len(expansions))
+        for k in range(1, bound + 1) for expansions, bits in [model_lanes(t2, k)]
+    )
+    found = _reflect(t1, reducts)
+    if found is None:
+        return ConservativityResult(True, False, bound)
+    k, model, witness, decisive = found
+    detail = f"size-{k} reducts of {t2.name} differ from models of {t1.name}" if decisive else (
+        f"size-{k} models of {t1.name} lack {t2.name}-expansions, "
+        f"but {t1.lang.var_bound} variables cannot tell size-{k} structures apart")
+    return ConservativityResult(False if decisive else None, False, k, witness, model, detail)
+
+
+def _reflect(
+    t1: Theory, sizes: Iterable[tuple[Sequence[int], int]]
+) -> tuple[int, FiniteModel, Formula | None, bool] | None:
+    """Do the t1-structures that `sizes` yields, for k = 1, 2, ... the
+    lanes of the size-k ones and their count, cover t1's models exactly,
+    up to isomorphism? None if so; otherwise (k, model, witness formula,
+    decisive) for the first size that decides, or failing that the first
+    that differs, `model` the differing one of least code. `sizes` is read
+    lazily, so nothing past a decisive size is built.
+
+    The claim is about t1's formulas, with n = t1's variable bound. A
+    size-k t1-model that is induced by none refutes only where k <= n - 1:
+    telling a size-k structure apart takes k + 1 variables, and with fewer
+    it may be L^n-equivalent to an induced one. From k = n on such a
+    mismatch leaves the answer undecided (decisive False) unless a larger
+    size refutes. An induced structure that is no t1-model refutes at
+    every size: the model inducing it fails an axiom of t1.
+    """
+    n, undecided = t1.lang.var_bound, None
+    for k, (lanes, count) in enumerate(sizes, 1):
         # enumerated models are least codes, hence already canonical
         own = {m.code for m in enumerate_models(t1, k)}
-        expansions, bits = model_lanes(t2, k)
-        space, full = _space(t1.lang.symbols, k), (1 << len(expansions)) - 1
-        lanes = _induced(t1.lang.symbols, canonical, _space(t2.lang.symbols, k), bits, full, free)
-        reducts = _least_codes_of(space, _lane_codes(lanes, len(expansions)), own)
-        if own == reducts:
+        induced = _least_codes_of(_space(t1.lang.symbols, k), _lane_codes(lanes, count), own)
+        if own == induced:
             continue
-        decisive = own ^ reducts if k < n else reducts - own
-        model = FiniteModel._of_code(t1.lang, k, min(decisive or own ^ reducts))
-        if not decisive:
-            if undecided is None:
-                undecided = ConservativityResult(
-                    None, False, k, None, model,
-                    f"size-{k} models of {t1.name} lack {t2.name}-expansions, "
-                    f"but {n} variables cannot tell size-{k} structures apart",
-                )
-            continue
-        witness = None
-        if not reducts:
-            # t2 has no size-k models at all, so "not exactly k elements"
-            # (k + 1 <= n variables) is a t2-theorem that t1 fails to prove.
-            witness = not_(make_psi_n(k, t1.lang))
-        detail = (
-            f"size-{k} reducts of {t2.name} differ from models of {t1.name}"
-        )
-        return ConservativityResult(False, False, k, witness, model, detail)
-    return ConservativityResult(True, False, bound) if undecided is None else undecided
-
-
+        decisive = own ^ induced if k < n else induced - own
+        model = FiniteModel._of_code(t1.lang, k, min(decisive or own ^ induced))
+        if decisive:
+            # nothing is induced at size k, so "not exactly k elements"
+            # (k + 1 <= n variables) holds on the other side, not in t1
+            return k, model, None if induced else not_(make_psi_n(k, t1.lang)), True
+        undecided = undecided or (k, model, None, False)
+    return undecided

@@ -470,6 +470,20 @@ def test_closure_cap_at_the_smallest_wide_instance(tmp_path, capsys):
     assert json.loads(err) == {"error": "closure has 2^16 elements, past cap 4096"}
 
 
+def test_closure_refuses_too_many_generators(tmp_path, capsys):
+    # one point has a single assignment, but 200 variables give 200^2
+    # diagonals and 200^2 atoms of R; 45 give 4,050, still inside the cap
+    model = tmp_path / "one.json"
+    model.write_text('{"size": 1, "interp": {"R": [[0, 0]]}}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "closure", str(model), "--vars", "200")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "80000 generators exceed cap 4096"}
+    code, out, _ = run(capsys, "closure", str(model), "--vars", "45")
+    assert code == 0 and json.loads(out)["count"] == 2
+
+
 @pytest.mark.parametrize("size, code", [(7, 0), (8, 0), (9, 3)])
 def test_closure_size_cap_is_the_enumeration_cap(tmp_path, capsys, size, code):
     # over two variables a unary P splits the pairs by P at each coordinate

@@ -306,14 +306,34 @@ def test_cz_lower_bound_posets_pinned(examples_catalog):
 
 def test_check_interpretation_first_order_preserved_not_reflected():
     # Full proves (R v0 v1) under its universal closure and Free does not;
-    # the identity preserves Free's theorems but does not reflect this one
+    # the identity preserves Free's theorems, but the one-point empty R is
+    # no Full-model, and size 1 < 2 variables decides
     free = Theory.make("Free", LT2, [])
     full = Theory.make("Full", LT2, ["(forall v0 (forall v1 (R v0 v1)))"])
     rep = check_interpretation(identity_translation(LT2, LT2), free, full, bound=3)
-    assert (rep.verdict, rep.exact, rep.bound) == ("interpretation", False, 3)
-    assert rep.witness_formula == atom("R", (0, 1))
+    assert (rep.verdict, rep.exact, rep.bound) == ("interpretation", False, 1)
+    assert rep.witness_formula is None
     assert rep.witness_model == FiniteModel(LT2, 1, {"R": set()})
-    assert rep.note == "theoremhood preserved but not reflected on the battery"
+    assert rep.note == "size-1 models of Free differ from those induced in models of Full"
+
+
+def test_translation_missing_a_model_is_not_faithful():
+    # Q holds of every point or of none, so AllOrNone proves the translation
+    # of (forall v0 (forall v1 (iff (P v0) (P v1)))), which the size-2 model
+    # with P = {0} refutes; the same pair as a concept-add is refuted there
+    cat = loads_catalog(
+        '(language LP (P 1) :vars 3)\n(language LQ (Q 1) :vars 3)\n(theory FreeP :over LP)\n'
+        '(theory AllOrNone :over LQ :axioms "(forall v0 (forall v1 (iff (Q v0) (Q v1))))")\n'
+        '(certificate :name not-faithful :kind faithful :from FreeP :to AllOrNone '
+        ':tr ((P "(Q v0)")))\n'
+    )
+    cert = cat.certificates[0]
+    status = verify_certificate(cert, cat.theories, 4)
+    assert (status.state, status.bound) == ("refuted", 2)
+    free_p, all_or_none = cat.theory("FreeP"), cat.theory("AllOrNone")
+    rep = check_interpretation(cert.tr, free_p, all_or_none, 4)
+    assert (rep.verdict, rep.exact, rep.bound) == ("interpretation", False, 2)
+    assert rep.witness_model == FiniteModel(free_p.lang, 2, {"P": {(0,)}})
 
 
 def test_check_defeq_first_order_round_trip_refuted():

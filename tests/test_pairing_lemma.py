@@ -12,7 +12,7 @@ from __future__ import annotations
 import thdist.concepts as concepts
 from thdist.concepts import check_defeq, check_interpretation
 from thdist.semantics import Theory, spectrum
-from thdist.syntax import Language
+from thdist.syntax import Language, atom
 from thdist.translation import apply_translation, make_pairing
 
 RS6 = Language.make("RS6", {"R": 1, "S": 1}, 6)
@@ -92,3 +92,27 @@ def test_pairing_recovery_over_free_b_structures_takes_the_battery(monkeypatch):
     # the round trip over any_b is undecided, the one over free_rs fails
     report = check_defeq(PAIRING.tr_from_b, PAIRING.tr_to_b, any_b, free_rs, bound=2)
     assert report.verdict == "refuted" and report.witness_model.size == 1
+
+
+def test_battery_refutes_an_axiom_whose_translation_fails(monkeypatch):
+    # over free B-structures R's image is no cylinder; the first B-structure
+    # with an empty diagonal slice breaks the axiom's translation
+    made = _translations_made(monkeypatch)
+    all_r = Theory.make("all-r", RS6, ["(forall v0 (R v0))"])
+    any_b = Theory.make("b-any", PAIRING.b_language, [])
+    rep = check_interpretation(PAIRING.tr_to_b, all_r, any_b, bound=2)
+    assert (rep.verdict, rep.exact, rep.bound) == ("refuted", True, 2)
+    assert rep.witness_formula == all_r.axioms[0]
+    assert rep.note == "theoremhood not preserved" and made
+
+
+def test_battery_finds_a_formula_that_is_not_reflected(monkeypatch):
+    # a full diagonal slice makes R's image true everywhere, S's image is
+    # no cylinder, and the battery's canonical atom (R v0) is not reflected
+    made = _translations_made(monkeypatch)
+    free_rs = Theory.make("rs-free", RS6, [])
+    diag = Theory.make("b-diag", PAIRING.b_language, ["(forall v0 (forall v1 (B v0 v1 v1)))"])
+    rep = check_interpretation(PAIRING.tr_to_b, free_rs, diag, bound=2)
+    assert (rep.verdict, rep.exact, rep.bound) == ("interpretation", False, 2)
+    assert rep.witness_formula == atom("R", (0,))
+    assert rep.note == "theoremhood preserved but not reflected on the battery" and made

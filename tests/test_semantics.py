@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from thdist import semantics
+from thdist.concepts import check_interpretation
 from thdist.errors import CapExceededError, LanguageError
 from thdist.network import lower_bound_certificates
 from thdist.relations import axiom_add_exists
@@ -48,6 +49,7 @@ from thdist.syntax import (
     parse_formula,
     print_formula,
 )
+from thdist.translation import identity_translation
 
 from cylindrification import cylindrify, exists_groups
 
@@ -1195,3 +1197,17 @@ def test_conservativity_matches_the_reduct_oracle(case):
     holds, k, least = _reduct_oracle(t1, t2, bound)
     assert (res.holds, res.exact, res.bound) == (holds, False, k)
     assert (None if res.witness_model is None else canonical_form(res.witness_model)) == least
+
+
+_AGREEING = {True: ("faithful",), None: ("undecided",), False: ("refuted", "interpretation")}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_reduct_cases())
+def test_faithfulness_of_the_inclusion_is_conservativity(case):
+    # the identity from t1's language into t2's is faithful exactly when
+    # t2 is conservative over t1: both answers come from one rule
+    t1, t2, bound = case
+    holds = conservative_extension(t1, t2, bound).holds
+    rep = check_interpretation(identity_translation(t1.lang, t2.lang), t1, t2, bound)
+    assert rep.verdict in _AGREEING[holds]
