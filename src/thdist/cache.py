@@ -1,11 +1,12 @@
 """On-disk cache for semantic profiles.
 
 A record holds the canonical codes of a theory's models of one size. It
-is named by a CRC-32 of the theory's canonical text (`Theory.key`) plus
-the size, carries that text, and is served only to the same text, so a
-CRC collision costs a recompute, never a wrong model list. Records of
-another tool version or another `FORMAT` are ignored; the format changed
-when records took the text, so caches written before are never read.
+is named by a CRC-32 of the theory's canonical text (`Theory.key`, which
+order-preserving renamings and regrouped axioms share) plus the size,
+carries that text, and is served only to the same text, so a CRC
+collision costs a recompute, never a wrong model list. Records of another
+tool version or `FORMAT` are ignored; the format changed when the text
+named symbols by position, so caches written before are never read.
 Writes go through a temp file and an atomic rename. Results never depend
 on the cache being present.
 """
@@ -22,10 +23,10 @@ from . import __version__
 from .semantics import set_profile_store
 
 ENV_VAR = "THDIST_CACHE_DIR"
-# A record holds the theory's text and the canonical codes of a model list
-# in ascending order (semantics serves it only if they fit the signature's
-# code width). Change the tag whenever that encoding changes.
-FORMAT = "theory-text+ascending-canonical-codes"
+# A record holds the theory's positional text and the canonical codes of a
+# model list in ascending order (semantics serves it only if they fit the
+# signature's code width). Change the tag whenever that encoding changes.
+FORMAT = "positional-theory-text+ascending-canonical-codes"
 
 
 class DiskProfileStore:

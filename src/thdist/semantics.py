@@ -249,16 +249,15 @@ class Theory:
         self.name = name
         self.lang = lang
         self.axioms = tuple(axioms)
-        # the canonical text of language and axioms: memos and the disk
-        # cache key on it exactly
-        self.key = json.dumps(
-            {
-                "symbols": list(lang.symbols),
-                "vars": lang.var_bound,
-                "axioms": [print_formula(a) for a in self.axioms],
-            },
-            sort_keys=True,
-        )
+        # what fixes the models and their codes, which follow sorted names:
+        # ranks, variable bound and conjunct set, symbols named by position,
+        # so memos and disk records serve renamings that keep the order
+        names = {sym: f"s{i}" for i, (sym, _) in enumerate(lang.symbols)}
+        self.key = json.dumps({
+            "ranks": [rank for _, rank in lang.symbols],
+            "vars": lang.var_bound,
+            "conjuncts": sorted({print_formula(c, names) for a in axioms for c in _conjuncts(a)}),
+        })
 
     @staticmethod
     def make(name: str, lang: Language, axioms: Iterable[Formula | str] = ()) -> "Theory":
@@ -648,7 +647,8 @@ def isomorphic(a: FiniteModel, b: FiniteModel) -> bool:
 # ---------------------------------------------------------------------------
 # Enumeration up to isomorphism, spectra
 
-_model_memo: dict[tuple[str, int], list] = {}  # -> [models, lane masks or None]
+_model_memo: dict[tuple[str, int], list] = {}  # -> [codes, lane masks or None, {lang: models}]
+_induced_memo: dict[tuple, set[int]] = {}  # (t1 key, k, count, lanes) -> least codes, by _reflect
 _store = None  # optional persistent cache registered by the workbench
 
 
@@ -661,6 +661,7 @@ def set_profile_store(store) -> None:
 
 def clear_memory_caches() -> None:
     _model_memo.clear()
+    _induced_memo.clear()
     _sat_memo.clear()
     _restriction.cache_clear()
     _fibres.cache_clear()
@@ -695,37 +696,34 @@ def enumerate_models(theory: Theory, k: int) -> list[FiniteModel]:
         raise CapExceededError("model size must be >= 1")
     if k > MAX_SIZE:
         raise CapExceededError(f"size {k} exceeds cap {MAX_SIZE}")
-    memo_key = (theory.key, k)
-    cached = _model_memo.get(memo_key)
-    if cached is not None:
-        return cached[0]
-    lang = theory.lang
-    if lang.is_sentential:
-        # bit i of a code is constant i, the row index's bit m-1-i
-        m = len(lang.constants)
-        codes = [int(f"{r:0{m}b}"[::-1], 2) for r in _set_bits(sat_assignments(theory))]
-    else:
-        space = _space(lang.symbols, k)
-        codes = None
-        if _store is not None:
-            codes = _stored_codes(_store.get(theory.key, k), space.width)
-        if codes is None:
-            codes = _least_codes(theory, space)
-            if _store is not None:
-                _store.put(theory.key, k, {"count": len(codes), "codes": codes})
-    models = [FiniteModel._of_code(lang, k, c) for c in codes]
-    _model_memo[memo_key] = [models, None]
+    lang, entry = theory.lang, _model_memo.get((theory.key, k))
+    if entry is None:
+        if lang.is_sentential:
+            # bit i of a code is constant i, the row index's bit m-1-i
+            m = len(lang.constants)
+            codes = [int(f"{r:0{m}b}"[::-1], 2) for r in _set_bits(sat_assignments(theory))]
+        else:
+            space = _space(lang.symbols, k)
+            codes = _store and _stored_codes(_store.get(theory.key, k), space.width)
+            if codes is None:
+                codes = _least_codes(theory, space)
+                if _store is not None:
+                    _store.put(theory.key, k, {"count": len(codes), "codes": codes})
+        entry = _model_memo[theory.key, k] = [codes, None, {}]
+    models = entry[2].get(lang)
+    if models is None:  # variants share the codes; each language labels them once
+        models = entry[2][lang] = [FiniteModel._of_code(lang, k, c) for c in entry[0]]
     return models
 
 
 def model_lanes(theory: Theory, k: int) -> tuple[list[FiniteModel], list[int]]:
     """The theory's size-k models (`enumerate_models`) and their lane
     masks, one per code bit: bit i of mask j is bit j of the i-th model's
-    code. Built once per theory and size, beside the model list."""
+    code. Built once per model list, beside its codes."""
     models = enumerate_models(theory, k)
     entry = _model_memo[theory.key, k]
     if entry[1] is None:
-        entry[1] = _lanes([m.code for m in models], _space(theory.lang.symbols, k).width)
+        entry[1] = _lanes(entry[0], _space(theory.lang.symbols, k).width)
     return models, entry[1]
 
 
@@ -982,7 +980,11 @@ def _reflect(
     for k, (lanes, count) in enumerate(sizes, 1):
         # enumerated models are least codes, hence already canonical
         own = {m.code for m in enumerate_models(t1, k)}
-        induced = _least_codes_of(_space(t1.lang.symbols, k), _lane_codes(lanes, count), own)
+        key = (t1.key, k, count, *lanes)  # conservativity and faithfulness share it
+        if key not in _induced_memo:
+            codes = _lane_codes(lanes, count)
+            _induced_memo[key] = _least_codes_of(_space(t1.lang.symbols, k), codes, own)
+        induced = _induced_memo[key]
         if own == induced:
             continue
         decisive = own ^ induced if k < n else induced - own

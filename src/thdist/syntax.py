@@ -288,19 +288,19 @@ def validate_formula(phi: Formula, lang: Language) -> None:
 # ---------------------------------------------------------------------------
 # Printing and parsing (s-expression concrete syntax)
 
-def print_formula(phi: Formula) -> str:
+def print_formula(phi: Formula, names: Mapping[str, str] | None = None) -> str:
+    """The formula's concrete syntax; `names`, when given, renames symbols."""
     if isinstance(phi, Eq):
         return f"(= v{phi.i} v{phi.j})"
     if isinstance(phi, Atom):
-        if not phi.args:
-            return phi.sym
-        return "(" + phi.sym + "".join(f" v{a}" for a in phi.args) + ")"
+        sym = phi.sym if names is None else names[phi.sym]
+        return "(" + sym + "".join(f" v{a}" for a in phi.args) + ")" if phi.args else sym
     if isinstance(phi, And):
-        return f"(and {print_formula(phi.lhs)} {print_formula(phi.rhs)})"
+        return f"(and {print_formula(phi.lhs, names)} {print_formula(phi.rhs, names)})"
     if isinstance(phi, Not):
-        return f"(not {print_formula(phi.sub)})"
+        return f"(not {print_formula(phi.sub, names)})"
     if isinstance(phi, Exists):
-        return f"(exists v{phi.var} {print_formula(phi.sub)})"
+        return f"(exists v{phi.var} {print_formula(phi.sub, names)})"
     raise TypeError(f"not a formula node: {phi!r}")
 
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from thdist import cache
+from thdist import cache, semantics
 from thdist.cache import DiskProfileStore
 from thdist.catalog import (
     catalog_distance,
@@ -19,7 +19,7 @@ from thdist.catalog import (
     verify_all,
 )
 from thdist.errors import CatalogError, FormulaSyntaxError, ThdistError
-from thdist.relations import CERT_KINDS
+from thdist.relations import CERT_KINDS, verify_certificate
 from thdist.network import (
     check_amalgamation,
     classify_ad,
@@ -388,6 +388,49 @@ def test_cache_record_of_another_theory_is_a_miss(tmp_path):
     finally:
         set_profile_store(None)
         clear_memory_caches()
+
+
+def test_cache_record_of_posets_is_served_to_posets_leq(tmp_path):
+    # Posets over R and PosetsLeq over leq share one canonical text, so the
+    # record written while enumerating one serves the other, relabelled
+    catalog = loads_catalog(shipped_catalog_text())
+    posets, leq = catalog.theory("Posets"), catalog.theory("PosetsLeq")
+    assert posets.key == leq.key and posets.lang.symbols != leq.lang.symbols
+    store, puts = DiskProfileStore(tmp_path), []
+    real_put = store.put
+    store.put = lambda *a: puts.append(a) or real_put(*a)
+    clear_memory_caches()
+    set_profile_store(store)
+    try:
+        enumerate_models(posets, 3)
+        clear_memory_caches()
+        models = enumerate_models(leq, 3)
+    finally:
+        set_profile_store(None)
+        clear_memory_caches()
+    assert [(key, k) for key, k, _ in puts] == [(posets.key, 3)]
+    assert [model_to_json(m) for m in models] == [
+        model_to_json(m) for m in enumerate_models(leq, 3)
+    ]
+    assert all(set(json.loads(model_to_json(m))["interp"]) == {"leq"} for m in models)
+
+
+def test_kin_embed_reuses_the_reducts_of_kin_ether(monkeypatch):
+    # the identity's induced structures are the reducts that kin-ether's
+    # conservativity check has already canonicalised
+    catalog = loads_catalog(shipped_catalog_text())
+    cert = {c.name: c for c in catalog.certificates}
+    clear_memory_caches()
+    cold = verify_certificate(cert["kin-embed"], catalog.theories, 3)
+    clear_memory_caches()
+    verify_certificate(cert["kin-ether"], catalog.theories, 3)
+    calls, real = [], semantics._least_codes_of
+    monkeypatch.setattr(semantics, "_least_codes_of", lambda *a: calls.append(a) or real(*a))
+    assert verify_certificate(cert["kin-embed"], catalog.theories, 3) == cold
+    assert calls == []
+    assert semantics._induced_memo
+    clear_memory_caches()
+    assert not semantics._induced_memo
 
 
 def test_catalog_network_and_exports(examples_catalog):

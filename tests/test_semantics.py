@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import json
@@ -434,7 +435,7 @@ def test_clear_memory_caches_empties_every_table():
     space = semantics._space(BIN.symbols, 3)
     assert space.alive  # the sweep's conjunct memo lives on its space
     clear_memory_caches()
-    for table in (semantics._model_memo, semantics._sat_memo):
+    for table in (semantics._model_memo, semantics._induced_memo, semantics._sat_memo):
         assert not table
     for f in cached:
         assert f.cache_info().currsize == 0
@@ -675,6 +676,92 @@ def test_sweep_memo_conjunct_cases(texts, conjuncts):
     assert _memo_uids(lang, k) <= {parse_formula(t, lang).uid for t in conjuncts}
     parts = [parse_formula(t, lang) for t in conjuncts]
     assert _model_list(lang, k, parts, "parts") == _model_list(lang, k, axioms)
+
+
+# Theory.key is the model class's content up to renaming: the ranks in
+# sorted-name order, the variable bound and the set of axiom conjuncts with
+# symbols named by position. Variants that share it share one sweep, so the
+# model lists must still carry each caller's language; the brute force
+# checks every variant on its own, so a key collision cannot hide.
+_RENAMINGS = [  # language, an order-preserving renaming, an order-swapping one
+    (Language.make("PQ", {"P": 1, "Q": 1}, 2), {"P": "A", "Q": "B"}, {"P": "Q", "Q": "P"}),
+    (Language.make("R", {"R": 2}, 2), {"R": "leq"}, None),
+]
+
+
+def _renamed(lang, names, name):
+    return Language.make(name, {names[s]: r for s, r in lang.symbols}, lang.var_bound)
+
+
+def _rename(phi, names, lang):
+    return parse_formula(print_formula(phi, names), lang)
+
+
+@st.composite
+def _regrouped(draw, conjuncts):
+    """The conjuncts shuffled, some repeated, and grouped into ands
+    bracketed to the left or to the right."""
+    items = draw(st.permutations(conjuncts + draw(st.lists(st.sampled_from(conjuncts), max_size=2))))
+    axioms = []
+    while items:
+        n = draw(st.integers(1, len(items)))
+        group, items = items[:n], items[n:]
+        axioms.append(functools.reduce(and_, group) if draw(st.booleans())
+                      else functools.reduce(lambda a, b: and_(b, a), group[::-1]))
+    return axioms
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_theory_key_is_the_model_class_up_to_renaming(data):
+    lang, keep, swap = data.draw(st.sampled_from(_RENAMINGS))
+    k = data.draw(st.integers(1, 3))
+    axioms = data.draw(_axioms(lang, max_leaves=5))
+    parts = [c for a in axioms for c in semantics._conjuncts(a)]
+    uids = {c.uid for c in parts}
+    extra = data.draw(_formulas(lang, 3).filter(
+        lambda f: any(c.uid not in uids for c in semantics._conjuncts(f))))
+    renamed = _renamed(lang, keep, "Renamed")
+    variants = {
+        "T": Theory("T", lang, axioms),
+        "renamed": Theory("renamed", renamed, [_rename(a, keep, renamed) for a in axioms]),
+        "regrouped": Theory("regrouped", lang, data.draw(_regrouped(parts))),
+        "other": Theory("other", lang, [*axioms, extra]),
+    }
+    if swap:
+        variants["swapped"] = Theory("swapped", lang, [_rename(a, swap, lang) for a in axioms])
+    clear_memory_caches()
+    got = {name: enumerate_models(variants[name], k)
+           for name in data.draw(st.permutations(sorted(variants)))}
+    for name, theory in variants.items():
+        assert all(m.lang == theory.lang for m in got[name])
+        brute = _brute_spaces.setdefault((theory.lang, k), _BruteSpace(theory.lang, k))
+        assert [model_to_json(m) for m in got[name]] == brute.models(theory.axioms)
+    t = variants["T"]
+    for name in ("renamed", "regrouped"):
+        assert variants[name].key == t.key
+        assert [m.code for m in got[name]] == [m.code for m in got["T"]]
+    assert variants["other"].key != t.key
+    if swap:  # a swap keeps the key only when it maps the conjunct set onto itself
+        same = {print_formula(c) for c in parts} == {print_formula(c, swap) for c in parts}
+        assert (variants["swapped"].key == t.key) == same
+
+
+def test_alphabetic_variants_share_one_sweep(monkeypatch):
+    leq = _renamed(BIN, {"R": "leq"}, "LeqL")
+    posets = Theory.make("Posets", BIN, POSET_AXIOMS)
+    variant = Theory.make("PosetsLeq", leq, [t.replace("R ", "leq ") for t in POSET_AXIOMS[::-1]])
+    assert variant.key == posets.key
+    sweeps, real = [], semantics._least_codes
+    monkeypatch.setattr(semantics, "_least_codes", lambda *a: sweeps.append(a) or real(*a))
+    clear_memory_caches()
+    for theory in (posets, variant, posets, variant):
+        models = enumerate_models(theory, 3)
+        assert len(models) == 5 and all(m.lang == theory.lang for m in models)
+    assert len(sweeps) == 1
+    # each language labels the shared codes once
+    assert enumerate_models(variant, 3) is enumerate_models(variant, 3)
+    clear_memory_caches()
 
 
 # Burnside: the orbits of an axiom-free theory number the mean, over the
