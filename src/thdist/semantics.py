@@ -249,6 +249,8 @@ class Theory:
         self.name = name
         self.lang = lang
         self.axioms = tuple(axioms)
+        for a in self.axioms:
+            validate_formula(a, lang)
         # what fixes the models and their codes, which follow sorted names:
         # ranks, variable bound and conjunct set, symbols named by position,
         # so memos and disk records serve renamings that keep the order
@@ -261,11 +263,7 @@ class Theory:
 
     @staticmethod
     def make(name: str, lang: Language, axioms: Iterable[Formula | str] = ()) -> "Theory":
-        parsed = []
-        for a in axioms:
-            f = parse_formula(a, lang) if isinstance(a, str) else a
-            validate_formula(f, lang)
-            parsed.append(f)
+        parsed = [parse_formula(a, lang) if isinstance(a, str) else a for a in axioms]
         return Theory(name, lang, parsed)
 
     def __repr__(self) -> str:
@@ -582,11 +580,23 @@ class _Tables:
 
 def _holds(tables: _Tables, formulas: Sequence[Formula]) -> int:
     """The lanes of the tables in which every formula holds under every
-    assignment: the AND over each formula's table."""
-    alive = tables.full
+    assignment. A formula's leading not/exists prefix is read, not
+    tabled, in two states: every assignment satisfies what is left
+    (`every`), or none does. A not switches state; an exists is dropped
+    in the second state and ends the prefix in the first. What is left
+    is ANDed over its table in the first state, ORed and complemented in
+    the second."""
+    alive = full = tables.full
     for phi in formulas:
-        for x in tables.table(phi):
-            alive &= x
+        every = True
+        while isinstance(phi, Not) or isinstance(phi, Exists) and not every:
+            every, phi = every ^ isinstance(phi, Not), phi.sub
+        table = tables.table(phi)
+        if every:
+            for x in table:
+                alive &= x
+        else:
+            alive &= full ^ functools.reduce(operator.or_, table)
         if not alive:
             break
     return alive

@@ -45,6 +45,7 @@ from thdist.syntax import (
     characteristic_formula,
     eq,
     exists,
+    forall,
     make_psi_n,
     not_,
     parse_formula,
@@ -99,6 +100,13 @@ def test_finite_model_refuses_a_bad_interpretation(size, interp, message):
 def test_sat_of_formula_needs_constants_only():
     with pytest.raises(LanguageError):
         sat_of_formula(BIN, atom("R", (0, 1)))
+
+
+def test_theory_constructor_validates_its_axioms():
+    with pytest.raises(LanguageError, match="unknown symbol 'P'"):
+        Theory("x", BIN, [atom("P", (0,))])
+    with pytest.raises(LanguageError, match="arity mismatch"):
+        Theory("x", BIN, [atom("R", (0,))])
 
 
 def test_rank0_atom_truth():
@@ -1015,6 +1023,72 @@ def test_bounded_checks_match_is_true_per_model(case):
         assert (answer.answer, answer.countermodel) == (
             ("no", failure[1]) if failure else ("unknown", None)
         )
+
+
+# `_holds` reads a formula's leading not/exists prefix instead of tabling
+# it. Axioms wrap a matrix, often with free variables, in random layers:
+# forall (nested, or over a variable that is not free), exists (a forall
+# prefix that ends in exists, or a forall under an exists), not not
+# between quantifiers, not exists over a body that is no negation, and
+# plain not. Model lists and first countermodels are checked against
+# eval_formula under every assignment.
+_PREFIX_CASES = [
+    (Language.make("PR3", {"P": 1, "R": 2}, 3), 2),
+    (Language.make("CP3", {"C": 0, "P": 1}, 3), 3),
+]
+
+
+@st.composite
+def _prefixed(draw, lang):
+    phi = draw(_formulas(lang, max_leaves=3))
+    wraps = [
+        lambda v, f: forall(v, f), exists, lambda v, f: not_(not_(f)),
+        lambda v, f: not_(exists(v, f)), lambda v, f: not_(f),
+    ]
+    for wrap in draw(st.lists(st.sampled_from(wraps), max_size=4)):
+        phi = wrap(draw(st.integers(0, lang.var_bound - 1)), phi)
+    return phi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_PREFIX_CASES).flatmap(lambda case: st.tuples(
+    st.just(case),
+    st.lists(_prefixed(case[0]), max_size=2),
+    st.lists(_prefixed(case[0]), min_size=1, max_size=2),
+)))
+@_lane_example(_PREFIX_CASES[0],
+               ["(forall v0 (forall v1 (forall v2 (implies (R v0 v1) (R v1 v2)))))"],
+               ["(forall v2 (forall v0 (R v0 v0)))"])
+@_lane_example(_PREFIX_CASES[0], ["(forall v0 (not (not (forall v1 (R v0 v1)))))"],
+               ["(not (exists v0 (and (P v0) (R v0 v1))))"])
+@_lane_example(_PREFIX_CASES[0], ["(forall v0 (exists v1 (R v0 v1)))"],
+               ["(exists v1 (forall v0 (R v0 v1)))", "(R v0 v1)"])
+@_lane_example(_PREFIX_CASES[1], ["(not (not (exists v0 (P v0))))"],
+               ["(not (exists v1 (not (P v0))))", "(not (not (not C)))"])
+def test_quantifier_prefixes_match_the_closure_oracle(case):
+    (lang, k), axioms, formulas = case
+    theory = Theory("T", lang, axioms)
+    models = [model_to_json(m) for m in enumerate_models(theory, k)]
+    assert models == _brute(lang, k).models(axioms)
+    expected = next((m for m in enumerate_models(theory, k)
+                     if not all(_true(m, f) for f in formulas)), None)
+    assert semantics.first_countermodel(theory, k, formulas) == expected
+
+
+def test_sweep_tables_no_universal_prefix(monkeypatch):
+    # a forall-prefixed conjunct is decided on its matrix: neither its own
+    # node nor the exists nodes of its prefix get a table
+    lang = Language.make("Pin", {"R": 2}, 3)
+    phi = parse_formula("(forall v0 (forall v1 (implies (R v0 v1) (exists v2 (R v1 v2)))))", lang)
+    prefix = [phi, phi.sub, phi.sub.sub, phi.sub.sub.sub, phi.sub.sub.sub.sub]
+    assert [type(f).__name__ for f in prefix] == ["Not", "Exists", "Not", "Not", "Exists"]
+    tabled, real = [], semantics._Tables.table
+    monkeypatch.setattr(semantics._Tables, "table",
+                        lambda tables, f: tabled.append(f) or real(tables, f))
+    clear_memory_caches()
+    models = [model_to_json(m) for m in enumerate_models(Theory("T", lang, [phi]), 3)]
+    assert tabled and not any(f is g for f in tabled for g in prefix)
+    assert models == _brute(lang, 3).models([phi])
 
 
 # Orbits and canonical forms of code-born models against the brute force
