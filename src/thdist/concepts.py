@@ -16,13 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    CapExceededError,
-    InconsistencyError,
-    LanguageError,
-    UnsupportedFragmentError,
-    VariableBudgetError,
-)
+from .errors import CapExceededError, InconsistencyError, LanguageError, UnsupportedFragmentError
 from .semantics import (
     DEFAULT_BOUND,
     MAX_SIZE,
@@ -39,9 +33,9 @@ from .semantics import (
     _space,
     assignment_model,
     assignment_set,
-    bounded_consequence,
     enumerate_models,
     eval_formula,
+    first_countermodel,
     model_lanes,
     sat_assignments,
     sat_rows,
@@ -55,10 +49,10 @@ from .syntax import (
     dnf_of_assignments,
     eq,
     exists,
-    make_psi_n,
+    forall,
+    free_variables,
+    iff,
     not_,
-    print_formula,
-    subformulas,
 )
 from .translation import Translation, apply_translation
 
@@ -325,30 +319,6 @@ class CheckReport(NamedTuple):
     note: str = ""
 
 
-def formula_battery(theory: Theory, bound: int) -> list[Formula]:
-    """Axioms, their subformulas, all canonical atoms, and the size
-    formulas psi(1..bound) the variable bound admits."""
-    out: list[Formula] = []
-    seen: set[int] = set()
-
-    def push(f: Formula) -> None:
-        if f.uid not in seen:
-            seen.add(f.uid)
-            out.append(f)
-
-    for ax in theory.axioms:
-        push(ax)
-    for ax in theory.axioms:
-        for sub in subformulas(ax):
-            push(sub)
-    for sym, rank in theory.lang.symbols:
-        push(atom(sym, tuple(range(rank))))
-    for size in range(1, bound + 1):
-        if theory.lang.var_bound >= size + 1:
-            push(make_psi_n(size, theory.lang))
-    return out
-
-
 def _sentential_pullback(tr: Translation, sat: int) -> dict[int, int]:
     """Each row of a target Sat mask to the source row it induces through tr."""
     return _sat_pullback(tr.target, [tr.image(c) for c in tr.source.constants], sat)
@@ -373,8 +343,9 @@ def check_interpretation(
     """Does tr map theorems of t1 to theorems of t2, and does it reflect
     them back? Sentential case exact; otherwise checked on the structures
     tr*(M) that tr's images define in the models M of t2 up to the bound
-    (M satisfies tr(phi) iff tr*(M) satisfies phi), with a failing axiom
-    or a model of t1 that no tr*(M) matches as witness."""
+    (M satisfies tr(phi) iff tr*(M) satisfies phi). The witness is a
+    valid formula whose translation fails where an image defines no
+    relation, a failing axiom, or a model of t1 that no tr*(M) matches."""
     if not (tr.source.same_formulas(t1.lang) and tr.target.same_formulas(t2.lang)):
         raise LanguageError("translation endpoints do not match the theories")
     if t1.lang.is_sentential and t2.lang.is_sentential:
@@ -403,23 +374,48 @@ def check_interpretation(
     return _first_order_interpretation(tr, t1, t2, bound, {}, True)
 
 
+def _cylinder_laws(tr: Translation) -> list[tuple[str, int, Formula, Formula]]:
+    """(R, j, phi_R,j, its translation) for each source symbol R of rank r
+    and each v_j free in its image psi_R with j >= r. phi_R,j :=
+    (forall v_j R(v0..v_{r-1})) iff R(v0..v_{r-1}) is valid, as v_j is not
+    free in the atom. `apply_translation` maps the canonical atom to psi_R
+    verbatim, so the translation is (forall v_j psi_R) iff psi_R, built
+    here directly. It fails exactly in the models where psi_R varies along
+    v_j, that is, where psi_R defines no relation."""
+    laws = []
+    for sym, rank in tr.source.symbols:
+        own, image = atom(sym, tuple(range(rank))), tr.image(sym)
+        laws += [(sym, j, iff(forall(j, own), own), iff(forall(j, image), image))
+                 for j in sorted(free_variables(image)) if j >= rank]
+    return laws
+
+
 def _first_order_interpretation(
     tr: Translation, t1: Theory, t2: Theory, bound: int, free: dict, reflect: bool
 ) -> CheckReport:
-    """Forward: every tr*(M) satisfies t1's axioms, so it satisfies every
-    phi that t1 proves up to the bound; the first failing axiom refutes
-    exactly. Reflect (skipped when not asked): the tr*(M) must cover t1's
-    models by `_reflect`, the rule a concept-add is checked by."""
-    sizes = []
+    """Each image must define a relation in every model M of t2 up to the
+    bound: the first translated `_cylinder_laws` formula that fails in an
+    M refutes exactly. Forward: every tr*(M) satisfies t1's axioms, so it
+    satisfies every phi that t1 proves up to the bound; the first failing
+    axiom refutes exactly. Reflect (skipped when not asked): the tr*(M)
+    must cover t1's models by `_reflect`, the rule a concept-add is
+    checked by."""
+    laws, sizes = _cylinder_laws(tr), []
     for k in range(1, bound + 1):
+        for sym, j, phi, psi in laws:
+            model = first_countermodel(t2, k, (psi,))
+            if model is not None:
+                if all(_extension(model, apply_translation(tr, phi))):
+                    raise AssertionError(f"the translation of {phi!r} holds in its countermodel")
+                return CheckReport("refuted", True, bound, phi, model,
+                                   note=f"theoremhood not preserved: the image of {sym} "
+                                   f"varies along v{j}")
         models, bits = model_lanes(t2, k)
         full = (1 << len(models)) - 1
         target = _space(tr.target.symbols, k)
         ind = _induced(tr.source.symbols, dict(tr.basic), target, bits, full, free)
-        if isinstance(ind, str):
-            return _battery_interpretation(tr, t1, t2, bound, ind)
         sizes.append((models, ind, _Tables(_space(t1.lang.symbols, k), ind, full, free)))
-    for phi in t1.axioms:  # the head of the battery, each a theorem of t1
+    for phi in t1.axioms:
         for k, (models, ind, tab) in enumerate(sizes, 1):
             bad = tab.full ^ _holds(tab, (phi,))
             if bad:
@@ -443,95 +439,34 @@ def _first_order_interpretation(
     )
 
 
-def _battery_interpretation(
-    tr: Translation, t1: Theory, t2: Theory, bound: int, sym: str
-) -> CheckReport:
-    """check_interpretation formula by formula over the battery, for a
-    translation whose image of `sym` defines no relation: each formula is
-    translated and both sides checked. A formula whose translation runs
-    out of variables leaves the check undecided unless another refutes."""
-    forward_witness = reflect_witness = None
-    untranslated = []
-    for phi in formula_battery(t1, bound):
-        try:
-            psi = apply_translation(tr, phi)
-        except VariableBudgetError:
-            untranslated.append(phi)
-            continue
-        r1 = bounded_consequence(t1, phi, bound)
-        r2 = bounded_consequence(t2, psi, bound)
-        if r1.holds and not r2.holds and forward_witness is None:
-            exact = phi in t1.axioms or r1.exact
-            forward_witness = (phi, r2.countermodel, exact)
-        if r2.holds and not r1.holds and reflect_witness is None:
-            reflect_witness = (phi, r1.countermodel)
-    if forward_witness is not None:
-        phi, cm, exact = forward_witness
-        # a non-axiom held in t1's models only up to the bound: t1 may
-        # still fail to prove it, so the refutation is bounded
-        return CheckReport(
-            "refuted", exact, bound, phi, cm,
-            note="theoremhood not preserved" if exact else
-            f"theoremhood not preserved, bounded: {t1.name} proves the formula "
-            f"only up to size {bound}",
-        )
-    if untranslated:
-        return CheckReport(
-            "undecided", False, bound, untranslated[0],
-            note=f"{print_formula(untranslated[0])} has no translation within "
-            f"{tr.target.var_bound} variables, and the image of {sym} varies along "
-            "a variable past its rank",
-        )
-    if reflect_witness is not None:
-        phi, cm = reflect_witness
-        return CheckReport(
-            "interpretation", False, bound, phi, cm,
-            note="theoremhood preserved but not reflected on the battery",
-        )
-    return CheckReport("faithful", False, bound)
-
-
 def _round_trip(
     theory: Theory, outer: Translation, inner: Translation, bound: int, free: dict
 ) -> CheckReport | None:
     """Does inner*(outer*(M)) = M for every model M of the theory up to
-    the bound? Then the round trip of every formula holds, not only the
-    battery's. Otherwise the first battery formula whose extensions
-    differ refutes, at the least size where they do; an image that is no
-    cylinder leaves the sizes from there undecided."""
-    sizes, stopped = [], None  # per size where some M moves: k, models, lanes and tables
+    the bound? Then the round trip of every formula holds. Otherwise the
+    first canonical atom whose extension moves refutes, at the least size
+    where one does. Both translations have passed their forward checks,
+    so outer*(M) is a model of outer's source theory and every image
+    defines a relation."""
     for k in range(1, bound + 1):
         models, bits = model_lanes(theory, k)
         full = (1 << len(models)) - 1
         space = _space(theory.lang.symbols, k)
         there = _induced(outer.source.symbols, dict(outer.basic), space, bits, full, free)
-        back = there if isinstance(there, str) else _induced(
-            inner.source.symbols, dict(inner.basic), _space(inner.target.symbols, k),
-            there, full, free)
-        if isinstance(back, str):
-            stopped = CheckReport(
-                "undecided", False, k,
-                note=f"round trip over {theory.name} undecided: the image of {back} "
-                f"varies along a variable past its rank in a size-{k} model",
-            )
-            break
+        back = _induced(inner.source.symbols, dict(inner.basic), _space(inner.target.symbols, k),
+                        there, full, free)
         if back != bits:
-            sizes.append((k, models, back, [_Tables(space, x, full, free) for x in (bits, back)]))
-    if not sizes:
-        return stopped
-    for phi in formula_battery(theory, bound):
-        for k, models, back, (here, trip) in sizes:
-            differ = 0
-            for x, y in zip(here.table(phi), trip.table(phi)):
-                differ |= x ^ y
-            if differ:
-                i = (differ & -differ).bit_length() - 1
-                moved = FiniteModel._of_code(theory.lang, k, _lane_codes(back, i + 1)[i])
-                if _extension(models[i], phi) == _extension(moved, phi):
-                    raise AssertionError(f"{phi!r} survives the round trip")
-                return CheckReport("refuted", True, k, phi, models[i],
-                                   note=f"round trip fails over {theory.name}")
-    raise AssertionError("the structures differ, yet no canonical atom does")
+            bit = next(j for j, (x, y) in enumerate(zip(bits, back)) if x != y)
+            sym, rank = next((s, r) for s, (r, off) in space.blocks.items() if bit < off + k**r)
+            differ = bits[bit] ^ back[bit]
+            i = (differ & -differ).bit_length() - 1
+            phi = atom(sym, tuple(range(rank)))
+            moved = FiniteModel._of_code(theory.lang, k, _lane_codes(back, i + 1)[i])
+            if _extension(models[i], phi) == _extension(moved, phi):
+                raise AssertionError(f"{phi!r} survives the round trip")
+            return CheckReport("refuted", True, k, phi, models[i],
+                               note=f"round trip fails over {theory.name}")
+    return None
 
 
 def check_defeq(
@@ -544,7 +479,8 @@ def check_defeq(
     """Verify a definitional-equivalence witness pair: both directions are
     interpretations and both round trips are provable biconditionals.
     First-order round trips compare each model with its image through
-    both translations' induced structures."""
+    both translations' induced structures, once both directions are
+    known to be interpretations."""
     if not (tr12.source.same_formulas(t1.lang) and tr12.target.same_formulas(t2.lang)):
         raise LanguageError("tr12 endpoints do not match the theories")
     if not (tr21.source.same_formulas(t2.lang) and tr21.target.same_formulas(t1.lang)):
@@ -576,19 +512,15 @@ def check_defeq(
         return CheckReport("defeq", True, None)
 
     free: dict = {}  # one free-variable memo for every table of the check
-    undecided = None
-    for theory, outer, inner in ((t1, tr21, tr12), (t2, tr12, tr21)):
-        rep = _round_trip(theory, outer, inner, bound, free)
-        if rep is not None and rep.verdict == "refuted":
-            return rep
-        undecided = undecided or rep
     for tr, a, b, label in ((tr12, t1, t2, "tr12"), (tr21, t2, t1, "tr21")):
         rep = _first_order_interpretation(tr, a, b, bound, free, False)
         if rep.verdict == "refuted":
             return rep._replace(note=f"{label} is not an interpretation: {rep.note}")
-        if rep.verdict == "undecided" and undecided is None:
-            undecided = rep._replace(note=f"{label}: {rep.note}")
-    return undecided or CheckReport("defeq", False, bound)
+    for theory, outer, inner in ((t1, tr21, tr12), (t2, tr12, tr21)):
+        rep = _round_trip(theory, outer, inner, bound, free)
+        if rep is not None:
+            return rep
+    return CheckReport("defeq", False, bound)
 
 
 def sentential_defeq_witness(t1: Theory, t2: Theory) -> tuple[Translation, Translation] | None:

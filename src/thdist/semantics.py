@@ -605,20 +605,18 @@ def _holds(tables: _Tables, formulas: Sequence[Formula]) -> int:
 def _induced(
     symbols: Sequence[tuple[str, int]], images: Mapping[str, Formula],
     space: _Space, bits: Sequence[int], full: int, free: dict,
-) -> list[int] | str:
+) -> list[int]:
     """The lanes of the structures that the images define in the lanes of
     `bits`, structures of the space: each symbol's image tabled over
-    v0..v_{rank-1}, in block order. With canonical atoms as images these
-    are reducts. An image whose table varies along a free variable past
-    the rank in some lane defines no relation; its symbol is returned."""
+    v0..v_{rank-1}, in block order, with its free variables past the rank
+    at 0. With canonical atoms as images these are reducts. An image
+    defines a relation only where it does not vary along those variables,
+    which callers make sure of first (`concepts._cylinder_laws`)."""
     tables, out = _Tables(space, bits, full, free), []
     for sym, rank in symbols:
         image = images[sym]
         vs = tuple(sorted({*range(rank), *tables.fv(image)}))
-        table, step = tables.lift(image, vs), space.k ** (len(vs) - rank)  # extras vary fastest
-        if any(table[j::step] != table[::step] for j in range(1, step)):
-            return sym
-        out += table[::step]
+        out += tables.lift(image, vs)[:: space.k ** (len(vs) - rank)]  # extras vary fastest
     return out
 
 

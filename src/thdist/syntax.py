@@ -264,6 +264,24 @@ def _walk(f: Formula, seen: dict[int, Formula]) -> None:
     seen[f.uid] = f
 
 
+def free_variables(phi: Formula) -> frozenset[int]:
+    """The indices of the variables free in phi."""
+    free: dict[int, frozenset[int]] = {}
+    for f in subformulas(phi):  # children before parents
+        if isinstance(f, Eq):
+            vs = frozenset((f.i, f.j))
+        elif isinstance(f, Atom):
+            vs = frozenset(f.args)
+        elif isinstance(f, And):
+            vs = free[f.lhs.uid] | free[f.rhs.uid]
+        elif isinstance(f, Not):
+            vs = free[f.sub.uid]
+        else:
+            vs = free[f.sub.uid] - {f.var}
+        free[f.uid] = vs
+    return free[phi.uid]
+
+
 def validate_formula(phi: Formula, lang: Language) -> None:
     """Check symbols, arities and variable indices against `lang`."""
     ranks = dict(lang.symbols)

@@ -24,6 +24,7 @@ from .syntax import (
     atom,
     eq,
     exists,
+    free_variables,
     not_,
     or_,
     validate_formula,
@@ -44,7 +45,9 @@ class Translation(NamedTuple):
         """Build a translation; unlisted symbols map to themselves.
 
         Identity images require the target to carry the same symbol at the
-        same rank. The basic map must end up total on source symbols.
+        same rank. The basic map must end up total on source symbols. An
+        image may be free only in variables of the source, so that the
+        source can say that one past its symbol's rank does not matter.
         """
         given = dict(basic or {})
         images: dict[str, Formula] = {}
@@ -61,6 +64,12 @@ class Translation(NamedTuple):
             raise LanguageError(f"images for symbols not in {source.name}: {sorted(given)}")
         for sym, image in images.items():
             validate_formula(image, target)
+            past = [j for j in free_variables(image) if j >= source.var_bound]
+            if past:
+                raise LanguageError(
+                    f"image of {sym} is free in v{min(past)}, past the varBound "
+                    f"{source.var_bound} of {source.name}"
+                )
         return Translation(source, target, tuple(sorted(images.items())))
 
     def image(self, sym: str) -> Formula:

@@ -89,6 +89,34 @@ def test_check_certificate_bound_below_one_exit_code(tmp_path, capsys, bound):
     assert json.loads(err)["error"] == f"a certificate bound is at least 1, got {bound} (at 4:62)"
 
 
+PARAM_IMAGE_CAT = (
+    "(language LP (P 1) :vars 2)\n"
+    "(language LR (R 2) :vars 3)\n"
+    "(theory FreeP :over LP)\n"
+    "(theory FreeR :over LR)\n"
+    '(certificate :name param-image :kind faithful :from FreeP :to FreeR :tr ((P "(R v0 v1)")))\n'
+)
+
+
+def test_check_refutes_an_image_that_defines_no_relation(tmp_path, capsys):
+    # (iff (forall v1 (P v0)) (P v0)) is valid; its translation fails in R = {(0, 0)}
+    path = tmp_path / "param.cat"
+    path.write_text(PARAM_IMAGE_CAT)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert json.loads(out)["certificates"][0]["status"] == {
+        "bound": 4,
+        "note": "theoremhood not preserved: the image of P varies along v1",
+        "state": "refuted",
+        "witness": 'FiniteModel(LR, {"interp": {"R": [[0, 0]]}, "size": 2})',
+    }
+    # an image free past the source's two variables is an input error
+    path.write_text(PARAM_IMAGE_CAT.replace('"(R v0 v1)"', '"(R v0 v2)"'))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("image of P is free in v2")
+
+
 def test_models_and_spectrum_builtin(capsys):
     code, out, _ = run(capsys, "models", "TStar1", "--size", "1")
     assert code == 0

@@ -6,7 +6,7 @@ import json
 import operator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thdist import concepts
 from thdist.catalog import loads_catalog, shipped_catalog_text
@@ -22,7 +22,6 @@ from thdist.concepts import (
     cz_lower_bound,
     cz_of_model,
     cz_sentential,
-    formula_battery,
     sentential_defeq_witness,
 )
 from thdist.errors import (
@@ -38,11 +37,12 @@ from thdist.semantics import (
     _induced,
     _space,
     assignment_set,
+    bounded_consequence,
     enumerate_models,
     eval_formula,
     model_lang_from_json,
 )
-from thdist.syntax import Language, and_, atom, eq, exists, not_, print_formula
+from thdist.syntax import Language, and_, atom, eq, exists, forall, iff, not_
 from thdist.translation import Translation, apply_translation, identity_translation
 
 from cylindrification import cylindrify
@@ -449,18 +449,6 @@ def test_faithful_implies_cz_monotone():
     assert cz_sentential(small).value <= cz_sentential(big).value
 
 
-def test_battery_contents():
-    t = Theory.make("posets", Language.make("B", {"R": 2}, 3), [
-        "(forall v0 (R v0 v0))",
-    ])
-    battery = formula_battery(t, 3)
-    assert t.axioms[0] in battery
-    assert atom("R", (0, 1)) in battery
-    # psi(1) and psi(2) fit inside three variables, psi(3) does not
-    names = [f for f in battery]
-    assert len(names) == len(set(f.uid for f in names))
-
-
 def _induced_by_eval(tr: Translation, model: FiniteModel) -> FiniteModel:
     """tr*(M) clause by clause: each source symbol gets the extension of
     its image in M, whose free variables lie within the symbol's rank."""
@@ -510,24 +498,29 @@ def test_wrong_strict_defeq_pair_is_refuted_with_a_rechecked_witness():
     assert not all(eval_formula(induced, a, rep.witness_formula) for a in every)
 
 
-def test_check_interpretation_undecided_where_an_image_is_no_cylinder():
+def test_check_interpretation_refutes_where_an_image_is_no_cylinder():
     # P's image has a free v1 and varies along it on reflexive relations of
-    # size 2, so the battery decides; the axiom's atom (P v1) has no
-    # substitution chain within two variables, and nothing else refutes
+    # size 2, so the valid (forall v1 (P v0)) iff (P v0) has a translation
+    # that fails there
     lp = Language.make("LP", {"P": 1}, 2)
     t1 = Theory.make("taut", lp, ["(or (P v1) (not (P v1)))"])
     t2 = Theory.make("refl", LT2, ["(R v0 v0)"])
     tr = Translation.make(lp, LT2, {"P": atom("R", (0, 1))})
     rep = check_interpretation(tr, t1, t2, 2)
-    assert (rep.verdict, rep.exact, rep.bound) == ("undecided", False, 2)
-    assert rep.witness_formula == t1.axioms[0]
-    assert rep.note == (
-        f"{print_formula(t1.axioms[0])} has no translation within 2 variables, "
-        "and the image of P varies along a variable past its rank"
-    )
+    assert (rep.verdict, rep.exact, rep.bound) == ("refuted", True, 2)
+    phi = iff(forall(1, atom("P", (0,))), atom("P", (0,)))
+    assert rep.witness_formula == phi
+    assert rep.note == "theoremhood not preserved: the image of P varies along v1"
+    assert rep.witness_model == FiniteModel(LT2, 2, {"R": {(0, 0), (1, 1)}})
+    every = list(itertools.product(range(2), repeat=2))
+    assert all(eval_formula(rep.witness_model, a, t2.axioms[0]) for a in every)
+    for code in range(4):  # phi holds in every size-2 LP-structure
+        assert all(eval_formula(FiniteModel._of_code(lp, 2, code), a, phi) for a in every)
+    psi = apply_translation(tr, phi)
+    assert not all(eval_formula(rep.witness_model, a, psi) for a in every)
     cert = EdgeCertificate("faithful", "taut", "refl", tr=tr)
     status = verify_certificate(cert, {"taut": t1, "refl": t2}, 2)
-    assert (status.state, status.bound) == ("undecided", 2)
+    assert (status.state, status.bound) == ("refuted", 2)
 
 
 _SIGNATURES = ({"R": 2}, {"P": 1, "Q": 1})
@@ -588,3 +581,40 @@ def test_reduction_theorem_on_induced_structures(case):
     pad = (0,) * (model.lang.var_bound - 3)
     for a in itertools.product(range(model.size), repeat=3):
         assert eval_formula(induced, a, phi) == eval_formula(model, a + pad, psi)
+
+
+# {P/1} into {R/2}: four target variables leave room for every substitution
+# chain of a formula over v0..v2
+LP3 = Language.make("LP3", {"P": 1}, 3)
+LR4 = Language.make("LR4", {"R": 2}, 4)
+_SOURCES = (Theory.make("free-p", LP3, []), Theory.make("some-p", LP3, ["(exists v0 (P v0))"]))
+_TARGETS = (
+    Theory.make("free-r", LR4, []),
+    Theory.make("refl-r", LR4, ["(forall v0 (R v0 v0))"]),
+    Theory.make("sym-r", LR4, ["(forall v0 (forall v1 (implies (R v0 v1) (R v1 v0))))"]),
+)
+_INTERPRETATION_CASES = st.tuples(
+    _formulas(LR4, 2, range(3)).map(lambda image: Translation.make(LP3, LR4, {"P": image})),
+    st.sampled_from(_SOURCES),
+    st.sampled_from(_TARGETS),
+    st.lists(_formulas(LP3, 3, range(3)), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_INTERPRETATION_CASES)
+@example((  # P's image varies along v1, which the valid formula quantifies
+    Translation.make(LP3, LR4, {"P": atom("R", (0, 1))}), _SOURCES[0], _TARGETS[0],
+    [iff(forall(1, atom("P", (0,))), atom("P", (0,)))],
+))
+def test_interpretation_verdicts_against_bounded_consequence(case):
+    # an interpretation preserves what t1 proves up to K = 3, and a faithful
+    # one also reflects what t2 proves of the translation
+    tr, t1, t2, formulas = case
+    verdict = check_interpretation(tr, t1, t2, 3).verdict
+    if verdict not in ("faithful", "interpretation"):
+        return
+    for phi in formulas:
+        source = bounded_consequence(t1, phi, 3).holds
+        target = bounded_consequence(t2, apply_translation(tr, phi), 3).holds
+        assert target if source else not (verdict == "faithful" and target)

@@ -9,10 +9,12 @@ interpretations of the two original relations.
 
 from __future__ import annotations
 
+import itertools
+
 import thdist.concepts as concepts
 from thdist.concepts import check_defeq, check_interpretation
-from thdist.semantics import Theory, spectrum
-from thdist.syntax import Language, atom
+from thdist.semantics import FiniteModel, Theory, eval_formula, spectrum
+from thdist.syntax import Language, atom, forall, iff
 from thdist.translation import apply_translation, make_pairing
 
 RS6 = Language.make("RS6", {"R": 1, "S": 1}, 6)
@@ -81,38 +83,51 @@ def test_pairing_checks_over_t_b_take_the_induced_path(monkeypatch):
     assert made == []
 
 
-def test_pairing_recovery_over_free_b_structures_takes_the_battery(monkeypatch):
-    # without its axioms a B-structure's diagonal slice varies along v1,
-    # so the recovery images define no R and S and the battery decides
+def _no_relation(sym: str):
+    """phi_sym,1, the valid formula whose translation fails where the
+    recovery image of sym varies along v1."""
+    own = atom(sym, (0,))
+    return iff(forall(1, own), own)
+
+
+def test_pairing_recovery_over_free_b_structures_is_refuted(monkeypatch):
+    # without its axioms a B-structure's diagonal slice varies along v1, so
+    # the recovery image of R defines no relation in B = {(0, 0, 0)}
     made = _translations_made(monkeypatch)
     any_b = Theory.make("b-any", PAIRING.b_language, [])
     free_rs = Theory.make("rs-free", RS6, [])
     rep = check_interpretation(PAIRING.tr_to_b, free_rs, any_b, bound=2)
-    assert rep.verdict == "faithful" and not rep.exact and made
-    # the round trip over any_b is undecided, the one over free_rs fails
+    first = FiniteModel(PAIRING.b_language, 2, {"B": {(0, 0, 0)}})
+    assert (rep.verdict, rep.exact, rep.bound) == ("refuted", True, 2)
+    assert (rep.witness_formula, rep.witness_model) == (_no_relation("R"), first)
+    assert rep.note == "theoremhood not preserved: the image of R varies along v1"
+    assert made == [_no_relation("R")]  # only to re-check the witness
+    every = list(itertools.product(range(2), repeat=6))
+    assert not all(eval_formula(first, a, apply_translation(PAIRING.tr_to_b, _no_relation("R")))
+                   for a in every)
+    # tr_from_b is an interpretation of b-any in rs-free, tr_to_b is not
     report = check_defeq(PAIRING.tr_from_b, PAIRING.tr_to_b, any_b, free_rs, bound=2)
-    assert report.verdict == "refuted" and report.witness_model.size == 1
+    assert (report.verdict, report.witness_model) == ("refuted", first)
+    assert report.note.startswith("tr21 is not an interpretation")
 
 
-def test_battery_refutes_an_axiom_whose_translation_fails(monkeypatch):
-    # over free B-structures R's image is no cylinder; the first B-structure
-    # with an empty diagonal slice breaks the axiom's translation
-    made = _translations_made(monkeypatch)
+def test_a_recovery_image_that_defines_no_relation_refutes_before_the_axioms():
+    # the size-1 B-structure with an empty diagonal slice breaks the axiom's
+    # translation, but the size-2 one where R's image varies refutes first
     all_r = Theory.make("all-r", RS6, ["(forall v0 (R v0))"])
     any_b = Theory.make("b-any", PAIRING.b_language, [])
     rep = check_interpretation(PAIRING.tr_to_b, all_r, any_b, bound=2)
     assert (rep.verdict, rep.exact, rep.bound) == ("refuted", True, 2)
-    assert rep.witness_formula == all_r.axioms[0]
-    assert rep.note == "theoremhood not preserved" and made
+    assert rep.witness_formula == _no_relation("R") and rep.witness_model.size == 2
 
 
-def test_battery_finds_a_formula_that_is_not_reflected(monkeypatch):
-    # a full diagonal slice makes R's image true everywhere, S's image is
-    # no cylinder, and the battery's canonical atom (R v0) is not reflected
-    made = _translations_made(monkeypatch)
+def test_pairing_recovery_with_a_full_diagonal_slice_is_refuted():
+    # a full diagonal slice makes R's image true everywhere, but S's image
+    # varies along v1, so the check refutes instead of reporting a theorem
+    # that is not reflected
     free_rs = Theory.make("rs-free", RS6, [])
     diag = Theory.make("b-diag", PAIRING.b_language, ["(forall v0 (forall v1 (B v0 v1 v1)))"])
     rep = check_interpretation(PAIRING.tr_to_b, free_rs, diag, bound=2)
-    assert (rep.verdict, rep.exact, rep.bound) == ("interpretation", False, 2)
-    assert rep.witness_formula == atom("R", (0,))
-    assert rep.note == "theoremhood preserved but not reflected on the battery" and made
+    assert (rep.verdict, rep.exact, rep.bound) == ("refuted", True, 2)
+    assert rep.witness_formula == _no_relation("S")
+    assert rep.note == "theoremhood not preserved: the image of S varies along v1"

@@ -37,6 +37,15 @@ def test_translation_must_be_total():
     assert tr.image("Q") is atom("Q")
 
 
+def test_an_image_free_past_the_source_variables_is_refused():
+    # no formula over v0, v1 can say that P's image ignores v2
+    lp, lr = Language.make("LP", {"P": 1}, 2), Language.make("LR", {"R": 2}, 3)
+    with pytest.raises(LanguageError, match="image of P is free in v2"):
+        Translation.make(lp, lr, {"P": atom("R", (0, 2))})
+    Translation.make(lp, lr, {"P": atom("R", (0, 1))})
+    Translation.make(lp, lr, {"P": exists(2, atom("R", (0, 2)))})
+
+
 def test_sentential_homomorphism_example():
     tr = Translation.make(PQ, QL, {"P": not_(atom("Q")), "Q": atom("Q")})
     f = and_(atom("P"), atom("P"))
