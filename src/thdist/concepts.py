@@ -26,7 +26,7 @@ from .semantics import (
     _fibres,
     _holds,
     _induced,
-    _lane_codes,
+    _lane_code,
     _reflect,
     _sat_pullback,
     _set_bits,
@@ -296,9 +296,7 @@ def cz_lower_bound(theory: Theory, bound: int = DEFAULT_BOUND) -> CzValue:
     2^types over the models of size <= bound. Every element of their
     closure is the meaning of an L^n formula, and formulas whose meanings
     differ on some model are inequivalent."""
-    models = [
-        m for k in range(1, bound + 1) for m in enumerate_models(theory, k)
-    ]
+    models = [m for k in range(1, bound + 1) for m in enumerate_models(theory, k)]
     if not models:
         return CzValue(1, "enumeration-lower-bound", True, detail=f"no models of size <= {bound}")
     return CzValue(
@@ -335,10 +333,7 @@ def _extension(model: FiniteModel, phi: Formula) -> list[bool]:
 
 
 def check_interpretation(
-    tr: Translation,
-    t1: Theory,
-    t2: Theory,
-    bound: int = DEFAULT_BOUND,
+    tr: Translation, t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND
 ) -> CheckReport:
     """Does tr map theorems of t1 to theorems of t2, and does it reflect
     them back? Sentential case exact; otherwise checked on the structures
@@ -410,24 +405,24 @@ def _first_order_interpretation(
                 return CheckReport("refuted", True, bound, phi, model,
                                    note=f"theoremhood not preserved: the image of {sym} "
                                    f"varies along v{j}")
-        models, bits = model_lanes(t2, k)
-        full = (1 << len(models)) - 1
+        codes, bits = model_lanes(t2, k)
+        full = (1 << len(codes)) - 1
         target = _space(tr.target.symbols, k)
         ind = _induced(tr.source.symbols, dict(tr.basic), target, bits, full, free)
-        sizes.append((models, ind, _Tables(_space(t1.lang.symbols, k), ind, full, free)))
+        sizes.append((codes, ind, _Tables(_space(t1.lang.symbols, k), ind, full, free)))
     for phi in t1.axioms:
-        for k, (models, ind, tab) in enumerate(sizes, 1):
+        for k, (codes, ind, tab) in enumerate(sizes, 1):
             bad = tab.full ^ _holds(tab, (phi,))
             if bad:
                 i = (bad & -bad).bit_length() - 1
-                induced = FiniteModel._of_code(t1.lang, k, _lane_codes(ind, i + 1)[i])
-                if all(_extension(induced, phi)):
+                if all(_extension(FiniteModel._of_code(t1.lang, k, _lane_code(ind, i)), phi)):
                     raise AssertionError(f"{phi!r} holds in the induced structure")
-                return CheckReport("refuted", True, bound, phi, models[i],
+                model = FiniteModel._of_code(t2.lang, k, codes[i])
+                return CheckReport("refuted", True, bound, phi, model,
                                    note="theoremhood not preserved")
     if not reflect:
         return CheckReport("interpretation", False, bound)
-    found = _reflect(t1, ((ind, len(models)) for models, ind, _ in sizes))
+    found = _reflect(t1, ((ind, len(codes)) for codes, ind, _ in sizes))
     if found is None:
         return CheckReport("faithful", False, bound)
     k, model, witness, decisive = found
@@ -449,8 +444,8 @@ def _round_trip(
     so outer*(M) is a model of outer's source theory and every image
     defines a relation."""
     for k in range(1, bound + 1):
-        models, bits = model_lanes(theory, k)
-        full = (1 << len(models)) - 1
+        codes, bits = model_lanes(theory, k)
+        full = (1 << len(codes)) - 1
         space = _space(theory.lang.symbols, k)
         there = _induced(outer.source.symbols, dict(outer.basic), space, bits, full, free)
         back = _induced(inner.source.symbols, dict(inner.basic), _space(inner.target.symbols, k),
@@ -461,20 +456,17 @@ def _round_trip(
             differ = bits[bit] ^ back[bit]
             i = (differ & -differ).bit_length() - 1
             phi = atom(sym, tuple(range(rank)))
-            moved = FiniteModel._of_code(theory.lang, k, _lane_codes(back, i + 1)[i])
-            if _extension(models[i], phi) == _extension(moved, phi):
+            model = FiniteModel._of_code(theory.lang, k, codes[i])
+            moved = FiniteModel._of_code(theory.lang, k, _lane_code(back, i))
+            if _extension(model, phi) == _extension(moved, phi):
                 raise AssertionError(f"{phi!r} survives the round trip")
-            return CheckReport("refuted", True, k, phi, models[i],
+            return CheckReport("refuted", True, k, phi, model,
                                note=f"round trip fails over {theory.name}")
     return None
 
 
 def check_defeq(
-    tr12: Translation,
-    tr21: Translation,
-    t1: Theory,
-    t2: Theory,
-    bound: int = DEFAULT_BOUND,
+    tr12: Translation, tr21: Translation, t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND
 ) -> CheckReport:
     """Verify a definitional-equivalence witness pair: both directions are
     interpretations and both round trips are provable biconditionals.

@@ -5,7 +5,7 @@ Evaluation comes in two forms. `eval_formula` implements the satisfaction
 clauses one assignment at a time; it is the reference. `_Tables` evaluates
 sideways, one bit (lane) per packed structure, each subformula a table of
 lane masks over its free variables: enumeration sweeps blocks of codes with
-it and bounded checks a theory's model list. `assignment_set` and `is_true`
+it and bounded checks a theory's code list. `assignment_set` and `is_true`
 are its one-lane case; `assignment_set` packs the table into an integer
 bitmask over the k^n assignments in lexicographic order, the layout
 concept closures run on. The test suite checks both forms agree.
@@ -270,9 +270,7 @@ class Theory:
         return f"Theory({self.name!r}, {len(self.axioms)} axioms over {self.lang.name})"
 
 
-def theory_from_sat(
-    name: str, lang: Language, sat: Iterable[Sequence[bool]]
-) -> Theory:
+def theory_from_sat(name: str, lang: Language, sat: Iterable[Sequence[bool]]) -> Theory:
     """Sentential theory axiomatized by the canonical DNF of a Sat-set."""
     if not lang.is_sentential:
         raise UnsupportedFragmentError("theory_from_sat needs a sentential language")
@@ -696,10 +694,9 @@ def feasible_bound(bound: int, theories: Sequence[Theory]) -> int:
     return k
 
 
-def enumerate_models(theory: Theory, k: int) -> list[FiniteModel]:
-    """Canonical representatives of the size-k models of the theory:
-    first-order lists ascend by canonical code, sentential lists follow
-    the Sat mask's rows (the same codes at every k)."""
+def _entry(theory: Theory, k: int) -> list:
+    """The theory's size-k memo entry, [codes, lane masks or None, {lang:
+    models}], its codes read from the disk cache or swept; builds no model."""
     if k < 1:
         raise CapExceededError("model size must be >= 1")
     if k > MAX_SIZE:
@@ -718,21 +715,28 @@ def enumerate_models(theory: Theory, k: int) -> list[FiniteModel]:
                 if _store is not None:
                     _store.put(theory.key, k, {"count": len(codes), "codes": codes})
         entry = _model_memo[theory.key, k] = [codes, None, {}]
+    return entry
+
+
+def enumerate_models(theory: Theory, k: int) -> list[FiniteModel]:
+    """Canonical representatives of the size-k models of the theory:
+    first-order lists ascend by canonical code, sentential lists follow
+    the Sat mask's rows (the same codes at every k)."""
+    lang, entry = theory.lang, _entry(theory, k)
     models = entry[2].get(lang)
     if models is None:  # variants share the codes; each language labels them once
         models = entry[2][lang] = [FiniteModel._of_code(lang, k, c) for c in entry[0]]
     return models
 
 
-def model_lanes(theory: Theory, k: int) -> tuple[list[FiniteModel], list[int]]:
-    """The theory's size-k models (`enumerate_models`) and their lane
-    masks, one per code bit: bit i of mask j is bit j of the i-th model's
-    code. Built once per model list, beside its codes."""
-    models = enumerate_models(theory, k)
-    entry = _model_memo[theory.key, k]
+def model_lanes(theory: Theory, k: int) -> tuple[list[int], list[int]]:
+    """The theory's size-k codes (`enumerate_models` order) and their lane
+    masks, one per code bit: bit i of mask j is bit j of the i-th code.
+    Built once per code list, beside it."""
+    entry = _entry(theory, k)
     if entry[1] is None:
         entry[1] = _lanes(entry[0], _space(theory.lang.symbols, k).width)
-    return models, entry[1]
+    return entry[0], entry[1]
 
 
 def _lanes(codes: Sequence[int], width: int) -> list[int]:
@@ -753,16 +757,20 @@ def _lane_codes(bits: Sequence[int], lanes: int) -> list[int]:
     return [int("".join(row), 2) for row in rows][::-1]
 
 
-def first_countermodel(
-    theory: Theory, k: int, formulas: Sequence[Formula]
-) -> FiniteModel | None:
+def _lane_code(bits: Sequence[int], i: int) -> int:
+    """The code in lane i of the masks: bit j is bit i of mask j."""
+    return sum((b >> i & 1) << j for j, b in enumerate(bits))
+
+
+def first_countermodel(theory: Theory, k: int, formulas: Sequence[Formula]) -> FiniteModel | None:
     """The first of the theory's size-k models (in `enumerate_models`
-    order) in which some formula is not true, or None. One `_holds` pass
-    over `model_lanes` checks them all."""
-    models, bits = model_lanes(theory, k)
-    full = (1 << len(models)) - 1
+    order) in which some formula is not true, built from its code, or
+    None. One `_holds` pass over `model_lanes` checks them all."""
+    codes, bits = model_lanes(theory, k)
+    full = (1 << len(codes)) - 1
     bad = full ^ _holds(_Tables(_space(theory.lang.symbols, k), bits, full, {}), formulas)
-    return models[(bad & -bad).bit_length() - 1] if bad else None
+    i = (bad & -bad).bit_length() - 1
+    return FiniteModel._of_code(theory.lang, k, codes[i]) if bad else None
 
 
 def _least_codes(theory: Theory, space: _Space) -> list[int]:
@@ -867,9 +875,7 @@ class EquivalenceResult(NamedTuple):
         return self.equivalent
 
 
-def logically_equivalent(
-    t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND
-) -> EquivalenceResult:
+def logically_equivalent(t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND) -> EquivalenceResult:
     """Same consequences? Exact for sentential theories, bounded otherwise.
 
     Theories on different languages are distinguished outright: logical
@@ -889,7 +895,7 @@ def logically_equivalent(
         )
     # one signature, so both enumerations stay inside the caps up to the same k
     for k in range(1, bound + 1):
-        if enumerate_models(t1, k) != enumerate_models(t2, k):
+        if _entry(t1, k)[0] != _entry(t2, k)[0]:
             break
     else:
         return EquivalenceResult(True, False, bound)
@@ -953,8 +959,8 @@ def conservative_extension(
     canonical, free = {sym: atom(sym, tuple(range(rank))) for sym, rank in t1.lang.symbols}, {}
     reducts = (  # per size, the reducts' lanes and their count, built as _reflect reads them
         (_induced(t1.lang.symbols, canonical, _space(t2.lang.symbols, k), bits,
-                  (1 << len(expansions)) - 1, free), len(expansions))
-        for k in range(1, bound + 1) for expansions, bits in [model_lanes(t2, k)]
+                  (1 << len(codes)) - 1, free), len(codes))
+        for k in range(1, bound + 1) for codes, bits in [model_lanes(t2, k)]
     )
     found = _reflect(t1, reducts)
     if found is None:
@@ -986,8 +992,7 @@ def _reflect(
     """
     n, undecided = t1.lang.var_bound, None
     for k, (lanes, count) in enumerate(sizes, 1):
-        # enumerated models are least codes, hence already canonical
-        own = {m.code for m in enumerate_models(t1, k)}
+        own = set(_entry(t1, k)[0])  # least codes, hence already canonical
         key = (t1.key, k, count, *lanes)  # conservativity and faithfulness share it
         if key not in _induced_memo:
             codes = _lane_codes(lanes, count)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thdist import concepts
-from thdist.catalog import loads_catalog, shipped_catalog_text
+from thdist.catalog import loads_catalog, shipped_catalog_text, verify_all
 from thdist.concepts import (
     CLOSURE_CAP,
     _generator_masks,
@@ -38,6 +38,7 @@ from thdist.semantics import (
     _space,
     assignment_set,
     bounded_consequence,
+    clear_memory_caches,
     enumerate_models,
     eval_formula,
     model_lang_from_json,
@@ -496,6 +497,46 @@ def test_wrong_strict_defeq_pair_is_refuted_with_a_rechecked_witness():
     assert all(eval_formula(antichain, a, ax) for ax in lt.axioms for a in every)
     induced = _induced_by_eval(cert.tr12, antichain)
     assert not all(eval_formula(induced, a, rep.witness_formula) for a in every)
+
+
+def _models_built(monkeypatch) -> list:
+    """Every FiniteModel built from here on, by either constructor."""
+    built = []
+    init, of_code = FiniteModel.__init__, FiniteModel._of_code.__func__
+
+    def spy_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def spy_of_code(cls, *args):
+        built.append(of_code(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(FiniteModel, "__init__", spy_init)
+    monkeypatch.setattr(FiniteModel, "_of_code", classmethod(spy_of_code))
+    return built
+
+
+def test_certificate_checks_build_models_only_for_witnesses(monkeypatch):
+    # checks read the memo's code lists and lane masks; the shipped
+    # catalog refutes nothing, so a cold pass builds no model at all
+    wrong = loads_catalog(_wrong_strict_defeq_catalog())
+    cert = next(c for c in wrong.certificates if c.name == "strict-defeq")
+    antichain = FiniteModel(wrong.theory("PosetsLt").lang, 2, {"lt": set()})
+    induced = _induced_by_eval(cert.tr12, antichain)  # leq holds everywhere
+    clear_memory_caches()
+    built = _models_built(monkeypatch)
+    report = verify_all(loads_catalog(shipped_catalog_text()))
+    assert (report.refuted, report.errors, built) == ([], [], [])
+    # the wrong pair builds the structure its eval_formula re-check reads,
+    # then its witness, each from its code, and nothing else
+    clear_memory_caches()
+    statuses = {c["name"]: c["status"] for c in verify_all(wrong).to_json()["certificates"]}
+    assert built == [induced, antichain]
+    assert statuses["strict-defeq"] == {
+        "bound": 4, "note": "tr12 is not an interpretation: theoremhood not preserved",
+        "state": "refuted", "witness": 'FiniteModel(LtL, {"interp": {"lt": []}, "size": 2})',
+    }
 
 
 def test_check_interpretation_refutes_where_an_image_is_no_cylinder():

@@ -38,7 +38,11 @@ from thdist.semantics import (
     spectrum,
 )
 from thdist.syntax import (
+    And,
+    Atom,
+    Exists,
     Language,
+    Not,
     all_assignments,
     and_,
     atom,
@@ -438,7 +442,7 @@ def test_clear_memory_caches_empties_every_table():
     before = run()
     cached = (semantics._space, semantics._restriction, semantics._fibres)
     assert all(f.cache_info().currsize for f in cached)
-    # bounded_consequence keeps lane masks beside the model lists it checked
+    # bounded_consequence keeps lane masks beside the code lists it checked
     assert all(semantics._model_memo[posets.key, k][1] is not None for k in (1, 2, 3))
     space = semantics._space(BIN.symbols, 3)
     assert space.alive  # the sweep's conjunct memo lives on its space
@@ -612,6 +616,51 @@ def test_enumeration_matches_brute_force(example):
 @given(_axioms(_WIDE_CASE[0], max_leaves=4))
 def test_enumeration_matches_brute_force_across_blocks(axioms):
     _check_against_brute_force(*_WIDE_CASE, axioms)
+
+
+def _complement(f):
+    """f with R read as its complement: every atom negated."""
+    if isinstance(f, Atom):
+        return not_(f)
+    if isinstance(f, And):
+        return and_(_complement(f.lhs), _complement(f.rhs))
+    if isinstance(f, Not):
+        return not_(_complement(f.sub))
+    return exists(f.var, _complement(f.sub)) if isinstance(f, Exists) else f
+
+
+# Checks read code lists (`model_lanes`), the CLI reads model lists
+# (`enumerate_models`); both come from one memo entry. The second theory is
+# drawn fresh, as the first with each axiom doubly negated (equivalent, with
+# its own key), as the first plus more axioms, or as the first about the
+# complement of R (as many models at each size, mostly other ones).
+@st.composite
+def _theory_pairs(draw):
+    ax1 = draw(_axioms(BIN, max_leaves=5))
+    how = draw(st.sampled_from(["fresh", "negneg", "more", "complement"]))
+    ax2 = draw(_axioms(BIN, max_leaves=5))
+    ax2 = {"fresh": ax2, "negneg": [not_(not_(a)) for a in ax1], "more": ax1 + ax2,
+           "complement": [_complement(a) for a in ax1]}[how]
+    return Theory("t1", BIN, ax1), Theory("t2", BIN, ax2)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_theory_pairs())
+# the countermodel, R = {(0, 0)}, is not the first of the free theory's models
+@example((Theory("free", BIN, []), Theory("irrefl", BIN, [parse_formula("(not (R v0 v0))", BIN)])))
+def test_code_lists_agree_with_model_lists(pair):
+    t1, t2 = pair
+    res = logically_equivalent(t1, t2, 3)
+    for t in pair:
+        for k in (1, 2, 3):
+            assert semantics.model_lanes(t, k)[0] == [m.code for m in enumerate_models(t, k)]
+    assert res.equivalent == all(enumerate_models(t1, k) == enumerate_models(t2, k)
+                                 for k in (1, 2, 3))
+    if not res.equivalent:
+        model, phi = res.witness_model, res.witness_formula
+        assert not _true(model, phi)
+        assert any(phi in b.axioms and all(_true(model, ax) for ax in a.axioms)
+                   for a, b in ((t1, t2), (t2, t1)))
 
 
 # The sweep memo: each space maps (block, conjunct uid) to the mask of the
@@ -1304,6 +1353,7 @@ def test_lane_masks_transpose_the_codes_and_back(case):
     bits = semantics._lanes(codes, width)
     assert bits == [sum((c >> j & 1) << i for i, c in enumerate(codes)) for j in range(width)]
     assert semantics._lane_codes(bits, len(codes)) == codes
+    assert [semantics._lane_code(bits, i) for i in range(len(codes))] == codes
 
 
 # t1's blocks lie apart inside t2's code: B and D are separated by C, and
