@@ -3,13 +3,16 @@
 Theories and networks are addressed as ``CATALOG.cat:Name``; a bare name
 resolves against the built-in worked-example catalog. Output is JSON
 unless --human is given. Exit codes: 0 success, 1 refuted certificates,
-2 input errors, 3 cap exceeded.
+2 input errors, 3 cap exceeded, 141 output pipe closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -39,6 +42,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a writer its reader left
 
 
 def _load_ref(ref: str) -> tuple[Catalog, str]:
@@ -280,10 +284,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # frozen at exit, the heap is left to the OS, not torn down one object
+    # at a time by shutdown's collections; one hook however often main runs
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     activate_cache()
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that leaves early is caught here, not at exit
+        return code
+    except BrokenPipeError:
+        # the Python docs' "Note on SIGPIPE": keep the flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ThdistError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_INPUT

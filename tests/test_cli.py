@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from thdist.cli import main
 from thdist.concepts import cz_of_model
 from thdist.semantics import enumerate_models, model_lang_from_json, model_to_json
 
+ROOT = Path(__file__).resolve().parent.parent
 GOOD_CAT = (
     '(language L (P 0) (Q 0) :vars 0)\n'
     '(theory A :over L :axioms "P")\n'
@@ -335,9 +337,8 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
         "loads_catalog(shipped_catalog_text())\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
-    root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": "src"}
-    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
 
@@ -356,15 +357,113 @@ def test_no_command_loads_openssl(tmp_path, cached):
         "    codes.append(main(['check', 'src/thdist/data/paper_examples.cat']))\n"
         "print(codes, '_hashlib' in sys.modules)\n"
     )
-    root = Path(__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k != "THDIST_CACHE_DIR"}
     env["PYTHONPATH"] = "src"
     if cached:
         env["THDIST_CACHE_DIR"] = str(tmp_path)
-    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[0, 0, 0] False"
     assert bool(list(tmp_path.rglob("*.json"))) == cached
+
+
+def _fresh_env(**extra: str) -> dict[str, str]:
+    # stdout block-buffered, as a user's shell leaves it, so that what a
+    # command prints reaches its pipe at the flush
+    drop = {"THDIST_CACHE_DIR", "PYTHONUNBUFFERED"}
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    return {**env, "PYTHONPATH": "src", **extra}
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["spectrum", "Posets"]),
+    (1, ["check", "{tmp}/wrong.cat"]),
+    (2, ["check", "{tmp}/typo.cat"]),
+    (3, ["closure", "{tmp}/chain.json", "--vars", "2"]),
+], ids=["ok", "refuted", "input", "cap"])
+def test_a_fresh_process_loses_no_output_at_exit(tmp_path, capsys, code, argv):
+    # a command's process exits with its heap frozen, not collected: what it
+    # prints and returns must be what main gives in-process, byte for byte
+    (tmp_path / "wrong.cat").write_text(  # the strict-defeq images negated, as in CI
+        shipped_catalog_text().replace("(or (lt v0 v1) (= v0 v1))", "(not (lt v0 v1))")
+        .replace("(and (leq v0 v1) (not (= v0 v1)))", "(not (leq v0 v1))")
+    )
+    (tmp_path / "typo.cat").write_text(
+        '(language Bin (R 2) :vars 3)\n(theory T :over Bin :axiom "(forall v0 (R v0 v0))")\n'
+    )
+    chain = [[a, b] for a in range(4) for b in range(4) if a <= b]
+    (tmp_path / "chain.json").write_text(json.dumps({"size": 4, "interp": {"R": chain}}))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    fresh = subprocess.run([sys.executable, "-m", "thdist.cli", *argv], cwd=ROOT,
+                           env=_fresh_env(), capture_output=True, timeout=300)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (got, out.encode(), err.encode())
+
+
+def test_main_freezes_the_heap_only_at_exit(capsys):
+    # in-process callers keep a working collector, so the tests that count
+    # cycles stay meaningful (3.12.1 starts with 375 objects frozen)
+    frozen = gc.get_freeze_count()
+    for _ in range(2):
+        assert run(capsys, "spectrum", "SentP")[0] == 0
+        assert gc.get_freeze_count() == frozen and gc.isenabled()
+    # however often main runs, its process exits through one freeze: a hook
+    # registered before main runs after the freeze and counts the calls
+    code = (
+        "import atexit, contextlib, gc, io\n"
+        "calls = []\n"
+        "gc.freeze = lambda: calls.append(1)\n"
+        "atexit.register(lambda: print(len(calls)))\n"
+        "from thdist.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['spectrum', 'SentP']) for _ in range(3)]\n"
+        "print(codes)\n"
+    )
+    fresh = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_fresh_env(),
+                           capture_output=True, text=True, timeout=300)
+    assert (fresh.stdout, fresh.stderr) == ("[0, 0, 0]\n1\n", "")
+
+
+def test_a_check_relies_on_no_teardown(tmp_path):
+    # under -X dev -W error a file left open at exit, or any warning, would
+    # reach stderr; the cache records are complete before the process ends
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "thdist.cli",
+            "check", "src/thdist/data/paper_examples.cat"]
+    env = _fresh_env(THDIST_CACHE_DIR=str(tmp_path))
+    cold = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=300)
+    assert (cold.returncode, cold.stderr) == (0, b"")
+    records = list(tmp_path.rglob("*.json"))
+    assert records and all(isinstance(json.loads(r.read_text()), dict) for r in records)
+    warm = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=300)
+    assert (warm.returncode, warm.stderr, warm.stdout) == (0, b"", cold.stdout)
+
+
+def test_a_closed_output_pipe_exits_141(tmp_path):
+    # the closure of a 10-orbit poset prints 112,694 bytes, more than a pipe
+    # holds, so a write after the reader leaves always fails: exit 141 as
+    # for SIGPIPE, with nothing on stderr, not an input error (exit 2)
+    model = tmp_path / "poset.json"
+    model.write_text('{"size": 4, "interp": {"R": [[0, 0], [0, 1], [1, 1], [2, 2], [3, 3]]}}')
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thdist.cli", "closure", str(model), "--vars", "2"],
+        cwd=ROOT, env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    )
+    assert proc.stdout.read(100).startswith(b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert (proc.returncode, err) == (141, b"")
+    # into a pipe that has no reader at all, a short output fails at the
+    # flush and stays buffered; the flush at exit must not retry it
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        short = subprocess.run([sys.executable, "-m", "thdist.cli", "spectrum", "SentP"],
+                               cwd=ROOT, env=_fresh_env(), stdout=write,
+                               stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write)
+    assert (short.returncode, short.stderr) == (141, b"")
 
 
 def test_cz_first_order_lower_bound(capsys):
