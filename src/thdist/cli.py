@@ -288,21 +288,38 @@ def main(argv: list[str] | None = None) -> int:
     # at a time by shutdown's collections; one hook however often main runs
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:  # argparse has written a usage error, help or version
+        _write(sys.stderr, "")
+        if not _write(sys.stdout, ""):
+            raise SystemExit(EXIT_PIPE) from None
+        raise
     activate_cache()
     try:
         code = args.fn(args)
-        sys.stdout.flush()  # a reader that leaves early is caught here, not at exit
-        return code
-    except BrokenPipeError:
-        # the Python docs' "Note on SIGPIPE": keep the flush at exit quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_PIPE
+    except BrokenPipeError:  # stdout's reader has gone
+        code = EXIT_PIPE
     except (ThdistError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        _write(sys.stderr, json.dumps({"error": str(exc)}) + "\n")
         return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_INPUT
+    # a reader that leaves early is caught here, not at exit
+    return code if _write(sys.stdout, "") else EXIT_PIPE
+
+
+def _write(stream, text: str) -> bool:
+    """Write and flush; False if the stream's reader has gone. Such a stream
+    is pointed at os.devnull (the Python docs' "Note on SIGPIPE"), so that
+    the flush at exit cannot fail and replace the exit status."""
+    try:
+        stream.write(text)
+        stream.flush()
+        return True
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return False
 
 
 if __name__ == "__main__":

@@ -28,11 +28,9 @@ from .semantics import (
     _induced,
     _lane_code,
     _reflect,
-    _sat_pullback,
-    _set_bits,
     _space,
-    assignment_model,
     assignment_set,
+    check_sizes,
     enumerate_models,
     eval_formula,
     first_countermodel,
@@ -45,7 +43,6 @@ from .syntax import (
     Language,
     and_,
     atom,
-    characteristic_formula,
     dnf_of_assignments,
     eq,
     exists,
@@ -317,15 +314,6 @@ class CheckReport(NamedTuple):
     note: str = ""
 
 
-def _sentential_pullback(tr: Translation, sat: int) -> dict[int, int]:
-    """Each row of a target Sat mask to the source row it induces through tr."""
-    return _sat_pullback(tr.target, [tr.image(c) for c in tr.source.constants], sat)
-
-
-def _row(lang: Language, r: int) -> tuple[bool, ...]:
-    return next(sat_rows(lang, 1 << r))
-
-
 def _extension(model: FiniteModel, phi: Formula) -> list[bool]:
     """phi under every assignment, by `eval_formula`, to re-check a refutation."""
     n = model.lang.var_bound
@@ -336,37 +324,15 @@ def check_interpretation(
     tr: Translation, t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND
 ) -> CheckReport:
     """Does tr map theorems of t1 to theorems of t2, and does it reflect
-    them back? Sentential case exact; otherwise checked on the structures
-    tr*(M) that tr's images define in the models M of t2 up to the bound
-    (M satisfies tr(phi) iff tr*(M) satisfies phi). The witness is a
-    valid formula whose translation fails where an image defines no
-    relation, a failing axiom, or a model of t1 that no tr*(M) matches."""
+    them back? Checked on the structures tr*(M) that tr's images define in
+    the models M of t2 up to the bound, or at size 1 and exactly when both
+    theories are sentential (`check_sizes`); M satisfies tr(phi) iff
+    tr*(M) satisfies phi. The witness is a valid formula whose translation
+    fails where an image defines no relation, a failing axiom, or a model
+    of t1 that no tr*(M) matches."""
     if not (tr.source.same_formulas(t1.lang) and tr.target.same_formulas(t2.lang)):
         raise LanguageError("translation endpoints do not match the theories")
-    if t1.lang.is_sentential and t2.lang.is_sentential:
-        s1, s2 = sat_assignments(t1), sat_assignments(t2)
-        # source row -> the last target row inducing it
-        image = {a: b for b, a in _sentential_pullback(tr, s2).items()}
-        hit = sum(1 << a for a in image)
-        stray, missing = hit & ~s1, s1 & ~hit
-        if stray:
-            a = next(_set_bits(stray))
-            return CheckReport(
-                "refuted", True, None,
-                not_(characteristic_formula(t1.lang, _row(t1.lang, a))),
-                assignment_model(t2.lang, _row(t2.lang, image[a])),
-                note=f"{t1.name} proves it, {t2.name} does not prove its translation",
-            )
-        if missing:
-            a = _row(t1.lang, next(_set_bits(missing)))
-            return CheckReport(
-                "interpretation", True, None,
-                not_(characteristic_formula(t1.lang, a)),
-                assignment_model(t1.lang, a),
-                note="translation holds but does not reflect this formula",
-            )
-        return CheckReport("faithful", True, None)
-    return _first_order_interpretation(tr, t1, t2, bound, {}, True)
+    return _interpretation(tr, t1, t2, bound, {}, True)
 
 
 def _cylinder_laws(tr: Translation) -> list[tuple[str, int, Formula, Formula]]:
@@ -385,24 +351,25 @@ def _cylinder_laws(tr: Translation) -> list[tuple[str, int, Formula, Formula]]:
     return laws
 
 
-def _first_order_interpretation(
+def _interpretation(
     tr: Translation, t1: Theory, t2: Theory, bound: int, free: dict, reflect: bool
 ) -> CheckReport:
-    """Each image must define a relation in every model M of t2 up to the
-    bound: the first translated `_cylinder_laws` formula that fails in an
-    M refutes exactly. Forward: every tr*(M) satisfies t1's axioms, so it
-    satisfies every phi that t1 proves up to the bound; the first failing
-    axiom refutes exactly. Reflect (skipped when not asked): the tr*(M)
-    must cover t1's models by `_reflect`, the rule a concept-add is
-    checked by."""
-    laws, sizes = _cylinder_laws(tr), []
-    for k in range(1, bound + 1):
+    """Each image must define a relation in every model M of t2 of the
+    sizes `check_sizes` gives: the first translated `_cylinder_laws`
+    formula that fails in an M refutes exactly. Forward: every tr*(M)
+    satisfies t1's axioms, so it satisfies every phi that t1 proves up to
+    the bound; the first failing axiom refutes exactly. Reflect (skipped
+    when not asked): the tr*(M) must cover t1's models by `_reflect`, the
+    rule a concept-add is checked by."""
+    top, exact = check_sizes(bound, t1.lang, t2.lang)
+    shown, laws, sizes = None if exact else bound, _cylinder_laws(tr), []
+    for k in range(1, top + 1):
         for sym, j, phi, psi in laws:
             model = first_countermodel(t2, k, (psi,))
             if model is not None:
                 if all(_extension(model, apply_translation(tr, phi))):
                     raise AssertionError(f"the translation of {phi!r} holds in its countermodel")
-                return CheckReport("refuted", True, bound, phi, model,
+                return CheckReport("refuted", True, shown, phi, model,
                                    note=f"theoremhood not preserved: the image of {sym} "
                                    f"varies along v{j}")
         codes, bits = model_lanes(t2, k)
@@ -418,16 +385,16 @@ def _first_order_interpretation(
                 if all(_extension(FiniteModel._of_code(t1.lang, k, _lane_code(ind, i)), phi)):
                     raise AssertionError(f"{phi!r} holds in the induced structure")
                 model = FiniteModel._of_code(t2.lang, k, codes[i])
-                return CheckReport("refuted", True, bound, phi, model,
+                return CheckReport("refuted", True, shown, phi, model,
                                    note="theoremhood not preserved")
     if not reflect:
-        return CheckReport("interpretation", False, bound)
-    found = _reflect(t1, ((ind, len(codes)) for codes, ind, _ in sizes))
+        return CheckReport("interpretation", exact, shown)
+    found = _reflect(t1, ((ind, len(codes)) for codes, ind, _ in sizes), exact)
     if found is None:
-        return CheckReport("faithful", False, bound)
+        return CheckReport("faithful", exact, shown)
     k, model, witness, decisive = found
     return CheckReport(
-        "interpretation" if decisive else "undecided", False, k, witness, model,
+        "interpretation" if decisive else "undecided", exact, None if exact else k, witness, model,
         note=f"size-{k} models of {t1.name} differ from those induced in models of {t2.name}"
         if decisive else f"size-{k} models of {t1.name} are induced by no model of {t2.name}, "
         f"but {t1.lang.var_bound} variables cannot tell size-{k} structures apart",
@@ -435,15 +402,15 @@ def _first_order_interpretation(
 
 
 def _round_trip(
-    theory: Theory, outer: Translation, inner: Translation, bound: int, free: dict
+    theory: Theory, outer: Translation, inner: Translation, top: int, exact: bool, free: dict
 ) -> CheckReport | None:
-    """Does inner*(outer*(M)) = M for every model M of the theory up to
-    the bound? Then the round trip of every formula holds. Otherwise the
+    """Does inner*(outer*(M)) = M for every model M of the theory of size
+    at most top? Then the round trip of every formula holds. Otherwise the
     first canonical atom whose extension moves refutes, at the least size
     where one does. Both translations have passed their forward checks,
     so outer*(M) is a model of outer's source theory and every image
     defines a relation."""
-    for k in range(1, bound + 1):
+    for k in range(1, top + 1):
         codes, bits = model_lanes(theory, k)
         full = (1 << len(codes)) - 1
         space = _space(theory.lang.symbols, k)
@@ -460,7 +427,7 @@ def _round_trip(
             moved = FiniteModel._of_code(theory.lang, k, _lane_code(back, i))
             if _extension(model, phi) == _extension(moved, phi):
                 raise AssertionError(f"{phi!r} survives the round trip")
-            return CheckReport("refuted", True, k, phi, model,
+            return CheckReport("refuted", True, None if exact else k, phi, model,
                                note=f"round trip fails over {theory.name}")
     return None
 
@@ -470,49 +437,24 @@ def check_defeq(
 ) -> CheckReport:
     """Verify a definitional-equivalence witness pair: both directions are
     interpretations and both round trips are provable biconditionals.
-    First-order round trips compare each model with its image through
-    both translations' induced structures, once both directions are
-    known to be interpretations."""
+    Round trips compare each model with its image through both
+    translations' induced structures, once both directions are known to
+    be interpretations. Sizes and exactness follow `check_sizes`."""
     if not (tr12.source.same_formulas(t1.lang) and tr12.target.same_formulas(t2.lang)):
         raise LanguageError("tr12 endpoints do not match the theories")
     if not (tr21.source.same_formulas(t2.lang) and tr21.target.same_formulas(t1.lang)):
         raise LanguageError("tr21 endpoints do not match the theories")
-
-    if t1.lang.is_sentential and t2.lang.is_sentential:
-        s1, s2 = sat_assignments(t1), sat_assignments(t2)
-        pull12, pull21 = _sentential_pullback(tr12, s2), _sentential_pullback(tr21, s1)
-        sides = ((pull12, s1, t1.lang, t2.lang, "tr12"), (pull21, s2, t2.lang, t1.lang, "tr21"))
-        for pull, sat, to_lang, from_lang, label in sides:
-            for b, a in pull.items():
-                if not sat >> a & 1:
-                    return CheckReport(
-                        "refuted", True, None,
-                        not_(characteristic_formula(to_lang, _row(to_lang, a))),
-                        assignment_model(from_lang, _row(from_lang, b)),
-                        note=f"{label} is not an interpretation",
-                    )
-        trips = ((pull21, pull12, t1.lang, "tr21;tr12"), (pull12, pull21, t2.lang, "tr12;tr21"))
-        for pull, back, lang, label in trips:
-            for a, b in pull.items():
-                if back[b] != a:
-                    row = _row(lang, a)
-                    return CheckReport(
-                        "refuted", True, None,
-                        characteristic_formula(lang, row), assignment_model(lang, row),
-                        note=f"round trip through {label} moves this assignment",
-                    )
-        return CheckReport("defeq", True, None)
-
     free: dict = {}  # one free-variable memo for every table of the check
     for tr, a, b, label in ((tr12, t1, t2, "tr12"), (tr21, t2, t1, "tr21")):
-        rep = _first_order_interpretation(tr, a, b, bound, free, False)
+        rep = _interpretation(tr, a, b, bound, free, False)
         if rep.verdict == "refuted":
             return rep._replace(note=f"{label} is not an interpretation: {rep.note}")
+    top, exact = check_sizes(bound, t1.lang, t2.lang)
     for theory, outer, inner in ((t1, tr21, tr12), (t2, tr12, tr21)):
-        rep = _round_trip(theory, outer, inner, bound, free)
+        rep = _round_trip(theory, outer, inner, top, exact, free)
         if rep is not None:
             return rep
-    return CheckReport("defeq", False, bound)
+    return CheckReport("defeq", exact, None if exact else bound)
 
 
 def sentential_defeq_witness(t1: Theory, t2: Theory) -> tuple[Translation, Translation] | None:

@@ -2,9 +2,9 @@
 
 Each edge of a cluster network is backed by an EdgeCertificate: a typed
 witness (axiom added, symbol added, removal data, translation pair, ...)
-with a verification status. Sentential instances are decided exactly from
-Sat-sets; first-order instances are verified up to a size bound, and
-first-order removals are accepted only as asserted certificates.
+with a verification status. Sentential instances are decided exactly, as
+the first-order checks at size 1; first-order ones are verified up to a
+size bound, and first-order removals are accepted only as asserted.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .semantics import (
     FiniteModel,
     Theory,
     _set_bits,
-    assignment_model,
+    check_sizes,
     conservative_extension,
     enumerate_models,  # unused here; perfbench's self-test asserts this binding
     feasible_bound,
@@ -132,20 +132,9 @@ class EdgeCertificate:
 def check_axiom_add(
     t: Theory, t2: Theory, phi: Formula, bound: int = DEFAULT_BOUND
 ) -> CertStatus:
-    """Does T + phi axiomatize t2? Exact on Sat-sets in the sentential case."""
+    """Does T + phi axiomatize t2? A logical equivalence, exact if sentential."""
     if not t.lang.same_formulas(t2.lang):
         raise LanguageError("axiom adding keeps the language fixed")
-    if t.lang.is_sentential:
-        expected = sat_assignments(t) & sat_of_formula(t.lang, phi)
-        actual = sat_assignments(t2)
-        if expected == actual:
-            return CertStatus(VERIFIED_EXACT)
-        row = next(sat_rows(t.lang, expected ^ actual))
-        return CertStatus(
-            REFUTED,
-            witness=assignment_model(t.lang, row),
-            note="Sat(T) ∩ Sat(phi) differs from Sat(T')",
-        )
     extended = Theory(f"{t.name}+axiom", t.lang, (*t.axioms, phi))
     return _status_of_equivalence(logically_equivalent(extended, t2, bound))
 
@@ -176,26 +165,18 @@ def axiom_add_exists(
     """Is there any phi with T + phi equivalent to t2 (T <- T')?
 
     The candidate is the conjunction of t2's axioms: T + it is equivalent
-    to t2 exactly when every model of t2 is a model of T. Sentential: Sat
-    inclusion decides. First-order: model inclusion refutable by
-    countermodel up to the bound; provable only when t's axioms already sit
-    inside t2's, otherwise unknown-bounded with the candidate.
+    to t2 exactly when every model of t2 is a model of T: refuted by a
+    countermodel at the sizes `check_sizes` gives, which decide sentential
+    theories; first-order inclusion is provable only when t's axioms
+    already sit inside t2's, else unknown-bounded with the candidate.
     """
     if not t.lang.same_formulas(t2.lang):
         return AxiomAddAnswer("no", exact=True, note="language mismatch")
     candidate = big_and(t.lang, list(t2.axioms))
-    if t.lang.is_sentential:
-        s1, s2 = sat_assignments(t), sat_assignments(t2)
-        if not s2 & ~s1:
-            return AxiomAddAnswer("yes", candidate)
-        row = next(sat_rows(t.lang, s2 & ~s1))
-        return AxiomAddAnswer(
-            "no", countermodel=assignment_model(t.lang, row),
-            note="a model of T' is no model of T",
-        )
     if set(t.axioms) <= set(t2.axioms):
         return AxiomAddAnswer("yes", candidate, note="axioms of T are axioms of T'")
-    top = feasible_bound(bound, (t2,))  # only t2's models are enumerated
+    sizes, exact = check_sizes(bound, t.lang)
+    top = feasible_bound(sizes, (t2,))  # only t2's models are enumerated
     for k in range(1, top + 1):
         m = first_countermodel(t2, k, t.axioms)
         if m is not None:
@@ -203,11 +184,13 @@ def axiom_add_exists(
                 "no", countermodel=m,
                 note=f"size-{k} model of {t2.name} violates {t.name}",
             )
-    if top < bound:
+    if top < sizes:
         return AxiomAddAnswer(
             "unknown", candidate, exact=False, bound=top,
             note=f"cap reached before size {top + 1}",
         )
+    if exact:
+        return AxiomAddAnswer("yes", candidate)
     return AxiomAddAnswer(
         "unknown", candidate, exact=False, bound=bound,
         note="model inclusion holds up to the bound but is not proved",
@@ -369,7 +352,7 @@ def _check_at(
     cert: EdgeCertificate, t1: Theory, t2: Theory
 ) -> CertStatus | Callable[[int], CertStatus]:
     """The status of cert where it needs no size bound (trust, a missing
-    payload, the defeq witness, removals), else its check at a bound b.
+    payload, a built defeq witness, removals), else its check at bound b.
     Language errors are raised here, before any bound is decided."""
     kind, label = cert.kind, cert.label()
     sentential = t1.lang.is_sentential and t2.lang.is_sentential
@@ -392,13 +375,14 @@ def _check_at(
                                  UnsupportedFragmentError(
                                      f"{label}: first-order defeq needs translations"))
             if not sat_assignments(t1) and not sat_assignments(t2):
-                pair = _trivial_translations(t1, t2)
+                cert.tr12, cert.tr21 = _trivial_translations(t1, t2)
             else:
                 pair = sentential_defeq_witness(t1, t2)
-            if pair is None:
-                return CertStatus(REFUTED, note="no witness exists (Sat-set sizes "
-                                  "differ or one language has no formulas)")
-            cert.tr12, cert.tr21 = pair
+                if pair is None:
+                    return CertStatus(REFUTED, note="no witness exists (Sat-set sizes "
+                                      "differ or one language has no formulas)")
+                cert.tr12, cert.tr21 = pair
+                return CertStatus(VERIFIED_EXACT)  # checked as it was built
         return lambda b: _status_of_report(
             check_defeq(cert.tr12, cert.tr21, t1, t2, b), "defeq")
     if kind == "faithful":

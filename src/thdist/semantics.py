@@ -21,8 +21,9 @@ row of `syntax.all_assignments` (lexicographic) satisfies the theory, so
 ascending bits are ascending rows. `sat_rows` turns a mask back into rows
 where a witness or a DNF needs them.
 
-Every first-order answer carries its exact/bounded provenance; only the
-sentential fragment is ever reported exact.
+Every answer carries its exact/bounded provenance: a check of sentential
+theories is the first-order check run at size 1 alone (`check_sizes`),
+which decides it exactly; a first-order 'holds' is bounded.
 """
 
 from __future__ import annotations
@@ -311,24 +312,10 @@ def _sat_mask(lang: Language, formulas: Sequence[Formula]) -> int:
     rows = 1 << len(lang.constants)
     if rows > MAX_CANDIDATES:
         raise CapExceededError(f"{rows} truth-table rows exceed cap {MAX_CANDIDATES}")
-    mask = 0
-    for base, alive, _ in _satisfying_blocks(_space(lang.symbols[::-1], 1), formulas, {}):
+    mask, space = 0, _space(lang.symbols[::-1], 1)
+    for base, alive, _ in _satisfying_blocks(space, formulas, space.alive):
         mask |= alive << base
     return mask
-
-
-def _sat_pullback(lang: Language, images: Sequence[Formula], sat: int) -> dict[int, int]:
-    """Each row index b of a Sat mask over lang, ascending, to the index
-    of the row that b induces over the images' constants: its j-th
-    constant is the truth of the j-th image in row b."""
-    masks = [sat_of_formula(lang, phi) for phi in images]
-    pull = {}
-    for b in _set_bits(sat):
-        a = 0
-        for mask in masks:
-            a = a << 1 | mask >> b & 1
-        pull[b] = a
-    return pull
 
 
 def sat_rows(lang: Language, mask: int) -> Iterator[tuple[bool, ...]]:
@@ -842,25 +829,32 @@ class ConsequenceResult(NamedTuple):
         return self.holds
 
 
+def check_sizes(bound: int, *langs: Language) -> tuple[int, bool]:
+    """The model sizes 1..top a check runs through, and whether its answer
+    is exact: (1, True) when every language is sentential, else (bound,
+    False). Without variables a structure satisfies the same sentences as
+    the size-1 structure with the same facts, its L^0-type being its
+    truth-table row, so size 1 decides. An exact answer has no bound."""
+    if all(lang.is_sentential for lang in langs):
+        return 1, True
+    return bound, False
+
+
 def bounded_consequence(
     theory: Theory, phi: Formula, bound: int = DEFAULT_BOUND
 ) -> ConsequenceResult:
     """Is phi a theorem of the theory, up to models of size `bound`?
 
-    Sentential theories are decided exactly; refutations always carry a
-    concrete countermodel. A first-order 'holds' is only holds-up-to-K.
+    Refutations always carry a concrete countermodel. A sentential theory
+    is decided exactly at size 1 (`check_sizes`); a first-order 'holds' is
+    only holds-up-to-K.
     """
-    if theory.lang.is_sentential:
-        bad = sat_assignments(theory) & ~sat_of_formula(theory.lang, phi)
-        if bad:
-            row = next(sat_rows(theory.lang, bad))
-            return ConsequenceResult(False, True, None, assignment_model(theory.lang, row))
-        return ConsequenceResult(True, True, None)
-    for k in range(1, bound + 1):
+    top, exact = check_sizes(bound, theory.lang)
+    for k in range(1, top + 1):
         model = first_countermodel(theory, k, (phi,))
         if model is not None:
-            return ConsequenceResult(False, True, k, model)
-    return ConsequenceResult(True, False, bound)
+            return ConsequenceResult(False, True, None if exact else k, model)
+    return ConsequenceResult(True, exact, None if exact else bound)
 
 
 class EquivalenceResult(NamedTuple):
@@ -883,22 +877,13 @@ def logically_equivalent(t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND) -> 
     """
     if not t1.lang.same_formulas(t2.lang):
         return EquivalenceResult(False, True, None, reason="language mismatch")
-    if t1.lang.is_sentential:
-        s1, s2 = sat_assignments(t1), sat_assignments(t2)
-        if s1 == s2:
-            return EquivalenceResult(True, True, None)
-        row = next(sat_rows(t1.lang, s1 & ~s2 or s2 & ~s1))
-        witness = not_(characteristic_formula(t1.lang, row))
-        return EquivalenceResult(
-            False, True, None, witness, assignment_model(t1.lang, row),
-            reason="satisfying assignments differ",
-        )
+    top, exact = check_sizes(bound, t1.lang)
     # one signature, so both enumerations stay inside the caps up to the same k
-    for k in range(1, bound + 1):
+    for k in range(1, top + 1):
         if _entry(t1, k)[0] != _entry(t2, k)[0]:
             break
     else:
-        return EquivalenceResult(True, False, bound)
+        return EquivalenceResult(True, exact, None if exact else bound)
     for a, b in ((t1, t2), (t2, t1)):
         for phi in b.axioms:
             r = bounded_consequence(a, phi, bound)
@@ -927,53 +912,35 @@ def conservative_extension(
 ) -> ConservativityResult:
     """Does t2 prove exactly t1's theorems in t1's language (t1 within t2)?
 
-    Sentential case: the projection of Sat(t2) onto t1's constants must
-    equal Sat(t1); exact. First-order case: for each size k <= bound the
-    t1-reducts of t2's models (the structures t1's canonical atoms induce
-    in them) must equal t1's models, by `_reflect`.
+    For each size k the check runs through (`check_sizes`: size 1 alone,
+    exactly, when both languages are sentential) the t1-reducts of t2's
+    models (the structures t1's canonical atoms induce in them) must
+    equal t1's models, by `_reflect`.
     """
     if not t2.lang.includes(t1.lang):
         raise LanguageError(
             f"formulas of {t1.lang.name} are not all formulas of {t2.lang.name}"
         )
-    if t1.lang.is_sentential and t2.lang.is_sentential:
-        atoms = [atom(c) for c in t1.lang.constants]
-        pull = _sat_pullback(t2.lang, atoms, sat_assignments(t2))
-        projected = sum(1 << a for a in set(pull.values()))
-        s1 = sat_assignments(t1)
-        if projected == s1:
-            return ConservativityResult(True, True, None)
-        diff = projected ^ s1
-        low = diff & -diff
-        row = next(sat_rows(t1.lang, low))
-        witness = not_(characteristic_formula(t1.lang, row))
-        side = (
-            f"{t2.name} proves it, {t1.name} does not"
-            if not projected & low
-            else f"{t1.name} proves it, {t2.name} does not"
-        )
-        return ConservativityResult(
-            False, True, None, witness, assignment_model(t1.lang, row), side
-        )
-
+    top, exact = check_sizes(bound, t1.lang, t2.lang)
     canonical, free = {sym: atom(sym, tuple(range(rank))) for sym, rank in t1.lang.symbols}, {}
     reducts = (  # per size, the reducts' lanes and their count, built as _reflect reads them
         (_induced(t1.lang.symbols, canonical, _space(t2.lang.symbols, k), bits,
                   (1 << len(codes)) - 1, free), len(codes))
-        for k in range(1, bound + 1) for codes, bits in [model_lanes(t2, k)]
+        for k in range(1, top + 1) for codes, bits in [model_lanes(t2, k)]
     )
-    found = _reflect(t1, reducts)
+    found = _reflect(t1, reducts, exact)
     if found is None:
-        return ConservativityResult(True, False, bound)
+        return ConservativityResult(True, exact, None if exact else bound)
     k, model, witness, decisive = found
     detail = f"size-{k} reducts of {t2.name} differ from models of {t1.name}" if decisive else (
         f"size-{k} models of {t1.name} lack {t2.name}-expansions, "
         f"but {t1.lang.var_bound} variables cannot tell size-{k} structures apart")
-    return ConservativityResult(False if decisive else None, False, k, witness, model, detail)
+    return ConservativityResult(
+        False if decisive else None, exact, None if exact else k, witness, model, detail)
 
 
 def _reflect(
-    t1: Theory, sizes: Iterable[tuple[Sequence[int], int]]
+    t1: Theory, sizes: Iterable[tuple[Sequence[int], int]], exact: bool
 ) -> tuple[int, FiniteModel, Formula | None, bool] | None:
     """Do the t1-structures that `sizes` yields, for k = 1, 2, ... the
     lanes of the size-k ones and their count, cover t1's models exactly,
@@ -989,6 +956,10 @@ def _reflect(
     mismatch leaves the answer undecided (decisive False) unless a larger
     size refutes. An induced structure that is no t1-model refutes at
     every size: the model inducing it fails an axiom of t1.
+
+    With `exact` (every language sentential: n = 0, size 1 alone) a
+    mismatch either way refutes, a structure's L^0-type being its row; the
+    witness not chi(row) (`characteristic_formula`) fails in the model.
     """
     n, undecided = t1.lang.var_bound, None
     for k, (lanes, count) in enumerate(sizes, 1):
@@ -1000,8 +971,11 @@ def _reflect(
         induced = _induced_memo[key]
         if own == induced:
             continue
-        decisive = own ^ induced if k < n else induced - own
+        decisive = own ^ induced if k < n or exact else induced - own
         model = FiniteModel._of_code(t1.lang, k, min(decisive or own ^ induced))
+        if exact:
+            row = [model.rel(c) for c in t1.lang.constants]
+            return k, model, not_(characteristic_formula(t1.lang, row)), True
         if decisive:
             # nothing is induced at size k, so "not exactly k elements"
             # (k + 1 <= n variables) holds on the other side, not in t1

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from thdist import cache, semantics
+from thdist import cache, concepts, relations, semantics
 from thdist.cache import DiskProfileStore
 from thdist.catalog import (
     catalog_distance,
@@ -433,6 +433,24 @@ def test_kin_embed_reuses_the_reducts_of_kin_ether(monkeypatch):
     assert not semantics._induced_memo
 
 
+def test_a_constructed_defeq_witness_is_checked_once(monkeypatch):
+    # the witness constructor checks its pair and asserts defeq, so the
+    # verifier takes that pair as verified-exact without a second check
+    catalog = loads_catalog(shipped_catalog_text())
+    cert = next(c for c in catalog.certificates if c.name == "four-defeq")
+    calls, real = [], concepts.check_defeq
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(concepts, "check_defeq", spy)
+    monkeypatch.setattr(relations, "check_defeq", spy)
+    status = verify_certificate(cert, catalog.theories, 4)
+    assert status.to_json() == {"state": "verified-exact"}
+    assert len(calls) == 1 and (calls[0][0], calls[0][1]) == (cert.tr12, cert.tr21)
+
+
 def test_catalog_network_and_exports(examples_catalog):
     net = catalog_network(examples_catalog, "Ladder")
     assert len(net.edges) == 4
@@ -764,9 +782,12 @@ def _certificate_statuses() -> dict:
 # runs once at the largest bound whose enumerations fit the caps, so
 # tern-faithful reads verified-bounded 2 "(cap stopped at 2)": size 3 is past
 # the cap for Tern. A check that backed off only when an enumeration raised
-# reported bound 3 there, though no size-3 model was ever enumerated; every
-# other entry is as it was at commit 0eda628
-_PINNED_CERTIFICATE_STATUSES = "5a0cca28ee575bcaba8d5f2d855757b681dedc6651f771e421e094e7e89a869d"
+# reported bound 3 there, though no size-3 model was ever enumerated.
+# Recomputed when sentential checks became the first-order checks at size
+# 1: no state or bound moved, but 348 notes and 44 witnesses of the seeded
+# catalogs did, as a refutation now names a failing axiom and the model
+# that fails it, or the reducts that differ, in place of Sat-set wording
+_PINNED_CERTIFICATE_STATUSES = "70c6f77e0f1e63c2e33330929cce5610070e09c44529f5d2f7cb2aea5d395e63"
 
 
 def test_certificate_statuses_pinned():

@@ -464,6 +464,37 @@ def test_a_closed_output_pipe_exits_141(tmp_path):
     finally:
         os.close(write)
     assert (short.returncode, short.stderr) == (141, b"")
+    # argparse's --version and --help write to stdout and exit before a command runs
+    for flag in ("--version", "--help"):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            early = subprocess.run([sys.executable, "-m", "thdist.cli", flag], cwd=ROOT,
+                                   env=_fresh_env(), stdout=write, stderr=subprocess.PIPE,
+                                   timeout=300)
+        finally:
+            os.close(write)
+        assert (early.returncode, early.stderr) == (141, b""), flag
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_error_pipe_keeps_the_exit_status(tmp_path, unbuffered):
+    # with stderr a pipe that has no reader, an error's message cannot be
+    # written: the exit status must stay the error's, not 120 from the
+    # flush at exit nor 1 from a BrokenPipeError raised by the handler's
+    # own write, which is where an unbuffered stderr fails
+    env = _fresh_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    for code, argv in ((2, ["check", str(tmp_path / "missing.cat")]),
+                       (2, ["spectrum", "Posets", "--max-size", "0"]),  # argparse's usage error
+                       (3, ["cz", "BinEmpty"])):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "thdist.cli", *argv], cwd=ROOT, env=env,
+                                  stdout=subprocess.DEVNULL, stderr=write, timeout=300)
+        finally:
+            os.close(write)
+        assert proc.returncode == code, argv
 
 
 def test_cz_first_order_lower_bound(capsys):

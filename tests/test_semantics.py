@@ -10,10 +10,10 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from thdist import semantics
-from thdist.concepts import check_interpretation
+from thdist.concepts import check_defeq, check_interpretation
 from thdist.errors import CapExceededError, LanguageError
 from thdist.network import lower_bound_certificates
-from thdist.relations import axiom_add_exists
+from thdist.relations import axiom_add_exists, check_axiom_add
 from thdist.semantics import (
     FiniteModel,
     Theory,
@@ -46,7 +46,6 @@ from thdist.syntax import (
     all_assignments,
     and_,
     atom,
-    characteristic_formula,
     eq,
     exists,
     forall,
@@ -55,7 +54,7 @@ from thdist.syntax import (
     parse_formula,
     print_formula,
 )
-from thdist.translation import identity_translation
+from thdist.translation import Translation, apply_translation, identity_translation
 
 from cylindrification import cylindrify, exists_groups
 
@@ -1277,12 +1276,32 @@ def test_sentential_model_lists_are_the_mask_rows(axioms):
         assert [m.code for m in enumerate_models(theory, k)] == [m.code for m in expected]
 
 
-# The sentential decisions against a frozenset reference that keeps the
-# rule the witnesses follow: the least differing row in sorted order.
+# The sentential decisions against a frozenset reference. A countermodel
+# to a consequence is the least row in sorted order; every other witness is
+# a formula that eval_formula finds true in every model of the side that
+# proves it and false in the witness model.
 def _ref_sat(lang, formulas):
     return frozenset(
         row for row, ok in zip(all_assignments(lang), _truth_table(lang, formulas)) if ok
     )
+
+
+def _row(model):
+    return tuple(model.rel(c) for c in model.lang.constants)
+
+
+def _holds_in(phi, lang, rows):
+    return all(eval_formula(assignment_model(lang, r), (), phi) for r in rows)
+
+
+def _separates(phi, lang, rows, model):
+    """phi holds in the model over lang of every row and fails in model."""
+    return _holds_in(phi, lang, rows) and not eval_formula(model, (), phi)
+
+
+def _induce(images, row):
+    """The source row that the images (over _S3) induce in an _S3 row."""
+    return tuple(eval_formula(assignment_model(_S3, row), (), phi) for phi in images)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1296,37 +1315,99 @@ def test_sentential_consequence_witness_matches_reference(axioms, phi):
     assert res.countermodel == (assignment_model(_S3, bad[0]) if bad else None)
 
 
+_ATOMS3 = [atom("A"), atom("B"), atom("C")]
+_images3 = st.lists(_sentence, min_size=3, max_size=3)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_sentence, max_size=3), st.lists(_sentence, max_size=3))
-def test_sentential_equivalence_witness_matches_reference(ax1, ax2):
+@given(st.lists(_sentence, max_size=3), st.lists(_sentence, max_size=3), _sentence,
+       _images3, _images3)
+@example([], [], atom("A"), _ATOMS3, _ATOMS3)  # the identity pair is a defeq
+@example([atom("A")], [atom("B")], atom("B"),  # swapping A and B is one too
+         [atom("B"), atom("A"), atom("C")], [atom("B"), atom("A"), atom("C")])
+def test_sentential_equivalence_witness_matches_reference(ax1, ax2, phi, im12, im21):
     s1, s2 = _ref_sat(_S3, ax1), _ref_sat(_S3, ax2)
-    res = logically_equivalent(Theory("a", _S3, ax1), Theory("b", _S3, ax2))
-    assert res.exact and res.equivalent == (s1 == s2)
-    if s1 != s2:
-        row = (sorted(s1 - s2) or sorted(s2 - s1))[0]
-        assert res.witness_formula == not_(characteristic_formula(_S3, row))
-        assert res.witness_model == assignment_model(_S3, row)
+    t1, t2 = Theory("a", _S3, ax1), Theory("b", _S3, ax2)
+    res = logically_equivalent(t1, t2)
+    assert res.exact and res.bound is None and res.equivalent == (s1 == s2)
+    if s1 != s2:  # an axiom of one side, failing in a model of the other
+        row = _row(res.witness_model)
+        assert row in s1 ^ s2
+        assert _separates(res.witness_formula, _S3, s2 if row in s1 else s1, res.witness_model)
+    # axiom adding: t1 + phi must have t2's rows, and some axiom exists
+    # exactly when t2's rows are among t1's
+    added = s1 & _ref_sat(_S3, [phi])
+    status = check_axiom_add(t1, t2, phi)
+    assert (status.state, status.bound) == ("verified-exact" if added == s2 else "refuted", None)
+    assert added == s2 or _row(status.witness) in added ^ s2
+    answer = axiom_add_exists(t1, t2)
+    assert (answer.answer, answer.exact, answer.bound) == ("yes" if s2 <= s1 else "no", True, None)
+    assert answer.countermodel == (assignment_model(_S3, min(s2 - s1)) if s2 - s1 else None)
+    # defeq: both translations pull rows back into the other theory's rows
+    # and both round trips fix every row
+    tr12 = Translation.make(_S3, _S3, dict(zip(_S3.constants, im12)))
+    tr21 = Translation.make(_S3, _S3, dict(zip(_S3.constants, im21)))
+    defeq = (all(_induce(im12, b) in s1 for b in s2) and all(_induce(im21, a) in s2 for a in s1)
+             and all(_induce(im12, _induce(im21, a)) == a for a in s1)
+             and all(_induce(im21, _induce(im12, b)) == b for b in s2))
+    rep = check_defeq(tr12, tr21, t1, t2)
+    assert (rep.verdict, rep.exact, rep.bound) == ("defeq" if defeq else "refuted", True, None)
+    model, psi = rep.witness_model, rep.witness_formula
+    if rep.note.startswith("round trip"):  # an atom whose round trip moves in the model
+        home, there, back = (s1, tr21, tr12) if rep.note.endswith(" a") else (s2, tr12, tr21)
+        trip = apply_translation(there, apply_translation(back, psi))
+        assert _row(model) in home
+        assert eval_formula(model, (), psi) != eval_formula(model, (), trip)
+    elif not defeq:  # an axiom of the source whose translation fails in a target model
+        source, tr, target = (s1, tr12, s2) if rep.note.startswith("tr12") else (s2, tr21, s1)
+        assert _row(model) in target and _holds_in(psi, _S3, source)
+        assert not eval_formula(model, (), apply_translation(tr, psi))
 
 
 _S2 = Language.make("AC", {"A": 0, "C": 0}, 0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_sentences(_S2, 4), max_size=2), st.lists(_sentence, max_size=3))
-def test_sentential_conservativity_witness_matches_reference(ax1, ax2):
+@given(st.lists(_sentences(_S2, 4), max_size=2), st.lists(_sentence, max_size=3),
+       st.lists(_sentence, min_size=2, max_size=2))
+@example([], [], [atom("A"), atom("C")])  # the inclusion of a free theory is faithful
+def test_sentential_conservativity_witness_matches_reference(ax1, ax2, images):
     s1, s2 = _ref_sat(_S2, ax1), _ref_sat(_S3, ax2)
-    positions = [_S3.constants.index(c) for c in _S2.constants]
-    projected = frozenset(tuple(row[p] for p in positions) for row in s2)
-    res = conservative_extension(Theory("t1", _S2, ax1), Theory("t2", _S3, ax2))
-    assert res.exact and res.holds == (projected == s1)
-    if projected != s1:
-        row = sorted(projected ^ s1)[0]
-        assert res.witness_formula == not_(characteristic_formula(_S2, row))
-        assert res.witness_model == assignment_model(_S2, row)
-        assert res.detail == (
-            "t2 proves it, t1 does not" if row not in projected
-            else "t1 proves it, t2 does not"
-        )
+    t1, t2 = Theory("t1", _S2, ax1), Theory("t2", _S3, ax2)
+    projected = {_induce([atom("A"), atom("C")], row) for row in s2}
+    res = conservative_extension(t1, t2)
+    assert res.exact and res.bound is None and res.holds == (projected == s1)
+    if projected != s1:  # not chi(row), row one side's and not the other's
+        row = _row(res.witness_model)
+        assert row in projected ^ s1 and res.detail == "size-1 reducts of t2 differ from models of t1"
+        proves = (_S3, s2) if row in s1 else (_S2, s1)
+        assert _separates(res.witness_formula, *proves, res.witness_model)
+    # an interpretation of t1 in t2 is checked on the rows its images induce
+    tr = Translation.make(_S2, _S3, dict(zip(_S2.constants, images)))
+    induced = {_induce(images, row) for row in s2}
+    rep = check_interpretation(tr, t1, t2)
+    verdict = "refuted" if induced - s1 else "interpretation" if s1 - induced else "faithful"
+    assert (rep.verdict, rep.exact, rep.bound) == (verdict, True, None)
+    if verdict == "refuted":  # an axiom of t1 whose translation fails in a model of t2
+        assert _row(rep.witness_model) in s2 and _holds_in(rep.witness_formula, _S2, s1)
+        assert not eval_formula(rep.witness_model, (), apply_translation(tr, rep.witness_formula))
+    if verdict == "interpretation":  # true in every induced row: t2 proves its translation
+        assert _row(rep.witness_model) in s1 - induced
+        assert _separates(rep.witness_formula, _S2, induced, rep.witness_model)
+
+
+def test_a_sentential_source_in_a_first_order_target_stays_bounded():
+    # size 1 decides only when every language is sentential: against a
+    # first-order target the checks run size by size, and from k = n = 0 on
+    # a model of free that nothing induces (P false) leaves them undecided,
+    # though p proves P; deciding it is ROADMAP direction 4 across languages
+    sentential = Language.make("P0", {"P": 0}, 0)
+    first_order = Language.make("PU", {"P": 0, "U": 1}, 1)
+    free, p = Theory.make("free", sentential, []), Theory.make("p", first_order, ["P"])
+    res = conservative_extension(free, p, 3)
+    assert (res.holds, res.exact, res.bound) == (None, False, 1)
+    rep = check_interpretation(Translation.make(sentential, first_order), free, p, 3)
+    assert (rep.verdict, rep.exact, rep.bound) == ("undecided", False, 1)
 
 
 def test_truth_tables_are_capped():
