@@ -207,8 +207,16 @@ def _at_least(low: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse writing through _write, on every Python version alike."""
+
+    def _print_message(self, message, file=None):
+        if message and not _write(file or sys.stderr, message) and file is sys.stdout:
+            raise SystemExit(EXIT_PIPE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thdist",
         description="distances between formal theories: catalogs, certificates, networks",
     )
@@ -288,13 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     # at a time by shutdown's collections; one hook however often main runs
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit:  # argparse has written a usage error, help or version
-        _write(sys.stderr, "")
-        if not _write(sys.stdout, ""):
-            raise SystemExit(EXIT_PIPE) from None
-        raise
+    args = build_parser().parse_args(argv)
     activate_cache()
     try:
         code = args.fn(args)

@@ -361,8 +361,8 @@ def _interpretation(
     the bound; the first failing axiom refutes exactly. Reflect (skipped
     when not asked): the tr*(M) must cover t1's models by `_reflect`, the
     rule a concept-add is checked by."""
-    top, exact = check_sizes(bound, t1.lang, t2.lang)
-    shown, laws, sizes = None if exact else bound, _cylinder_laws(tr), []
+    top, shown = check_sizes(bound, t1.lang, t2.lang)
+    exact, laws, sizes = shown is None, _cylinder_laws(tr), []
     for k in range(1, top + 1):
         for sym, j, phi, psi in laws:
             model = first_countermodel(t2, k, (psi,))
@@ -394,7 +394,7 @@ def _interpretation(
         return CheckReport("faithful", exact, shown)
     k, model, witness, decisive = found
     return CheckReport(
-        "interpretation" if decisive else "undecided", exact, None if exact else k, witness, model,
+        "interpretation" if decisive else "undecided", exact, shown and k, witness, model,
         note=f"size-{k} models of {t1.name} differ from those induced in models of {t2.name}"
         if decisive else f"size-{k} models of {t1.name} are induced by no model of {t2.name}, "
         f"but {t1.lang.var_bound} variables cannot tell size-{k} structures apart",
@@ -402,7 +402,7 @@ def _interpretation(
 
 
 def _round_trip(
-    theory: Theory, outer: Translation, inner: Translation, top: int, exact: bool, free: dict
+    theory: Theory, outer: Translation, inner: Translation, top: int, shown: int | None, free: dict
 ) -> CheckReport | None:
     """Does inner*(outer*(M)) = M for every model M of the theory of size
     at most top? Then the round trip of every formula holds. Otherwise the
@@ -427,7 +427,7 @@ def _round_trip(
             moved = FiniteModel._of_code(theory.lang, k, _lane_code(back, i))
             if _extension(model, phi) == _extension(moved, phi):
                 raise AssertionError(f"{phi!r} survives the round trip")
-            return CheckReport("refuted", True, None if exact else k, phi, model,
+            return CheckReport("refuted", True, shown and k, phi, model,
                                note=f"round trip fails over {theory.name}")
     return None
 
@@ -449,12 +449,12 @@ def check_defeq(
         rep = _interpretation(tr, a, b, bound, free, False)
         if rep.verdict == "refuted":
             return rep._replace(note=f"{label} is not an interpretation: {rep.note}")
-    top, exact = check_sizes(bound, t1.lang, t2.lang)
+    top, shown = check_sizes(bound, t1.lang, t2.lang)
     for theory, outer, inner in ((t1, tr21, tr12), (t2, tr12, tr21)):
-        rep = _round_trip(theory, outer, inner, top, exact, free)
+        rep = _round_trip(theory, outer, inner, top, shown, free)
         if rep is not None:
             return rep
-    return CheckReport("defeq", exact, None if exact else bound)
+    return CheckReport("defeq", shown is None, shown)
 
 
 def sentential_defeq_witness(t1: Theory, t2: Theory) -> tuple[Translation, Translation] | None:

@@ -175,7 +175,7 @@ def axiom_add_exists(
     candidate = big_and(t.lang, list(t2.axioms))
     if set(t.axioms) <= set(t2.axioms):
         return AxiomAddAnswer("yes", candidate, note="axioms of T are axioms of T'")
-    sizes, exact = check_sizes(bound, t.lang)
+    sizes, shown = check_sizes(bound, t.lang)
     top = feasible_bound(sizes, (t2,))  # only t2's models are enumerated
     for k in range(1, top + 1):
         m = first_countermodel(t2, k, t.axioms)
@@ -189,7 +189,7 @@ def axiom_add_exists(
             "unknown", candidate, exact=False, bound=top,
             note=f"cap reached before size {top + 1}",
         )
-    if exact:
+    if shown is None:
         return AxiomAddAnswer("yes", candidate)
     return AxiomAddAnswer(
         "unknown", candidate, exact=False, bound=bound,

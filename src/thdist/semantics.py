@@ -829,15 +829,15 @@ class ConsequenceResult(NamedTuple):
         return self.holds
 
 
-def check_sizes(bound: int, *langs: Language) -> tuple[int, bool]:
-    """The model sizes 1..top a check runs through, and whether its answer
-    is exact: (1, True) when every language is sentential, else (bound,
-    False). Without variables a structure satisfies the same sentences as
-    the size-1 structure with the same facts, its L^0-type being its
-    truth-table row, so size 1 decides. An exact answer has no bound."""
+def check_sizes(bound: int, *langs: Language) -> tuple[int, int | None]:
+    """The sizes 1..top a check runs through and the bound it shows: (1,
+    None) when every language is sentential, the answer exact, else (bound,
+    bound); an answer found at size k shows `shown and k`. Without variables
+    a structure satisfies the same sentences as the size-1 structure with
+    the same facts, its L^0-type being its truth-table row: size 1 decides."""
     if all(lang.is_sentential for lang in langs):
-        return 1, True
-    return bound, False
+        return 1, None
+    return bound, bound
 
 
 def bounded_consequence(
@@ -849,12 +849,12 @@ def bounded_consequence(
     is decided exactly at size 1 (`check_sizes`); a first-order 'holds' is
     only holds-up-to-K.
     """
-    top, exact = check_sizes(bound, theory.lang)
+    top, shown = check_sizes(bound, theory.lang)
     for k in range(1, top + 1):
         model = first_countermodel(theory, k, (phi,))
         if model is not None:
-            return ConsequenceResult(False, True, None if exact else k, model)
-    return ConsequenceResult(True, exact, None if exact else bound)
+            return ConsequenceResult(False, True, shown and k, model)
+    return ConsequenceResult(True, shown is None, shown)
 
 
 class EquivalenceResult(NamedTuple):
@@ -877,13 +877,13 @@ def logically_equivalent(t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND) -> 
     """
     if not t1.lang.same_formulas(t2.lang):
         return EquivalenceResult(False, True, None, reason="language mismatch")
-    top, exact = check_sizes(bound, t1.lang)
+    top, shown = check_sizes(bound, t1.lang)
     # one signature, so both enumerations stay inside the caps up to the same k
     for k in range(1, top + 1):
         if _entry(t1, k)[0] != _entry(t2, k)[0]:
             break
     else:
-        return EquivalenceResult(True, exact, None if exact else bound)
+        return EquivalenceResult(True, shown is None, shown)
     for a, b in ((t1, t2), (t2, t1)):
         for phi in b.axioms:
             r = bounded_consequence(a, phi, bound)
@@ -921,22 +921,22 @@ def conservative_extension(
         raise LanguageError(
             f"formulas of {t1.lang.name} are not all formulas of {t2.lang.name}"
         )
-    top, exact = check_sizes(bound, t1.lang, t2.lang)
+    top, shown = check_sizes(bound, t1.lang, t2.lang)
     canonical, free = {sym: atom(sym, tuple(range(rank))) for sym, rank in t1.lang.symbols}, {}
     reducts = (  # per size, the reducts' lanes and their count, built as _reflect reads them
         (_induced(t1.lang.symbols, canonical, _space(t2.lang.symbols, k), bits,
                   (1 << len(codes)) - 1, free), len(codes))
         for k in range(1, top + 1) for codes, bits in [model_lanes(t2, k)]
     )
-    found = _reflect(t1, reducts, exact)
+    found = _reflect(t1, reducts, shown is None)
     if found is None:
-        return ConservativityResult(True, exact, None if exact else bound)
+        return ConservativityResult(True, shown is None, shown)
     k, model, witness, decisive = found
     detail = f"size-{k} reducts of {t2.name} differ from models of {t1.name}" if decisive else (
         f"size-{k} models of {t1.name} lack {t2.name}-expansions, "
         f"but {t1.lang.var_bound} variables cannot tell size-{k} structures apart")
     return ConservativityResult(
-        False if decisive else None, exact, None if exact else k, witness, model, detail)
+        False if decisive else None, shown is None, shown and k, witness, model, detail)
 
 
 def _reflect(

@@ -464,17 +464,19 @@ def test_a_closed_output_pipe_exits_141(tmp_path):
     finally:
         os.close(write)
     assert (short.returncode, short.stderr) == (141, b"")
-    # argparse's --version and --help write to stdout and exit before a command runs
-    for flag in ("--version", "--help"):
+    # argparse's --version and --help write to stdout and exit before a
+    # command runs; unbuffered, the write itself fails, not a later flush
+    for env, flags in ((_fresh_env(), ["--version"]), (_fresh_env(), ["--help"]),
+                       (_fresh_env(PYTHONUNBUFFERED="1"), ["--help"]),
+                       (_fresh_env(PYTHONUNBUFFERED="1"), ["check", "--help"])):
         read, write = os.pipe()
         os.close(read)
         try:
-            early = subprocess.run([sys.executable, "-m", "thdist.cli", flag], cwd=ROOT,
-                                   env=_fresh_env(), stdout=write, stderr=subprocess.PIPE,
-                                   timeout=300)
+            early = subprocess.run([sys.executable, "-m", "thdist.cli", *flags], cwd=ROOT,
+                                   env=env, stdout=write, stderr=subprocess.PIPE, timeout=300)
         finally:
             os.close(write)
-        assert (early.returncode, early.stderr) == (141, b""), flag
+        assert (early.returncode, early.stderr) == (141, b""), flags
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
