@@ -18,7 +18,6 @@ symbols translate to themselves. :bound pins a per-certificate size bound,
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -394,8 +393,9 @@ def load_catalog(path: str | Path) -> Catalog:
 
 
 def shipped_catalog_text() -> str:
-    """Text of the built-in worked-example catalog."""
-    return resources.files("thdist").joinpath("data/paper_examples.cat").read_text()
+    """Text of the built-in worked-example catalog, installed beside this
+    module as package data (`importlib.resources` would load `inspect`)."""
+    return (Path(__file__).with_name("data") / "paper_examples.cat").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -361,7 +361,7 @@ def _interpretation(
     the bound; the first failing axiom refutes exactly. Reflect (skipped
     when not asked): the tr*(M) must cover t1's models by `_reflect`, the
     rule a concept-add is checked by."""
-    top, shown = check_sizes(bound, t1.lang, t2.lang)
+    top, shown = check_sizes(bound, t1, t2)
     exact, laws, sizes = shown is None, _cylinder_laws(tr), []
     for k in range(1, top + 1):
         for sym, j, phi, psi in laws:
@@ -449,7 +449,7 @@ def check_defeq(
         rep = _interpretation(tr, a, b, bound, free, False)
         if rep.verdict == "refuted":
             return rep._replace(note=f"{label} is not an interpretation: {rep.note}")
-    top, shown = check_sizes(bound, t1.lang, t2.lang)
+    top, shown = check_sizes(bound, t1, t2)
     for theory, outer, inner in ((t1, tr21, tr12), (t2, tr12, tr21)):
         rep = _round_trip(theory, outer, inner, top, shown, free)
         if rep is not None:

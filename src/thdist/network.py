@@ -36,7 +36,7 @@ from .semantics import (
     DEFAULT_BOUND,
     Theory,
     _set_bits,
-    feasible_bound,
+    check_sizes,
     logically_equivalent,
     sat_assignments,
     sat_rows,
@@ -516,9 +516,7 @@ def classify_ad(
     ta, tb = _endpoints(theories, a, b)
     note = f"amalgamation property: {amalgamation}"
     if ta.lang.same_formulas(tb.lang):
-        # clamped as the certificate checks are; size 1 past the caps
-        # still reaches enumerate_models, which refuses it
-        eq_res = logically_equivalent(ta, tb, max(1, feasible_bound(bound, (ta, tb))))
+        eq_res = logically_equivalent(ta, tb, bound)
         if eq_res.equivalent:
             status = "exact" if eq_res.exact else "bounded"
             return DistanceResult(fin(0), None, status, notes=(note,))
@@ -563,7 +561,9 @@ def _arrow_matrix(
 ) -> dict[tuple[str, str], bool | None]:
     """arrow[u, v] decides u <- v (v is u plus one axiom, up to logical
     equivalence) by axiom_add_exists: yes, no or unknown (None). Verified
-    certificates add positives, closed under facts (1)-(3)."""
+    certificates add positives, an equiv one both ways, as equivalent
+    theories are one axiom apart in each direction; one transitive closure
+    of the positives then yields facts (1)-(3)."""
     names = list(theories)
     certificates = _node_certificates(
         theories, certificates, ("axiom-add", "collapse", "equiv"), bound)
@@ -574,30 +574,16 @@ def _arrow_matrix(
         for v in names
     }
     for cert in certificates:
-        if cert.kind != "equiv" and cert.status.verified:
+        if cert.status.verified:
             arrow[cert.source, cert.target] = True
-    equiv_pairs = [
-        (c.source, c.target) for c in certificates if c.kind == "equiv" and c.status.verified
-    ]
-    changed = True
-    while changed:
-        changed = False
+            if cert.kind == "equiv":
+                arrow[cert.target, cert.source] = True
+    for w in names:  # Warshall
         for u in names:
-            for v in names:
-                if arrow[u, v]:
-                    for w in names:
-                        if arrow[v, w] and not arrow[u, w]:
-                            arrow[u, w] = True  # fact (1): transitivity
-                            changed = True
-        for x, y in equiv_pairs:
-            for w in names:
-                for p, q in ((x, y), (y, x)):
-                    if arrow[q, w] and not arrow[p, w]:  # fact (2)
-                        arrow[p, w] = True
-                        changed = True
-                    if arrow[w, q] and not arrow[w, p]:  # fact (3)
-                        arrow[w, p] = True
-                        changed = True
+            if arrow[u, w]:
+                for v in names:
+                    if arrow[w, v]:
+                        arrow[u, v] = True
     return arrow
 
 
@@ -669,13 +655,15 @@ def lower_bound_certificates(
 
     Both arguments need the size-k structures told apart by the fragment,
     which takes k + 1 variables: with n the smaller variable bound, only
-    sizes k <= n - 1 count, unless both theories are sentential (whose
-    models are the same rows at every size).
+    sizes k <= n - 1 count among those `check_sizes` gives, unless both
+    theories are sentential: their models are the same rows at every
+    size, so size 1 decides.
     """
-    if not (t1.lang.is_sentential and t2.lang.is_sentential):
-        bound = min(bound, t1.lang.var_bound - 1, t2.lang.var_bound - 1)
+    top, shown = check_sizes(bound, t1, t2)
+    if shown is not None:
+        top = min(top, t1.lang.var_bound - 1, t2.lang.var_bound - 1)
     best = LowerBoundEvidence("none", fin(0))
-    for k in range(1, feasible_bound(bound, (t1, t2)) + 1):
+    for k in range(1, top + 1):
         c1, c2 = spectrum(t1, k), spectrum(t2, k)
         if (c1 == 0) != (c2 == 0):
             return LowerBoundEvidence(

@@ -674,7 +674,7 @@ def enumeration_feasible(theory: Theory, k: int) -> bool:
 def feasible_bound(bound: int, theories: Sequence[Theory]) -> int:
     """The largest k <= bound such that every theory's enumeration stays
     inside the caps at each size up to k; 0 when size 1 already fails.
-    Checks clamp their bound here before they enumerate anything."""
+    `check_sizes` reads it for every check before anything is enumerated."""
     k = 0
     while k < bound and all(enumeration_feasible(t, k + 1) for t in theories):
         k += 1
@@ -829,15 +829,19 @@ class ConsequenceResult(NamedTuple):
         return self.holds
 
 
-def check_sizes(bound: int, *langs: Language) -> tuple[int, int | None]:
-    """The sizes 1..top a check runs through and the bound it shows: (1,
-    None) when every language is sentential, the answer exact, else (bound,
-    bound); an answer found at size k shows `shown and k`. Without variables
-    a structure satisfies the same sentences as the size-1 structure with
-    the same facts, its L^0-type being its truth-table row: size 1 decides."""
-    if all(lang.is_sentential for lang in langs):
-        return 1, None
-    return bound, bound
+def check_sizes(bound: int, *theories: Theory) -> tuple[int, int | None]:
+    """The sizes 1..top a check of the theories runs through and the bound
+    it shows: (1, None) when every theory is sentential, the answer exact,
+    else (top, top), top = `feasible_bound(bound, theories)`; an answer
+    found at size k shows `shown and k`. Without variables a structure
+    satisfies the same sentences as the size-1 structure with the same
+    facts, its L^0-type being its truth-table row: size 1 decides. Raises
+    when size 1 does not fit the caps."""
+    sentential = all(t.lang.is_sentential for t in theories)
+    top = feasible_bound(1 if sentential else bound, theories)
+    if top < 1:
+        raise CapExceededError("verification infeasible even at size 1")
+    return (1, None) if sentential else (top, top)
 
 
 def bounded_consequence(
@@ -849,7 +853,7 @@ def bounded_consequence(
     is decided exactly at size 1 (`check_sizes`); a first-order 'holds' is
     only holds-up-to-K.
     """
-    top, shown = check_sizes(bound, theory.lang)
+    top, shown = check_sizes(bound, theory)
     for k in range(1, top + 1):
         model = first_countermodel(theory, k, (phi,))
         if model is not None:
@@ -877,8 +881,7 @@ def logically_equivalent(t1: Theory, t2: Theory, bound: int = DEFAULT_BOUND) -> 
     """
     if not t1.lang.same_formulas(t2.lang):
         return EquivalenceResult(False, True, None, reason="language mismatch")
-    top, shown = check_sizes(bound, t1.lang)
-    # one signature, so both enumerations stay inside the caps up to the same k
+    top, shown = check_sizes(bound, t1, t2)
     for k in range(1, top + 1):
         if _entry(t1, k)[0] != _entry(t2, k)[0]:
             break
@@ -921,7 +924,7 @@ def conservative_extension(
         raise LanguageError(
             f"formulas of {t1.lang.name} are not all formulas of {t2.lang.name}"
         )
-    top, shown = check_sizes(bound, t1.lang, t2.lang)
+    top, shown = check_sizes(bound, t1, t2)
     canonical, free = {sym: atom(sym, tuple(range(rank))) for sym, rank in t1.lang.symbols}, {}
     reducts = (  # per size, the reducts' lanes and their count, built as _reflect reads them
         (_induced(t1.lang.symbols, canonical, _space(t2.lang.symbols, k), bits,

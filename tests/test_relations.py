@@ -5,8 +5,9 @@ import itertools
 import pytest
 
 from thdist import relations
-from thdist.concepts import CheckReport
+from thdist.concepts import CheckReport, check_defeq, check_interpretation
 from thdist.errors import CapExceededError, RemovalError, UnsupportedFragmentError
+from thdist.network import check_amalgamation, classify_ad
 from thdist.relations import (
     AxiomAddAnswer,
     CertStatus,
@@ -21,6 +22,9 @@ from thdist.relations import (
 )
 from thdist.semantics import (
     Theory,
+    bounded_consequence,
+    conservative_extension,
+    feasible_bound,
     logically_equivalent,
     sat_assignments,
     sat_rows,
@@ -296,11 +300,14 @@ DIAG_VIA_EQ = Theory.make(
     ("bounded", "bounded (cap stopped at 2)"),
 ])
 def test_verify_certificate_runs_once_at_the_clamp_and_notes_it(monkeypatch, note, expected):
+    # the verifier passes K on; the check clamps it (here a stub that
+    # reports the bound 2 the caps allow for Tern), and a bound below K is
+    # noted from the status alone
     bounds = []
 
     def check(tr, t1, t2, bound):
         bounds.append(bound)
-        return CheckReport("faithful", False, bound, note=note)
+        return CheckReport("faithful", False, min(bound, 2), note=note)
 
     monkeypatch.setattr(relations, "check_interpretation", check)
     lookup = {"diag": DIAG}
@@ -309,7 +316,7 @@ def test_verify_certificate_runs_once_at_the_clamp_and_notes_it(monkeypatch, not
     assert cert.status.note == expected
     # at a bound the caps allow there is nothing to note
     assert verify_certificate(cert, lookup, 2) == CertStatus("verified-bounded", 2, None, note)
-    assert bounds == [2, 2]
+    assert bounds == [4, 2]
 
 
 def test_verify_certificate_clamps_real_checks_only():
@@ -340,22 +347,72 @@ def test_verify_certificate_clamps_real_checks_only():
 
 
 def test_axiom_add_exists_stops_at_the_cap():
-    # only the target's models are enumerated, and size 3 is past the cap
-    res = axiom_add_exists(DIAG, DIAG_VIA_EQ, 4)
-    assert res == AxiomAddAnswer(
+    # size 3 is past the cap, so a bound of 4 answers as a bound of 2 does
+    expected = AxiomAddAnswer(
         "unknown", big_and(TERN, list(DIAG_VIA_EQ.axioms)), None, False, 2,
-        "cap reached before size 3",
+        "model inclusion holds up to the bound but is not proved",
     )
-    res = axiom_add_exists(DIAG, DIAG_VIA_EQ, 2)
-    assert (res.answer, res.bound, res.note) == (
-        "unknown", 2, "model inclusion holds up to the bound but is not proved")
+    assert axiom_add_exists(DIAG, DIAG_VIA_EQ, 4) == expected
+    assert axiom_add_exists(DIAG, DIAG_VIA_EQ, 2) == expected
 
 
-def test_concept_add_unclamped_past_the_caps_raises_the_enumeration_cap():
-    # the verifier clamps; a library call at a bound past the caps reaches
-    # enumerate_models, whose own message names the size that failed
-    grown = Theory.make("diag-u", Language.make("TernU", {"T": 3, "U": 1}, 3),
-                        ["(forall v0 (T v0 v0 v0))"])
-    assert check_concept_add(DIAG, grown, 2)[0] == CertStatus("verified-bounded", 2)
-    with pytest.raises(CapExceededError, match="candidates at size 3 exceed cap"):
-        check_concept_add(DIAG, grown, 3)
+# DIAG with one more, unary, symbol: a conservative extension of DIAG
+DIAG_U = Theory.make("diag-u", Language.make("TernU", {"T": 3, "U": 1}, 3),
+                     ["(forall v0 (T v0 v0 v0))"])
+
+
+def test_concept_add_past_the_caps_answers_at_the_clamp():
+    # a library call clamps as the verifier does: the check's own bound
+    assert check_concept_add(DIAG, DIAG_U, 3) == check_concept_add(DIAG, DIAG_U, 2) == (
+        CertStatus("verified-bounded", 2), "U")
+
+
+def _one_policy_checks(t1: Theory, t2: Theory, grown: Theory, phi: str) -> dict:
+    """Each check at bound b, by name: t1 against t2 (one language), t1
+    within grown (one symbol more), and phi as a consequence of t1."""
+    lang = t1.lang
+    same = Translation.make(lang, lang, {})
+    formula = parse_formula(phi, lang)
+    pair = {"a": t1, "b": t2}
+    return {
+        "bounded_consequence": lambda b: bounded_consequence(t1, formula, b),
+        "logically_equivalent": lambda b: logically_equivalent(t1, t2, b),
+        "conservative_extension": lambda b: conservative_extension(t1, grown, b),
+        "check_interpretation": lambda b: check_interpretation(same, t1, t2, b),
+        "check_defeq": lambda b: check_defeq(same, same, t1, t2, b),
+        "check_axiom_add": lambda b: check_axiom_add(t1, t2, formula, b),
+        "axiom_add_exists": lambda b: axiom_add_exists(t1, t2, b),
+        "check_amalgamation": lambda b: check_amalgamation(pair, (), b),
+        "classify_ad": lambda b: classify_ad(pair, "a", "b", (), b, amalgamation="asserted"),
+    }
+
+
+# "at least two elements" fails at size 1, below the clamp
+_TERN_CHECKS = _one_policy_checks(
+    DIAG, DIAG_VIA_EQ, DIAG_U, "(exists v0 (exists v1 (not (= v0 v1))))")
+
+
+@pytest.mark.parametrize("name", list(_TERN_CHECKS))
+def test_a_check_past_the_caps_answers_as_at_the_feasible_bound(name):
+    # Tern fits the caps up to size 2: a bound of 4 or 5 is that bound,
+    # field for field
+    assert feasible_bound(5, (DIAG, DIAG_VIA_EQ, DIAG_U)) == 2
+    check = _TERN_CHECKS[name]
+    at_the_clamp = check(2)
+    assert check(4) == at_the_clamp and check(5) == at_the_clamp
+
+
+# 22 unary symbols need 22 code bits at size 1, past the candidate cap
+WIDE = Language.make("Wide", {f"U{i}": 1 for i in range(22)}, 1)
+WIDE_ALL = Theory.make("all-u0", WIDE, ["(forall v0 (U0 v0))"])
+WIDE_FREE = Theory.make("free", WIDE, [])
+WIDE_GROWN = Theory.make("all-u0-v", Language.make(
+    "WideV", {**{f"U{i}": 1 for i in range(22)}, "V": 1}, 1), ["(forall v0 (U0 v0))"])
+
+
+@pytest.mark.parametrize("name", list(_TERN_CHECKS))
+def test_a_check_that_cannot_run_size_1_raises(name):
+    check = _one_policy_checks(WIDE_ALL, WIDE_FREE, WIDE_GROWN, "(U1 v0)")[name]
+    for bound in (1, 4):
+        with pytest.raises(CapExceededError, match="^verification infeasible even at size 1$"):
+            check(bound)

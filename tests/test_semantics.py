@@ -459,9 +459,11 @@ def test_assignment_set_leaves_nothing_behind():
     # with the cyclic collector off, what assignment_set and is_true
     # allocate is freed by reference counting: a collection finds no
     # garbage, and the memory traced to semantics.py is no larger after
-    # 500 more calls than after one. Each measure runs a full collection
-    # first, which also empties the interpreter's free lists, so a list
-    # header kept there for reuse does not count.
+    # 500 more calls than after the first 1,100. Each measure runs a full
+    # collection first, which also empties the interpreter's free lists,
+    # so a list header kept there for reuse does not count. CPython 3.10
+    # gives a code object its opcache once the function has run 1,024
+    # times, traced to semantics.py; the warm-up calls pass that mark.
     m = FiniteModel(BIN, 3, {"R": {(0, 1), (1, 2)}})
     phi = parse_formula("(exists v2 (and (R v0 v2) (not (= v1 v2))))", BIN)
     expected = assignment_set(m, phi), is_true(m, phi)  # fills the lru tables first
@@ -480,7 +482,8 @@ def test_assignment_set_leaves_nothing_behind():
     gc.set_debug(gc.DEBUG_SAVEALL)
     tracemalloc.start(25)
     try:
-        call()
+        for _ in range(1100):
+            call()
         once = traced()
         for _ in range(500):
             call()
@@ -878,8 +881,9 @@ def test_perm_cap_bounds_feasible_sizes(monkeypatch):
     assert not enumeration_feasible(Theory.make("p", PQ, ["P"]), 4)  # sentential ones too
     evidence = lower_bound_certificates(s1, s2, rank_cap=1)
     assert evidence.kind == "growth-certificate" and evidence.size in (1, 2, 3)
-    with pytest.raises(CapExceededError):
-        conservative_extension(s1, s2)
+    # a check clamps its default bound of 4 there too
+    res = conservative_extension(s1, s2)
+    assert res == conservative_extension(s1, s2, 3) and (res.holds, res.bound) == (True, 3)
 
 
 # Up to three constants, the empty signature (sentential and first-order),
